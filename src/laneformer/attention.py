@@ -18,14 +18,16 @@ import numpy as np
 from .autodiff import (
     Tensor,
     add,
-    concat,
     layer_norm,
     matmul,
+    merge_heads,
     multiply,
     relu,
     reshape,
     row_softmax,
     scale,
+    split_heads,
+    stack,
     uniform_init,
 )
 from .topology import TopologyMatrices
@@ -69,11 +71,14 @@ class AttentionConfig:
 
 @dataclass
 class AttentionWeights:
-    """Per-head projection matrices plus the shared output projection."""
+    """Query/key/value projections and the output projection, each (d, d).
 
-    wq: list
-    wk: list
-    wv: list
+    Head h owns columns h * d_k to (h + 1) * d_k of wq, wk and wv.
+    """
+
+    wq: Tensor
+    wk: Tensor
+    wv: Tensor
     wo: Tensor
 
 
@@ -135,11 +140,13 @@ class LayerWeights:
 
 def init_attention_weights(rng: np.random.Generator, cfg: AttentionConfig) -> AttentionWeights:
     d, dk = cfg.d_model, cfg.d_k
-    make = lambda: Tensor(uniform_init(rng, d, (d, dk)), requires_grad=True)
+    # one (d, d_k) block per head, drawn head by head: all of Q, then K, then V
+    make = lambda: Tensor(np.concatenate(
+        [uniform_init(rng, d, (d, dk)) for _ in range(cfg.heads)], axis=1), requires_grad=True)
     return AttentionWeights(
-        wq=[make() for _ in range(cfg.heads)],
-        wk=[make() for _ in range(cfg.heads)],
-        wv=[make() for _ in range(cfg.heads)],
+        wq=make(),
+        wk=make(),
+        wv=make(),
         wo=Tensor(uniform_init(rng, d, (d, d)), requires_grad=True),
     )
 
@@ -233,7 +240,10 @@ _SOFTMAX_TRACE: list | None = None
 
 @contextlib.contextmanager
 def capture_softmax():
-    """Collect every attention probability matrix computed inside the block."""
+    """Collect every attention probability matrix computed inside the block.
+
+    Batched calls contribute one 2-d matrix per batch row and head.
+    """
     global _SOFTMAX_TRACE
     prev, _SOFTMAX_TRACE = _SOFTMAX_TRACE, []
     try:
@@ -244,7 +254,7 @@ def capture_softmax():
 
 def _record_softmax(p: Tensor) -> None:
     if _SOFTMAX_TRACE is not None:
-        _SOFTMAX_TRACE.append(p.data.copy())
+        _SOFTMAX_TRACE.extend(m.copy() for m in p.data.reshape((-1,) + p.data.shape[-2:]))
 
 
 # ---------------------------------------------------------------------------
@@ -253,22 +263,19 @@ def _record_softmax(p: Tensor) -> None:
 def _attention_core(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights,
                     cfg: AttentionConfig, mask: np.ndarray | None,
                     biases: BiasSet | None) -> Tensor:
-    inv_sqrt_dk = 1.0 / np.sqrt(cfg.d_k)
-    head_outputs = []
-    for h in range(cfg.heads):
-        qh = matmul(q, w.wq[h])
-        kh = matmul(k, w.wk[h])
-        vh = matmul(v, w.wv[h])
-        logits = scale(matmul(qh, kh, transpose_b=True), inv_sqrt_dk)
-        if biases is not None:
-            logits = add(multiply(logits, biases.b[h]), biases.d_inter[h])
-        p = row_softmax(logits, mask=mask)
-        _record_softmax(p)
-        if biases is not None:
-            p = multiply(p, biases.d_outer[h])
-        head_outputs.append(matmul(p, vh))
-    joined = head_outputs[0] if cfg.heads == 1 else concat(head_outputs, axis=1)
-    return matmul(joined, w.wo)
+    """All heads at once over (..., N, D) inputs; mask is (..., N_q, N_k)."""
+    heads = cfg.heads
+    qh = split_heads(matmul(q, w.wq), heads)
+    kh = split_heads(matmul(k, w.wk), heads)
+    vh = split_heads(matmul(v, w.wv), heads)
+    logits = scale(matmul(qh, kh, transpose_b=True), 1.0 / np.sqrt(cfg.d_k))
+    if biases is not None:
+        logits = add(multiply(logits, stack(biases.b)), stack(biases.d_inter))
+    p = row_softmax(logits, mask=None if mask is None else np.asarray(mask)[..., None, :, :])
+    _record_softmax(p)
+    if biases is not None:
+        p = multiply(p, stack(biases.d_outer))
+    return matmul(merge_heads(matmul(p, vh)), w.wo)
 
 
 def standard_attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights,

@@ -8,6 +8,7 @@ central finite differences at tight tolerances.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -15,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "Tensor",
-    "Parameter",
     "ParameterRegistry",
     "ShapeError",
     "NondeterministicFunctionError",
@@ -25,6 +25,9 @@ __all__ = [
     "transpose",
     "reshape",
     "concat",
+    "stack",
+    "split_heads",
+    "merge_heads",
     "gather_rows",
     "add",
     "subtract",
@@ -88,8 +91,9 @@ def tensor(data, requires_grad=False) -> Tensor:
 
 def _result(data, parents, backward) -> Tensor:
     # Constant subgraphs are pruned: no parents recorded, no backward closure.
-    if any(p.requires_grad for p in parents):
-        return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward)
+    for p in parents:
+        if p.requires_grad:
+            return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward)
     return Tensor(data)
 
 
@@ -117,15 +121,29 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def matmul(a, b, transpose_b: bool = False) -> Tensor:
+    """a @ b over the last two axes, broadcasting any leading axes.
+
+    transpose_b swaps b's last two axes first. A batch multiplies item by
+    item, so each BLAS call stays small enough to run on one thread.
+    """
     a, b = as_tensor(a), as_tensor(b)
-    bd = b.data.T if transpose_b else b.data
-    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != bd.shape[0]:
-        raise ShapeError(f"matmul: incompatible shapes {a.data.shape} x {bd.shape}")
-    out = a.data @ bd
+    ad = a.data
+    bd = b.data
+    if ad.ndim < 2 or bd.ndim < 2:
+        raise ShapeError(f"matmul: need at least 2-d operands, got {ad.shape} x {bd.shape}")
+    if transpose_b:
+        bd = np.swapaxes(bd, -1, -2)
+    try:
+        out = ad @ bd
+    except ValueError:
+        raise ShapeError(f"matmul: incompatible shapes {ad.shape} x {bd.shape}") from None
 
     def backward(g):
-        _accum(a, g @ bd.T)
-        _accum(b, (g.T @ a.data) if transpose_b else (a.data.T @ g))
+        if a.requires_grad:
+            _accum(a, _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape))
+        if b.requires_grad:
+            gb = (np.swapaxes(g, -1, -2) @ ad) if transpose_b else (np.swapaxes(ad, -1, -2) @ g)
+            _accum(b, _unbroadcast(gb, b.data.shape))
 
     return _result(out, (a, b), backward)
 
@@ -169,6 +187,48 @@ def concat(tensors, axis=0) -> Tensor:
     return _result(out, ts, backward)
 
 
+def stack(tensors, axis=0) -> Tensor:
+    ts = [as_tensor(t) for t in tensors]
+    if not ts:
+        raise ShapeError("stack: empty tensor list")
+    out = np.stack([t.data for t in ts], axis=axis)
+
+    def backward(g):
+        for i, t in enumerate(ts):
+            _accum(t, np.take(g, i, axis=axis))
+
+    return _result(out, ts, backward)
+
+
+def split_heads(a, heads: int) -> Tensor:
+    """(..., N, H * d) -> (..., H, N, d): head h is the h-th block of d columns."""
+    a = as_tensor(a)
+    shape = a.data.shape
+    if a.data.ndim < 2 or shape[-1] % heads:
+        raise ShapeError(f"split_heads: cannot split {shape} into {heads} heads")
+    out = np.swapaxes(a.data.reshape(shape[:-1] + (heads, shape[-1] // heads)), -3, -2)
+
+    def backward(g):
+        _accum(a, np.swapaxes(g, -3, -2).reshape(shape))
+
+    return _result(out, (a,), backward)
+
+
+def merge_heads(a) -> Tensor:
+    """(..., H, N, d) -> (..., N, H * d), the inverse of split_heads."""
+    a = as_tensor(a)
+    shape = a.data.shape
+    if a.data.ndim < 3:
+        raise ShapeError(f"merge_heads: expected at least 3-d tensor, got shape {shape}")
+    swapped = np.swapaxes(a.data, -3, -2)
+    out = swapped.reshape(swapped.shape[:-2] + (shape[-3] * shape[-1],))
+
+    def backward(g):
+        _accum(a, np.swapaxes(g.reshape(swapped.shape), -3, -2))
+
+    return _result(out, (a,), backward)
+
+
 def gather_rows(a, indices) -> Tensor:
     """Select rows (axis 0) by index; duplicate indices accumulate gradient."""
     a = as_tensor(a)
@@ -198,7 +258,14 @@ def add(a, b) -> Tensor:
 
 
 def subtract(a, b) -> Tensor:
-    return add(a, scale(as_tensor(b), -1.0))
+    a, b = as_tensor(a), as_tensor(b)
+    out = a.data - b.data
+
+    def backward(g):
+        _accum(a, _unbroadcast(g, a.data.shape))
+        _accum(b, -_unbroadcast(g, b.data.shape))
+
+    return _result(out, (a, b), backward)
 
 
 def multiply(a, b) -> Tensor:
@@ -233,59 +300,65 @@ def relu(a) -> Tensor:
 
 
 def row_softmax(a, mask=None) -> Tensor:
-    """Numerically stable softmax over each row; masked entries are exactly 0.
+    """Numerically stable softmax over the last axis; masked entries are exactly 0.
 
-    `mask` is a boolean array of the same shape, True = entry participates.
-    A row with no unmasked entry is an error.
+    `mask` is a boolean array broadcastable to the input, True = entry
+    participates. A row with no unmasked entry is an error.
     """
     a = as_tensor(a)
     x = a.data
-    if x.ndim != 2:
-        raise ShapeError(f"row_softmax: expected 2-d tensor, got shape {x.shape}")
+    if x.ndim < 2:
+        raise ShapeError(f"row_softmax: expected at least 2-d tensor, got shape {x.shape}")
     if mask is None:
-        z = x - x.max(axis=1, keepdims=True)
-        e = np.exp(z)
+        p = x - x.max(axis=-1, keepdims=True)
     else:
         mask = np.asarray(mask, dtype=bool)
-        if mask.shape != x.shape:
-            raise ShapeError(f"row_softmax: mask shape {mask.shape} != input {x.shape}")
-        rows_ok = mask.any(axis=1)
+        try:
+            fits = np.broadcast_shapes(mask.shape, x.shape) == x.shape
+        except ValueError:
+            fits = False
+        if not fits:
+            raise ShapeError(f"row_softmax: mask shape {mask.shape} does not fit input {x.shape}")
+        rows_ok = mask.any(axis=-1)
         if not rows_ok.all():
-            raise ValueError(f"empty attention row {int(np.flatnonzero(~rows_ok)[0])}")
-        zm = np.where(mask, x, -np.inf)
-        e = np.exp(zm - zm.max(axis=1, keepdims=True))  # masked -> exp(-inf) = 0
-    p = e / e.sum(axis=1, keepdims=True)
+            row = np.argwhere(~rows_ok)[0].tolist()
+            raise ValueError(f"empty attention row {row[0] if len(row) == 1 else tuple(row)}")
+        p = np.where(mask, x, -np.inf)
+        p -= p.max(axis=-1, keepdims=True)   # masked -> exp(-inf) = 0
+    np.exp(p, out=p)
+    p /= p.sum(axis=-1, keepdims=True)
 
     def backward(g):
         gp = g * p
-        _accum(a, gp - p * gp.sum(axis=1, keepdims=True))
+        gp -= p * gp.sum(axis=-1, keepdims=True)
+        _accum(a, gp)
 
     return _result(p, (a,), backward)
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize each row to zero mean / unit variance, then scale and shift."""
+    """Normalize the last axis to zero mean / unit variance, then scale and shift."""
     x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    if x.data.ndim != 2:
-        raise ShapeError(f"layer_norm: expected 2-d tensor, got shape {x.data.shape}")
-    d = x.data.shape[1]
+    if x.data.ndim < 2:
+        raise ShapeError(f"layer_norm: expected at least 2-d tensor, got shape {x.data.shape}")
+    d = x.data.shape[-1]
     if gain.data.size != d or bias.data.size != d:
         raise ShapeError(f"layer_norm: gain/bias must have {d} values")
     gvec, bvec = gain.data.reshape(d), bias.data.reshape(d)
-    mu = x.data.mean(axis=1, keepdims=True)
+    mu = x.data.mean(axis=-1, keepdims=True)
     xc = x.data - mu
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
     xhat = xc * inv
     out = xhat * gvec + bvec
 
     def backward(g):
         gh = g * gvec
         # d xhat / d x folded into one expression (standard layer-norm backward)
-        gx = inv * (gh - gh.mean(axis=1, keepdims=True)
-                    - xhat * (gh * xhat).mean(axis=1, keepdims=True))
+        gx = inv * (gh - gh.mean(axis=-1, keepdims=True)
+                    - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
         _accum(x, gx)
-        _accum(gain, (g * xhat).sum(axis=0).reshape(gain.data.shape))
-        _accum(bias, g.sum(axis=0).reshape(bias.data.shape))
+        _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0).reshape(gain.data.shape))
+        _accum(bias, g.reshape(-1, d).sum(axis=0).reshape(bias.data.shape))
 
     return _result(out, (x, gain, bias), backward)
 
@@ -362,12 +435,6 @@ def backpropagate(loss: Tensor) -> None:
 # parameters
 
 
-@dataclass(frozen=True)
-class Parameter:
-    name: str
-    tensor: Tensor
-
-
 class ParameterRegistry:
     """Ordered name -> tensor store for everything the optimizer touches."""
 
@@ -395,9 +462,6 @@ class ParameterRegistry:
 
     def items(self):
         return self._tensors.items()
-
-    def parameters(self):
-        return [Parameter(n, t) for n, t in self._tensors.items()]
 
     def zero_grad(self):
         for t in self._tensors.values():
@@ -485,15 +549,19 @@ def grad_check(f, inputs, h: float = 1e-6, tol: float = 1e-6,
 # Layout (all little-endian):
 #   magic "LFCK" | u16 version | i64 seed | u32 record count
 #   per record: u16 name length | name utf-8 | u8 ndim | u32 dims... | f64 values
+# and nothing after the last record. Version 2 stores each attention
+# projection as one (d, d) matrix ("...attn.wq"); version 1 stored one
+# (d, d_k) matrix per head ("...attn.wq0" ... "...attn.wq<H-1>").
 
 _CKPT_MAGIC = b"LFCK"
-_CKPT_VERSION = 1
+_CKPT_VERSION = 2
+_CKPT_HEADER = "<Hq I"
 
 
 def save_checkpoint(path, registry: ParameterRegistry, seed: int) -> None:
     with open(path, "wb") as fh:
         fh.write(_CKPT_MAGIC)
-        fh.write(struct.pack("<Hq I", _CKPT_VERSION, int(seed), len(registry)))
+        fh.write(struct.pack(_CKPT_HEADER, _CKPT_VERSION, int(seed), len(registry)))
         for name, t in registry.items():
             blob = name.encode("utf-8")
             fh.write(struct.pack("<H", len(blob)))
@@ -503,30 +571,65 @@ def save_checkpoint(path, registry: ParameterRegistry, seed: int) -> None:
             fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes())
 
 
+class _CheckpointReader:
+    """Length-checked reads from a checkpoint file held in memory."""
+
+    def __init__(self, path):
+        self.path = path
+        with open(path, "rb") as fh:
+            self.buf = memoryview(fh.read())
+        self.pos = 0
+
+    def take(self, n: int, what: str) -> memoryview:
+        left = len(self.buf) - self.pos
+        if n > left:
+            raise ValueError(f"{self.path}: truncated checkpoint: {what} needs {n} bytes, "
+                             f"{left} left")
+        self.pos += n
+        return self.buf[self.pos - n:self.pos]
+
+    def unpack(self, fmt: str, what: str) -> tuple:
+        return struct.unpack(fmt, self.take(struct.calcsize(fmt), what))
+
+
 def load_checkpoint(path, registry: ParameterRegistry) -> int:
     """Load values into an already-built registry by name; returns the stored seed."""
-    with open(path, "rb") as fh:
-        if fh.read(4) != _CKPT_MAGIC:
-            raise ValueError(f"{path}: not a checkpoint file")
-        version, seed, count = struct.unpack("<Hq I", fh.read(struct.calcsize("<Hq I")))
-        if version != _CKPT_VERSION:
-            raise ValueError(f"{path}: unsupported checkpoint version {version}")
-        seen = set()
-        for _ in range(count):
-            (nlen,) = struct.unpack("<H", fh.read(2))
-            name = fh.read(nlen).decode("utf-8")
-            (ndim,) = struct.unpack("<B", fh.read(1))
-            shape = struct.unpack(f"<{ndim}I", fh.read(4 * ndim))
-            values = np.frombuffer(fh.read(8 * int(np.prod(shape, dtype=np.int64))), dtype="<f8")
-            if name not in registry:
-                raise ValueError(f"{path}: unknown parameter {name!r}")
-            target = registry[name]
-            if tuple(shape) != target.data.shape:
-                raise ValueError(
-                    f"{path}: shape mismatch for {name!r}: {tuple(shape)} vs {target.data.shape}")
-            target.data = values.reshape(shape).astype(np.float64)
-            seen.add(name)
-        missing = set(registry.names()) - seen
-        if missing:
-            raise ValueError(f"{path}: missing parameters {sorted(missing)}")
+    rd = _CheckpointReader(path)
+    if rd.buf[:4] != _CKPT_MAGIC:
+        raise ValueError(f"{path}: not a checkpoint file")
+    rd.take(4, "the magic")
+    version, seed, count = rd.unpack(_CKPT_HEADER, "the header")
+    if version == 1:
+        raise ValueError(
+            f"{path}: checkpoint version 1 stores attention projections per head "
+            f"(attn.wq0 ... attn.wq<H-1>); this version reads only version "
+            f"{_CKPT_VERSION}, with one attn.wq/wk/wv matrix per layer")
+    if version != _CKPT_VERSION:
+        raise ValueError(f"{path}: unsupported checkpoint version {version}")
+    seen = set()
+    for index in range(count):
+        record = f"record {index}"
+        (nlen,) = rd.unpack("<H", f"{record} name length")
+        try:
+            name = str(rd.take(nlen, f"{record} name"), "utf-8")
+        except UnicodeDecodeError:
+            raise ValueError(f"{path}: {record} name is not utf-8") from None
+        record = f"record {index} ({name!r})"
+        (ndim,) = rd.unpack("<B", f"{record} rank")
+        shape = rd.unpack(f"<{ndim}I", f"{record} shape")
+        values = np.frombuffer(rd.take(8 * math.prod(shape), f"{record} values"), dtype="<f8")
+        if name not in registry:
+            raise ValueError(f"{path}: unknown parameter {name!r}")
+        target = registry[name]
+        if tuple(shape) != target.data.shape:
+            raise ValueError(
+                f"{path}: shape mismatch for {name!r}: {tuple(shape)} vs {target.data.shape}")
+        target.data = values.reshape(shape).astype(np.float64)
+        seen.add(name)
+    trailing = len(rd.buf) - rd.pos
+    if trailing:
+        raise ValueError(f"{path}: {trailing} trailing bytes after the last of {count} records")
+    missing = set(registry.names()) - seen
+    if missing:
+        raise ValueError(f"{path}: missing parameters {sorted(missing)}")
     return seed

@@ -30,8 +30,9 @@ from .autodiff import (
 )
 from .attention import (
     AttentionConfig,
-    BiasSet,
+    AttentionWeights,
     BiasWeights,
+    FeedForwardWeights,
     LayerWeights,
     compose_bias_matrices,
     init_bias_weights,
@@ -240,15 +241,15 @@ def _init_mlp(rng, d_in, d_hidden, d_out) -> MLPWeights:
 def _register(reg: ParameterRegistry, prefix: str, obj) -> None:
     if isinstance(obj, Tensor):
         reg.add(prefix, obj)
-    elif isinstance(obj, (MLPWeights, DecoderHead, LayerWeights, BiasWeights)):
+    elif isinstance(obj, (MLPWeights, DecoderHead, LayerWeights, AttentionWeights,
+                          FeedForwardWeights, BiasWeights)):
         for name in vars(obj):
             _register(reg, f"{prefix}.{name}", getattr(obj, name))
     elif isinstance(obj, list):
         for i, item in enumerate(obj):
             _register(reg, f"{prefix}{i}", item)
-    elif hasattr(obj, "__dict__") or hasattr(obj, "__dataclass_fields__"):
-        for name in vars(obj):
-            _register(reg, f"{prefix}.{name}", getattr(obj, name))
+    else:
+        raise TypeError(f"cannot register {prefix!r} of type {type(obj).__name__}")
 
 
 def init_model(cfg: ModelConfig, seed: int = 0) -> ModelParams:
@@ -356,24 +357,23 @@ def hte_forward(params: ModelParams, agent_features: np.ndarray,
                 observed: np.ndarray) -> Tensor:
     """History encoder: (N_a, T, 8) tracks to one (N_a, D) feature matrix.
 
-    Each agent is encoded independently: embed steps, run the temporal
-    stack with padded steps masked out of the keys, mean-pool the observed
-    rows, then a final linear aggregation.
+    Each agent is encoded independently, all agents in one batched pass:
+    embed steps, run the temporal stack with each agent's padded steps
+    masked out of its keys, mean-pool the observed rows, then a final
+    linear aggregation.
     """
+    n_a, t = observed.shape
+    counts = observed.sum(axis=1)
+    if not counts.all():
+        raise ValueError(f"empty history for agent {int(np.flatnonzero(counts == 0)[0])}")
     att = params.attention()
-    rows = []
-    for i in range(agent_features.shape[0]):
-        obs = observed[i]
-        if not obs.any():
-            raise ValueError(f"empty history for agent {i}")
-        x = _mlp(Tensor(agent_features[i]), params.agent_embed)
-        mask = np.broadcast_to(obs[None, :], (obs.size, obs.size))
-        for lw in params.temporal_layers:
-            x = transformer_layer(x, x, lw, att, mask=mask)
-        pool = (obs / obs.sum()).astype(np.float64)[None, :]
-        pooled = matmul(Tensor(pool), x)
-        rows.append(_mlp(pooled, params.temporal_agg))
-    return rows[0] if len(rows) == 1 else concat(rows, axis=0)
+    x = _mlp(Tensor(agent_features), params.agent_embed)
+    mask = np.broadcast_to(observed[:, None, :], (n_a, t, t))
+    for lw in params.temporal_layers:
+        x = transformer_layer(x, x, lw, att, mask=mask)
+    pool = (observed / counts[:, None])[:, None, :]
+    pooled = reshape(matmul(Tensor(pool), x), (n_a, params.cfg.d_model))
+    return _mlp(pooled, params.temporal_agg)
 
 
 def ain_forward(params: ModelParams, agent_feats: Tensor) -> Tensor:
@@ -390,12 +390,10 @@ def map_net_forward(params: ModelParams, sample: Sample) -> Tensor:
     """
     att = params.attention()
     cfg = params.cfg
-    rows = []
-    for i in range(sample.lane_features.shape[0]):
-        x = _mlp(Tensor(sample.lane_features[i]), params.node_embed)
-        pool = np.full((1, cfg.n_lane_nodes), 1.0 / cfg.n_lane_nodes)
-        rows.append(_mlp(matmul(Tensor(pool), x), params.node_agg))
-    lanes = rows[0] if len(rows) == 1 else concat(rows, axis=0)
+    nodes = _mlp(Tensor(sample.lane_features), params.node_embed)
+    pool = Tensor(np.full((1, cfg.n_lane_nodes), 1.0 / cfg.n_lane_nodes))
+    pooled = reshape(matmul(pool, nodes), (sample.lane_features.shape[0], cfg.d_model))
+    lanes = _mlp(pooled, params.node_agg)
     biases = compose_bias_matrices(params.lane_bias, sample.topology,
                                    use_relations=cfg.use_relation_bias,
                                    use_reachability=cfg.use_reachability_bias)

@@ -134,6 +134,8 @@ def validate_scenario(sc: Scenario) -> None:
         lane_ids.add(l.lane_id)
         if l.lane_type not in LANE_TYPES:
             raise ValueError(f"lane {l.lane_id}: unknown lane type {l.lane_type!r}")
+        if not np.isfinite(l.centerline).all():
+            raise ValueError(f"lane {l.lane_id}: non-finite centerline")
         if (np.linalg.norm(np.diff(l.centerline, axis=0), axis=1) == 0.0).any():
             raise ValueError(f"lane {l.lane_id}: consecutive centerline nodes not distinct")
 
@@ -164,6 +166,13 @@ def validate_scenario(sc: Scenario) -> None:
                 f"history length mismatch: agent {i} has {a.t_history}, expected {t}")
         if a.agent_type not in AGENT_TYPES:
             raise ValueError(f"agent {i}: unknown agent type {a.agent_type!r}")
+        # padded steps are ignored downstream, so only observed ones must be finite
+        for name in ("positions", "velocities", "headings"):
+            values = getattr(a, name).reshape(a.t_history, -1)
+            bad = a.padding & ~np.isfinite(values).all(axis=1)
+            if bad.any():
+                raise ValueError(
+                    f"agent {i}: non-finite {name} at observed step {int(np.flatnonzero(bad)[0])}")
 
     if not sc.target_ids:
         raise ValueError("no target agents")
@@ -176,6 +185,9 @@ def validate_scenario(sc: Scenario) -> None:
         if gt.ndim != 3 or gt.shape[0] != len(sc.agents) or gt.shape[2] != 2:
             raise ValueError(
                 f"ground truth must be (N_agents, T_future, 2), got {gt.shape}")
+        bad = ~np.isfinite(gt).all(axis=(1, 2))
+        if bad.any():
+            raise ValueError(f"agent {int(np.flatnonzero(bad)[0])}: non-finite ground truth")
 
 
 # ---------------------------------------------------------------------------

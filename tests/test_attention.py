@@ -17,7 +17,7 @@ from laneformer.attention import (
     standard_attention,
     transformer_layer,
 )
-from laneformer.autodiff import Tensor
+from laneformer.autodiff import Tensor, uniform_init
 from laneformer.scenario import AgentHistory, Lane, LaneConnectivity, Scenario
 from laneformer.topology import build_topology
 
@@ -235,3 +235,83 @@ def test_attention_config_validates_head_split():
         AttentionConfig(d_model=10, heads=4)
     cfg = AttentionConfig(d_model=12, heads=4)
     assert cfg.d_k == 3
+
+
+def _softmax(x, mask=None):
+    if mask is not None:
+        x = np.where(mask, x, -np.inf)
+    e = np.exp(x - x.max(axis=-1, keepdims=True))
+    return e / e.sum(axis=-1, keepdims=True)
+
+
+def _per_head_reference(q, k, v, w, cfg, mask=None, biases=None):
+    """Attention head by head in numpy, from column slices of wq/wk/wv."""
+    dk = cfg.d_k
+    heads = []
+    for h in range(cfg.heads):
+        cols = slice(h * dk, (h + 1) * dk)
+        qh, kh, vh = q @ w.wq.data[:, cols], k @ w.wk.data[:, cols], v @ w.wv.data[:, cols]
+        logits = qh @ kh.T / np.sqrt(dk)
+        if biases is not None:
+            logits = logits * biases.b[h].data + biases.d_inter[h].data
+        p = _softmax(logits, mask)
+        if biases is not None:
+            p = p * biases.d_outer[h].data
+        heads.append(p @ vh)
+    return np.concatenate(heads, axis=1) @ w.wo.data
+
+
+def test_fused_heads_match_per_head_reference():
+    sc = _row_scene()
+    topo = build_topology(sc)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        cfg = AttentionConfig(d_model=12, heads=(1, 2, 3, 4)[seed % 4])
+        w = init_attention_weights(rng, cfg)
+        x = rng.normal(size=(3, 12))
+        y = rng.normal(size=(5, 12))
+        pos_x, pos_y = rng.normal(size=(3, 2)), rng.normal(size=(5, 2))
+
+        got = standard_attention(Tensor(x), Tensor(y), Tensor(y), w, cfg).data
+        assert np.abs(got - _per_head_reference(x, y, y, w, cfg)).max() < 1e-12
+
+        got = local_attention(Tensor(x), Tensor(y), Tensor(y), w, cfg, pos_x, pos_y, e=2).data
+        mask = nearest_neighbor_mask(pos_x, pos_y, 2)
+        assert np.abs(got - _per_head_reference(x, y, y, w, cfg, mask=mask)).max() < 1e-12
+
+        bw = init_bias_weights(cfg.heads, 4)
+        for group in (bw.wp, bw.wl, bw.wpre_inter, bw.wsuc_outer):
+            for t in group:
+                t.data = rng.normal(size=t.data.shape)
+        biases = compose_bias_matrices(bw, topo)
+        got = biased_attention(Tensor(x), Tensor(x), Tensor(x), w, cfg, biases).data
+        assert np.abs(got - _per_head_reference(x, x, x, w, cfg, biases=biases)).max() < 1e-12
+
+
+def test_batched_rows_with_own_masks_match_one_at_a_time():
+    cfg = AttentionConfig(d_model=8, heads=2)
+    rng = np.random.default_rng(21)
+    lw = init_layer_weights(rng, cfg)
+    x = rng.normal(size=(4, 6, 8))
+    keep = rng.random((4, 6)) < 0.6
+    keep[:, -1] = True
+    mask = np.broadcast_to(keep[:, None, :], (4, 6, 6))
+    with capture_softmax() as trace:
+        batched = transformer_layer(Tensor(x), Tensor(x), lw, cfg, mask=mask).data
+    assert len(trace) == 4 * 2   # one matrix per batch row and head
+    for i in range(4):
+        alone = transformer_layer(Tensor(x[i]), Tensor(x[i]), lw, cfg, mask=mask[i]).data
+        assert np.abs(batched[i] - alone).max() < 1e-12
+        # padded keys get exactly zero weight in both of the row's heads
+        assert all((trace[2 * i + h][:, ~keep[i]] == 0.0).all() for h in range(2))
+
+
+def test_fused_projection_init_keeps_per_head_draw_order():
+    cfg = AttentionConfig(d_model=6, heads=3)
+    w = init_attention_weights(np.random.default_rng(8), cfg)
+    rng = np.random.default_rng(8)
+    for fused in (w.wq, w.wk, w.wv):
+        for h in range(3):
+            block = uniform_init(rng, 6, (6, 2))
+            assert np.array_equal(fused.data[:, 2 * h:2 * h + 2], block)
+    assert np.array_equal(w.wo.data, uniform_init(rng, 6, (6, 6)))

@@ -1,6 +1,7 @@
 """Unit tests for the reverse-mode engine: primitives, tape, checkpoints."""
 
 import os
+import struct
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from laneformer.autodiff import (
     layer_norm,
     load_checkpoint,
     matmul,
+    merge_heads,
     multiply,
     reduce_mean,
     reduce_sum,
@@ -28,6 +30,8 @@ from laneformer.autodiff import (
     save_checkpoint,
     scale,
     smooth_l1,
+    split_heads,
+    stack,
     subtract,
     transpose,
     uniform_init,
@@ -229,3 +233,172 @@ def test_checkpoint_bad_magic(tmp_path):
         fh.write(b"NOPE" + b"\x00" * 32)
     with pytest.raises(ValueError, match="not a checkpoint"):
         load_checkpoint(path, ParameterRegistry())
+
+
+def _weighted_sum_check(fn, arrays):
+    def f(*ts):
+        out = fn(*ts)
+        w = np.random.default_rng(1234).normal(size=out.data.shape)
+        return reduce_sum(multiply(out, Tensor(w)))
+
+    return grad_check(f, [Tensor(a.copy()) for a in arrays], h=1e-6, tol=1e-6)
+
+
+def test_batched_op_gradients_match_finite_differences():
+    # the ops the fused attention core uses, on 3-d and 4-d inputs,
+    # with broadcast operands and broadcast masks
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        a234 = rng.normal(size=(2, 3, 4))
+        b234 = rng.normal(size=(2, 3, 4))
+        a2234 = rng.normal(size=(2, 2, 3, 4))
+        mask34 = rng.random((3, 4)) < 0.6
+        mask34[:, 1] = True
+        mask2134 = rng.random((2, 1, 3, 4)) < 0.6
+        mask2134[..., 2] = True
+        specs = [
+            ("matmul_3d_2d", lambda a, b: matmul(a, b), [a234, rng.normal(size=(4, 5))]),
+            ("matmul_3d_3d", lambda a, b: matmul(a, b), [a234, rng.normal(size=(2, 4, 5))]),
+            ("matmul_2d_3d", lambda a, b: matmul(a, b),
+             [rng.normal(size=(3, 4)), rng.normal(size=(2, 4, 5))]),
+            ("matmul_4d_bcast", lambda a, b: matmul(a, b),
+             [a2234, rng.normal(size=(2, 1, 4, 3))]),
+            ("matmul_t_3d_2d", lambda a, b: matmul(a, b, transpose_b=True),
+             [a234, rng.normal(size=(5, 4))]),
+            ("matmul_t_4d", lambda a, b: matmul(a, b, transpose_b=True),
+             [a2234, rng.normal(size=(2, 2, 5, 4))]),
+            ("matmul_t_4d_bcast", lambda a, b: matmul(a, b, transpose_b=True),
+             [a2234, rng.normal(size=(2, 1, 5, 4))]),
+            ("split_heads_3d", lambda a: split_heads(a, 2), [a234]),
+            ("split_heads_4d", lambda a: split_heads(a, 4), [a2234]),
+            ("merge_heads_4d", lambda a: merge_heads(a), [a2234]),
+            ("stack0", lambda a, b: stack([a, b]), [a234, b234]),
+            ("stack2", lambda a, b: stack([a, b], axis=2), [a234, b234]),
+            ("softmax_3d", lambda a: row_softmax(a), [a234]),
+            ("softmax_3d_mask_bcast", lambda a: row_softmax(a, mask=mask34), [a234]),
+            ("softmax_4d_mask_bcast", lambda a: row_softmax(a, mask=mask2134), [a2234]),
+            ("layer_norm_3d", lambda x, g, b: layer_norm(x, g, b),
+             [a234, rng.normal(size=4), rng.normal(size=4)]),
+            ("layer_norm_4d", lambda x, g, b: layer_norm(x, g, b),
+             [a2234, rng.normal(size=(1, 4)), rng.normal(size=(1, 4))]),
+            ("subtract_3d_bcast", lambda a, b: subtract(a, b), [a234, rng.normal(size=(1, 4))]),
+            ("subtract_bcast_3d", lambda a, b: subtract(a, b), [rng.normal(size=(3, 1)), a234]),
+            ("add_4d_bcast", lambda a, b: add(a, b), [a2234, rng.normal(size=(2, 1, 4))]),
+            ("multiply_4d_bcast", lambda a, b: multiply(a, b),
+             [a2234, rng.normal(size=(2, 1, 3, 4))]),
+        ]
+        for name, fn, arrays in specs:
+            report = _weighted_sum_check(fn, arrays)
+            assert report.passed, f"seed {seed}: {name} max rel error {report.max_error:.2e}"
+
+
+def test_batched_matmul_matches_per_item_products():
+    rng = np.random.default_rng(5)
+    a = rng.normal(size=(3, 2, 4, 5))
+    b = rng.normal(size=(2, 6, 5))
+    out = matmul(Tensor(a), Tensor(b), transpose_b=True).data
+    assert out.shape == (3, 2, 4, 6)
+    for i in range(3):
+        for j in range(2):
+            assert np.abs(out[i, j] - a[i, j] @ b[j].T).max() < 1e-12
+    with pytest.raises(ShapeError):
+        matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
+
+
+def test_split_and_merge_heads_are_column_blocks():
+    x = np.arange(2 * 3 * 6, dtype=np.float64).reshape(2, 3, 6)
+    heads = split_heads(Tensor(x), 3).data
+    assert heads.shape == (2, 3, 3, 2)
+    for h in range(3):
+        assert np.array_equal(heads[:, h], x[:, :, 2 * h:2 * h + 2])
+    assert np.array_equal(merge_heads(Tensor(heads)).data, x)
+    with pytest.raises(ShapeError):
+        split_heads(Tensor(x), 4)
+
+
+def test_row_softmax_batched_empty_row_raises():
+    mask = np.ones((2, 3, 4), dtype=bool)
+    mask[1, 2] = False
+    with pytest.raises(ValueError, match=r"empty attention row \(1, 2\)"):
+        row_softmax(Tensor(np.zeros((2, 3, 4))), mask=mask)
+    # a broadcast mask row that is empty empties every row it covers
+    with pytest.raises(ValueError, match="empty attention row"):
+        row_softmax(Tensor(np.zeros((2, 2, 3, 4))), mask=mask[:, None])
+    with pytest.raises(ShapeError, match="mask shape"):
+        row_softmax(Tensor(np.zeros((2, 3, 4))), mask=np.ones((3, 3), dtype=bool))
+
+
+def test_row_softmax_batched_rows_sum_to_one():
+    rng = np.random.default_rng(4)
+    x = rng.normal(scale=5.0, size=(3, 2, 5, 6))
+    mask = rng.random((3, 1, 5, 6)) < 0.7
+    mask[..., 0] = True
+    p = row_softmax(Tensor(x), mask=mask).data
+    assert np.abs(p.sum(axis=-1) - 1.0).max() < 1e-12
+    assert (p[~np.broadcast_to(mask, x.shape)] == 0.0).all()
+    # each 2-d slice equals the 2-d softmax of that slice
+    for i in range(3):
+        for h in range(2):
+            ref = row_softmax(Tensor(x[i, h]), mask=mask[i, 0]).data
+            assert np.array_equal(p[i, h], ref)
+
+
+def test_subtract_is_one_tape_node():
+    a = Tensor(np.ones((2, 3)), requires_grad=True)
+    b = Tensor(np.full((1, 3), 2.0), requires_grad=True)
+    out = subtract(a, b)
+    assert out._parents == (a, b)
+    backpropagate(reduce_sum(out))
+    assert np.array_equal(a.grad, np.ones((2, 3)))
+    assert np.array_equal(b.grad, np.full((1, 3), -2.0))
+
+
+def _two_record_checkpoint(tmp_path):
+    reg = ParameterRegistry()
+    reg.add("layer.w", Tensor(np.arange(6.0).reshape(2, 3)))
+    reg.add("layer.b", Tensor(np.ones((1, 3))))
+    path = os.path.join(tmp_path, "m.ckpt")
+    save_checkpoint(path, reg, seed=3)
+    fresh = ParameterRegistry()
+    fresh.add("layer.w", Tensor(np.zeros((2, 3))))
+    fresh.add("layer.b", Tensor(np.zeros((1, 3))))
+    with open(path, "rb") as fh:
+        return path, fh.read(), fresh
+
+
+def _rewrite(path, blob):
+    with open(path, "wb") as fh:
+        fh.write(blob)
+
+
+def test_checkpoint_rejects_version_1(tmp_path):
+    path, blob, fresh = _two_record_checkpoint(tmp_path)
+    assert struct.unpack("<H", blob[4:6]) == (2,)
+    _rewrite(path, blob[:4] + struct.pack("<H", 1) + blob[6:])
+    with pytest.raises(ValueError, match=r"m\.ckpt: checkpoint version 1 .*per head"):
+        load_checkpoint(path, fresh)
+
+
+def test_checkpoint_header_only(tmp_path):
+    path, blob, fresh = _two_record_checkpoint(tmp_path)
+    _rewrite(path, blob[:4])
+    with pytest.raises(ValueError, match=r"m\.ckpt: truncated checkpoint: the header"):
+        load_checkpoint(path, fresh)
+    _rewrite(path, blob[:4 + struct.calcsize("<Hq I")])
+    with pytest.raises(ValueError, match=r"m\.ckpt: truncated checkpoint: record 0"):
+        load_checkpoint(path, fresh)
+
+
+def test_checkpoint_truncated_mid_record(tmp_path):
+    path, blob, fresh = _two_record_checkpoint(tmp_path)
+    _rewrite(path, blob[:-5])
+    with pytest.raises(ValueError, match=r"m\.ckpt: truncated checkpoint: "
+                                         r"record 1 \('layer\.b'\) values"):
+        load_checkpoint(path, fresh)
+
+
+def test_checkpoint_rejects_trailing_bytes(tmp_path):
+    path, blob, fresh = _two_record_checkpoint(tmp_path)
+    _rewrite(path, blob + b"\x00\x01")
+    with pytest.raises(ValueError, match=r"m\.ckpt: 2 trailing bytes"):
+        load_checkpoint(path, fresh)

@@ -182,6 +182,17 @@ def test_eval_missing_model(workspace, tmp_path, capsys):
     assert "no such model checkpoint" in capsys.readouterr().err
 
 
+def test_eval_truncated_checkpoint_is_data_error(workspace, tmp_path, capsys):
+    with open(os.path.join(workspace["run"], "model.ckpt"), "rb") as fh:
+        header = fh.read(18)   # magic, version, seed, record count; no records
+    cut = tmp_path / "cut.ckpt"
+    cut.write_bytes(header)
+    assert main(["eval", "--data", workspace["data"], "--model", str(cut),
+                 "--out", str(tmp_path / "e")]) == EXIT_DATA_ERROR
+    err = capsys.readouterr().err
+    assert "cut.ckpt: truncated checkpoint: record 0" in err
+
+
 def test_eval_restores_config_from_manifest(workspace, tmp_path):
     # no --config here: dims come from the manifest next to the checkpoint
     out = str(tmp_path / "noconf")

@@ -1,6 +1,7 @@
 """Pipeline tests: sample preparation, forward stages, invariances."""
 
 import os
+import re
 
 import numpy as np
 import pytest
@@ -248,3 +249,28 @@ def test_model_config_validation():
         _cfg(n_lane_nodes=1)
     att = _cfg().attention()
     assert att.d_model == 8 and att.heads == 2 and att.d_k == 4
+
+
+def test_batched_hte_rows_equal_single_agent_passes():
+    cfg = _cfg(layers=2)
+    params = init_model(cfg, seed=6)
+    raw = _scene(n_extra_agents=3)
+    pad = np.ones(T_H, dtype=bool)
+    pad[:3] = False
+    raw.agents[2] = _agent(-4.0, 3.5, 5.0, padding=pad)
+    sample = prepare_sample(raw, cfg)
+    full = hte_forward(params, sample.agent_features, sample.observed).data
+    for i in range(len(raw.agents)):
+        solo = hte_forward(params, sample.agent_features[i:i + 1], sample.observed[i:i + 1]).data
+        assert np.abs(full[i] - solo[0]).max() < 1e-12
+
+
+def test_attention_projections_register_as_one_matrix_each():
+    cfg = _cfg()
+    params = init_model(cfg, seed=0)
+    names = params.registry.names()
+    for prefix in ("interaction.attn", "temporal0.attn", "lane0.attn", "fuse_l2l.attn"):
+        for proj in ("wq", "wk", "wv", "wo"):
+            assert params.registry[f"{prefix}.{proj}"].data.shape == (cfg.d_model, cfg.d_model)
+    assert not [n for n in names if re.search(r"\.w[qkv]\d+$", n)]   # no per-head copies
+    assert "interaction.ffn.w1" in names

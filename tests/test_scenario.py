@@ -110,6 +110,39 @@ def test_validation_rejects_structural_errors():
             validate_scenario(sc)
 
 
+def test_validation_rejects_non_finite_values():
+    def set_nan(array, index):
+        array[index] = np.nan
+
+    cases = [
+        (r"lane 2: non-finite centerline", lambda sc: set_nan(sc.lanes[2].centerline, (1, 0))),
+        (r"agent 1: non-finite positions at observed step 2",
+         lambda sc: set_nan(sc.agents[1].positions, (2, 0))),
+        (r"agent 0: non-finite velocities", lambda sc: set_nan(sc.agents[0].velocities, (3, 1))),
+        (r"agent 1: non-finite headings", lambda sc: set_nan(sc.agents[1].headings, 0)),
+        (r"agent 1: non-finite ground truth", lambda sc: set_nan(sc.ground_truth, (1, 4, 1))),
+    ]
+    for fragment, mutate in cases:
+        sc = _small_scenario()
+        mutate(sc)
+        with pytest.raises(ValueError, match=fragment):
+            validate_scenario(sc)
+
+    # a padded step's kinematic fields are ignored, so they may hold anything
+    sc = _small_scenario()
+    sc.agents[1].padding[0] = False
+    sc.agents[1].positions[0] = np.inf
+    validate_scenario(sc)
+
+
+def test_nan_in_micro_scene_names_agent_and_field():
+    from laneformer.cli import micro_scenario
+    sc = micro_scenario()
+    sc.agents[1].positions[2, 0] = np.nan
+    with pytest.raises(ValueError, match=r"agent 1: non-finite positions"):
+        validate_scenario(sc)
+
+
 def test_parse_reports_json_position(tmp_path):
     path = os.path.join(tmp_path, "broken.json")
     with open(path, "w") as fh:
