@@ -61,9 +61,9 @@ def main():
 
     # neutral set: B all ones, D_inter zero, D_outer all ones
     n = 3
-    neutral = BiasSet(b=[Tensor(np.ones((n, n)))],
-                      d_inter=[Tensor(np.zeros((n, n)))],
-                      d_outer=[Tensor(np.ones((n, n)))])
+    neutral = BiasSet(b=Tensor(np.ones((1, n, n))),
+                      d_inter=Tensor(np.zeros((1, n, n))),
+                      d_outer=Tensor(np.ones((1, n, n))))
     plain = standard_attention(x, x, x, w, cfg)
     same = biased_attention(x, x, x, w, cfg, neutral)
     print("\nneutral biases vs standard attention, max diff:",
@@ -72,7 +72,7 @@ def main():
     # every gate coefficient starts at 1, so at init all markings look the
     # same; set the double_solid entry to 0 the way training would learn to
     solid_idx = topo.categories.index("double_solid")
-    bw.wc[0].data[solid_idx] = 0.0
+    bw.wc.data[0, solid_idx] = 0.0
 
     for marking in ("dashed", "double_solid"):
         topo = build_map(marking)
@@ -84,7 +84,7 @@ def main():
         print(f"\nwith a {marking} lateral boundary:")
         # pair (0, 2) is the lateral one; the gate decides whether its
         # closeness survives into the multiplicative logit bias B
-        print(f"composed B[0, 2] = {float(biases.b[0].data[0, 2]):.3f}")
+        print(f"composed B[0, 2] = {float(biases.b.data[0, 0, 2]):.3f}")
         show("P", probs)
 
 

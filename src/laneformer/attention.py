@@ -4,8 +4,9 @@ Three flavors share one core: plain scaled dot-product attention, a biased
 variant that multiplies pre-softmax logits by a structure matrix B and adds
 a reachability term D_inter before the softmax then rescales the resulting
 probabilities by D_outer, and a local variant that restricts each query to
-its e nearest keys by Euclidean distance. All per-head bias coefficients are
-learnable scalars (a length-C vector for the boundary-marking gate).
+its e nearest keys by Euclidean distance. Every bias coefficient group is
+one learnable tensor with a leading head axis: a scalar per head, or a
+length-C vector per head for the boundary-marking gate.
 """
 
 from __future__ import annotations
@@ -27,7 +28,6 @@ from .autodiff import (
     row_softmax,
     scale,
     split_heads,
-    stack,
     uniform_init,
 )
 from .topology import TopologyMatrices
@@ -84,40 +84,41 @@ class AttentionWeights:
 
 @dataclass
 class BiasWeights:
-    """Learnable scalars composing the bias matrices, one set per head.
+    """Learnable coefficients composing the bias matrices, head h in row h.
 
-    wp/ws/wl/wr weight the relation closeness matrices inside B, wc gates
-    lateral closeness by boundary-marking category, and the four spd
-    scalars weight the reachability matrices inside D_inter and D_outer.
+    wp/ws/wl/wr (H, 1, 1) weight the relation closeness matrices inside B,
+    wc (H, C, 1) gates lateral closeness by boundary-marking category, and
+    the four spd coefficients (H, 1, 1) weight the reachability matrices
+    inside D_inter and D_outer. The (H, 1, 1) shapes broadcast against an
+    (N_l, N_l) matrix to give one matrix per head.
     """
 
-    wp: list
-    ws: list
-    wl: list
-    wr: list
-    wc: list
-    wpre_inter: list
-    wsuc_inter: list
-    wpre_outer: list
-    wsuc_outer: list
+    wp: Tensor
+    ws: Tensor
+    wl: Tensor
+    wr: Tensor
+    wc: Tensor
+    wpre_inter: Tensor
+    wsuc_inter: Tensor
+    wpre_outer: Tensor
+    wsuc_outer: Tensor
 
 
 @dataclass
 class BiasSet:
-    """Composed per-head bias matrices ready for biased_attention.
+    """Composed bias matrices ready for biased_attention, each (H, N_l, N_l).
 
     b entries multiply scaled logits, d_inter entries add to them, d_outer
-    entries rescale the softmax probabilities. Each list holds one Tensor
-    of shape (N_l, N_l) per head.
+    entries rescale the softmax probabilities; head h uses slice h.
     """
 
-    b: list
-    d_inter: list
-    d_outer: list
+    b: Tensor
+    d_inter: Tensor
+    d_outer: Tensor
 
     @property
     def heads(self) -> int:
-        return len(self.b)
+        return self.b.shape[0]
 
 
 @dataclass
@@ -153,17 +154,11 @@ def init_attention_weights(rng: np.random.Generator, cfg: AttentionConfig) -> At
 
 def init_bias_weights(heads: int, n_categories: int) -> BiasWeights:
     # every coefficient starts at 1 so the raw structure matrices pass through
-    one = lambda: Tensor(np.ones((1, 1)), requires_grad=True)
+    one = lambda: Tensor(np.ones((heads, 1, 1)), requires_grad=True)
     return BiasWeights(
-        wp=[one() for _ in range(heads)],
-        ws=[one() for _ in range(heads)],
-        wl=[one() for _ in range(heads)],
-        wr=[one() for _ in range(heads)],
-        wc=[Tensor(np.ones((n_categories, 1)), requires_grad=True) for _ in range(heads)],
-        wpre_inter=[one() for _ in range(heads)],
-        wsuc_inter=[one() for _ in range(heads)],
-        wpre_outer=[one() for _ in range(heads)],
-        wsuc_outer=[one() for _ in range(heads)],
+        wp=one(), ws=one(), wl=one(), wr=one(),
+        wc=Tensor(np.ones((heads, n_categories, 1)), requires_grad=True),
+        wpre_inter=one(), wsuc_inter=one(), wpre_outer=one(), wsuc_outer=one(),
     )
 
 
@@ -200,36 +195,22 @@ def compose_bias_matrices(bw: BiasWeights, topo: TopologyMatrices,
     d_outer, all-zero d_inter), which reduces biased_attention to the
     standard form.
     """
-    heads = len(bw.wp)
+    heads = bw.wp.shape[0]
     n = topo.n_lanes
     c = len(topo.categories)
-    m_p = Tensor(topo.m_p)
-    m_s = Tensor(topo.m_s)
-    m_l = Tensor(topo.m_l)
-    m_r = Tensor(topo.m_r)
-    m_c_flat = Tensor(topo.m_c.reshape(n * n, c))
-    m_pre = Tensor(topo.m_pre_spd)
-    m_suc = Tensor(topo.m_suc_spd)
-    ones = Tensor(np.ones((n, n)))
-    zeros = Tensor(np.zeros((n, n)))
-
-    b_list, inter_list, outer_list = [], [], []
-    for h in range(heads):
-        if use_relations:
-            gate = reshape(matmul(m_c_flat, bw.wc[h]), (n, n))
-            lateral = multiply(gate, add(multiply(bw.wl[h], m_l), multiply(bw.wr[h], m_r)))
-            b = add(add(multiply(bw.wp[h], m_p), multiply(bw.ws[h], m_s)), lateral)
-        else:
-            b = ones
-        if use_reachability:
-            d_inter = add(multiply(bw.wpre_inter[h], m_pre), multiply(bw.wsuc_inter[h], m_suc))
-            d_outer = add(multiply(bw.wpre_outer[h], m_pre), multiply(bw.wsuc_outer[h], m_suc))
-        else:
-            d_inter, d_outer = zeros, ones
-        b_list.append(b)
-        inter_list.append(d_inter)
-        outer_list.append(d_outer)
-    return BiasSet(b=b_list, d_inter=inter_list, d_outer=outer_list)
+    if use_relations:
+        gate = reshape(matmul(topo.m_c.reshape(n * n, c), bw.wc), (heads, n, n))
+        lateral = multiply(gate, add(multiply(bw.wl, topo.m_l), multiply(bw.wr, topo.m_r)))
+        b = add(add(multiply(bw.wp, topo.m_p), multiply(bw.ws, topo.m_s)), lateral)
+    else:
+        b = Tensor(np.ones((heads, n, n)))
+    if use_reachability:
+        m_pre, m_suc = topo.m_pre_spd, topo.m_suc_spd
+        d_inter = add(multiply(bw.wpre_inter, m_pre), multiply(bw.wsuc_inter, m_suc))
+        d_outer = add(multiply(bw.wpre_outer, m_pre), multiply(bw.wsuc_outer, m_suc))
+    else:
+        d_inter, d_outer = Tensor(np.zeros((heads, n, n))), Tensor(np.ones((heads, n, n)))
+    return BiasSet(b=b, d_inter=d_inter, d_outer=d_outer)
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +251,11 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights,
     vh = split_heads(matmul(v, w.wv), heads)
     logits = scale(matmul(qh, kh, transpose_b=True), 1.0 / np.sqrt(cfg.d_k))
     if biases is not None:
-        logits = add(multiply(logits, stack(biases.b)), stack(biases.d_inter))
+        logits = add(multiply(logits, biases.b), biases.d_inter)
     p = row_softmax(logits, mask=None if mask is None else np.asarray(mask)[..., None, :, :])
     _record_softmax(p)
     if biases is not None:
-        p = multiply(p, stack(biases.d_outer))
+        p = multiply(p, biases.d_outer)
     return matmul(merge_heads(matmul(p, vh)), w.wo)
 
 

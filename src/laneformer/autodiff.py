@@ -24,8 +24,6 @@ __all__ = [
     "matmul",
     "transpose",
     "reshape",
-    "concat",
-    "stack",
     "split_heads",
     "merge_heads",
     "gather_rows",
@@ -38,7 +36,6 @@ __all__ = [
     "layer_norm",
     "smooth_l1",
     "reduce_sum",
-    "reduce_mean",
     "backpropagate",
     "grad_check",
     "GradCheckReport",
@@ -170,34 +167,6 @@ def reshape(a, shape) -> Tensor:
         _accum(a, g.reshape(original))
 
     return _result(a.data.reshape(shape), (a,), backward)
-
-
-def concat(tensors, axis=0) -> Tensor:
-    ts = [as_tensor(t) for t in tensors]
-    if not ts:
-        raise ShapeError("concat: empty tensor list")
-    out = np.concatenate([t.data for t in ts], axis=axis)
-    sizes = [t.data.shape[axis] for t in ts]
-    splits = np.cumsum(sizes)[:-1]
-
-    def backward(g):
-        for t, piece in zip(ts, np.split(g, splits, axis=axis)):
-            _accum(t, piece)
-
-    return _result(out, ts, backward)
-
-
-def stack(tensors, axis=0) -> Tensor:
-    ts = [as_tensor(t) for t in tensors]
-    if not ts:
-        raise ShapeError("stack: empty tensor list")
-    out = np.stack([t.data for t in ts], axis=axis)
-
-    def backward(g):
-        for i, t in enumerate(ts):
-            _accum(t, np.take(g, i, axis=axis))
-
-    return _result(out, ts, backward)
 
 
 def split_heads(a, heads: int) -> Tensor:
@@ -390,12 +359,6 @@ def reduce_sum(a, axis=None, keepdims=False) -> Tensor:
     return _result(out, (a,), backward)
 
 
-def reduce_mean(a, axis=None, keepdims=False) -> Tensor:
-    a = as_tensor(a)
-    n = a.data.size if axis is None else a.data.shape[axis]
-    return scale(reduce_sum(a, axis=axis, keepdims=keepdims), 1.0 / n)
-
-
 # ---------------------------------------------------------------------------
 # backward pass
 
@@ -549,12 +512,16 @@ def grad_check(f, inputs, h: float = 1e-6, tol: float = 1e-6,
 # Layout (all little-endian):
 #   magic "LFCK" | u16 version | i64 seed | u32 record count
 #   per record: u16 name length | name utf-8 | u8 ndim | u32 dims... | f64 values
-# and nothing after the last record. Version 2 stores each attention
-# projection as one (d, d) matrix ("...attn.wq"); version 1 stored one
-# (d, d_k) matrix per head ("...attn.wq0" ... "...attn.wq<H-1>").
+# and nothing after the last record. Version 3 stores each parameter group
+# as one tensor with a leading head or mode axis where it has one: an
+# attention projection as one (d, d) matrix ("...attn.wq"), a bias
+# coefficient group as (H, 1, 1) or (H, C, 1) ("lane_bias.wp"), a decoder
+# weight as (d, K h) or (K, ., .) ("decoder.w_offsets"). Versions 1 and 2
+# stored per-head or per-mode tensors ("...attn.wq0", "lane_bias.wp0",
+# "decoder0.w1").
 
 _CKPT_MAGIC = b"LFCK"
-_CKPT_VERSION = 2
+_CKPT_VERSION = 3
 _CKPT_HEADER = "<Hq I"
 
 
@@ -599,11 +566,11 @@ def load_checkpoint(path, registry: ParameterRegistry) -> int:
         raise ValueError(f"{path}: not a checkpoint file")
     rd.take(4, "the magic")
     version, seed, count = rd.unpack(_CKPT_HEADER, "the header")
-    if version == 1:
+    if 0 < version < _CKPT_VERSION:
         raise ValueError(
-            f"{path}: checkpoint version 1 stores attention projections per head "
-            f"(attn.wq0 ... attn.wq<H-1>); this version reads only version "
-            f"{_CKPT_VERSION}, with one attn.wq/wk/wv matrix per layer")
+            f"{path}: checkpoint version {version} stores parameters per head or per "
+            f"mode (attn.wq0, lane_bias.wp0, decoder0.w1, ...); this version reads only "
+            f"version {_CKPT_VERSION}, with one tensor per parameter group")
     if version != _CKPT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
     seen = set()

@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import hashlib
 import json
 import os
 import sys
@@ -31,7 +30,7 @@ from .evaluation import (
 )
 from .model import ModelConfig, init_model, model_forward, prepare_sample
 from .plotting import write_prediction_svg, write_predictions_csv
-from .synth import GeneratorConfig, emit_dataset, load_dataset
+from .synth import GeneratorConfig, emit_dataset, load_dataset, sha256_file
 from .topology import build_topology
 from .training import (
     LossConfig,
@@ -184,14 +183,6 @@ def parse_grid(spec: str) -> dict:
 # shared helpers
 
 
-def _sha256_file(path) -> str:
-    digest = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for block in iter(lambda: fh.read(65536), b""):
-            digest.update(block)
-    return digest.hexdigest()
-
-
 def _write_manifest(out_dir, doc: dict) -> None:
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
@@ -231,9 +222,14 @@ def _restore_model(model_path, values: dict, consumed: set, seed_flag):
             doc = json.load(fh)
         if "ModelConfig" in doc:
             raw = dict(doc["ModelConfig"])
+            _reject_unknown(raw, {f.name for f in dataclasses.fields(ModelConfig)},
+                            f"{manifest_path} ModelConfig")
             raw["connection_types"] = tuple(raw.get("connection_types",
                                                     sc.BOUNDARY_TYPES))
-            base = ModelConfig(**raw)
+            try:
+                base = ModelConfig(**raw)
+            except ValueError as e:
+                raise ConfigError(f"{manifest_path}: {e}") from e
     cfg = _model_config(values, consumed, base)
     params = init_model(cfg, seed=seed_flag or 0)
     try:
@@ -402,7 +398,7 @@ def cmd_train(args) -> int:
             raise DataError(f"no such checkpoint: {args.resume}")
         load_checkpoint(args.resume, params.registry)
         extra["parent_checkpoint"] = os.path.abspath(args.resume)
-        extra["parent_checksum"] = _sha256_file(args.resume)
+        extra["parent_checksum"] = sha256_file(args.resume)
 
     def progress(report):
         print(f"epoch {report.epoch:3d}  loss {report.mean_loss:.4f}  "

@@ -5,8 +5,8 @@ track into one feature row, an interaction block mixes agents, a node
 encoder turns each lane's resampled centerline into one row, a stack of
 topology-biased layers mixes lanes (every layer reuses one composed bias
 set), a four-step fusion exchanges information between the two sets with
-local attention, and K decoding heads emit offset sequences plus a score
-that becomes the mode confidence.
+local attention, and K decoding heads, run as one batch, emit offset
+sequences plus a score that becomes the mode confidence.
 """
 
 from __future__ import annotations
@@ -20,12 +20,13 @@ from .autodiff import (
     ParameterRegistry,
     Tensor,
     add,
-    concat,
     gather_rows,
     matmul,
     relu,
     reshape,
     row_softmax,
+    split_heads,
+    transpose,
     uniform_init,
 )
 from .attention import (
@@ -197,7 +198,14 @@ class MLPWeights:
 
 
 @dataclass
-class DecoderHead:
+class DecoderHeads:
+    """The K decoding heads; mode k owns block k of every weight.
+
+    w1 (d, K * h) and b1 (1, K * h) hold head k's hidden layer in column
+    block k. w_offsets (K, h, 2 T_f), b_offsets (K, 1, 2 T_f), w_score
+    (K, h, 1) and b_score (K, 1, 1) hold its output layers in slice k.
+    """
+
     w1: Tensor
     b1: Tensor
     w_offsets: Tensor
@@ -222,7 +230,7 @@ class ModelParams:
     fuse_l2l_bias: BiasWeights
     fuse_l2a: LayerWeights
     fuse_a2a: LayerWeights
-    decoder_heads: list
+    decoder: DecoderHeads
     registry: ParameterRegistry = field(default_factory=ParameterRegistry)
 
     def attention(self) -> AttentionConfig:
@@ -238,10 +246,27 @@ def _init_mlp(rng, d_in, d_hidden, d_out) -> MLPWeights:
     )
 
 
+def _init_decoder(rng, cfg: ModelConfig) -> DecoderHeads:
+    d, h, out, k = cfg.d_model, cfg.decoder_hidden, 2 * cfg.t_future, cfg.modes
+    # drawn head by head (hidden layer, offsets, score), then joined per weight
+    w1, w_offsets, w_score = zip(*[
+        (uniform_init(rng, d, (d, h)), uniform_init(rng, h, (h, out)),
+         uniform_init(rng, h, (h, 1))) for _ in range(k)])
+    param = lambda a: Tensor(a, requires_grad=True)
+    return DecoderHeads(
+        w1=param(np.concatenate(w1, axis=1)),
+        b1=param(np.zeros((1, k * h))),
+        w_offsets=param(np.stack(w_offsets)),
+        b_offsets=param(np.zeros((k, 1, out))),
+        w_score=param(np.stack(w_score)),
+        b_score=param(np.zeros((k, 1, 1))),
+    )
+
+
 def _register(reg: ParameterRegistry, prefix: str, obj) -> None:
     if isinstance(obj, Tensor):
         reg.add(prefix, obj)
-    elif isinstance(obj, (MLPWeights, DecoderHead, LayerWeights, AttentionWeights,
+    elif isinstance(obj, (MLPWeights, DecoderHeads, LayerWeights, AttentionWeights,
                           FeedForwardWeights, BiasWeights)):
         for name in vars(obj):
             _register(reg, f"{prefix}.{name}", getattr(obj, name))
@@ -272,20 +297,7 @@ def init_model(cfg: ModelConfig, seed: int = 0) -> ModelParams:
         fuse_l2l_bias=init_bias_weights(cfg.heads, c),
         fuse_l2a=init_layer_weights(rng, att),
         fuse_a2a=init_layer_weights(rng, att),
-        decoder_heads=[
-            DecoderHead(
-                w1=Tensor(uniform_init(rng, d, (d, cfg.decoder_hidden)), requires_grad=True),
-                b1=Tensor(np.zeros((1, cfg.decoder_hidden)), requires_grad=True),
-                w_offsets=Tensor(uniform_init(rng, cfg.decoder_hidden,
-                                              (cfg.decoder_hidden, 2 * cfg.t_future)),
-                                 requires_grad=True),
-                b_offsets=Tensor(np.zeros((1, 2 * cfg.t_future)), requires_grad=True),
-                w_score=Tensor(uniform_init(rng, cfg.decoder_hidden, (cfg.decoder_hidden, 1)),
-                               requires_grad=True),
-                b_score=Tensor(np.zeros((1, 1)), requires_grad=True),
-            )
-            for _ in range(cfg.modes)
-        ],
+        decoder=_init_decoder(rng, cfg),
     )
     reg = params.registry
     for name in ("agent_embed", "temporal_agg", "interaction", "node_embed", "node_agg",
@@ -294,7 +306,7 @@ def init_model(cfg: ModelConfig, seed: int = 0) -> ModelParams:
         _register(reg, name, getattr(params, name))
     _register(reg, "temporal", params.temporal_layers)
     _register(reg, "lane", params.lane_layers)
-    _register(reg, "decoder", params.decoder_heads)
+    _register(reg, "decoder", params.decoder)
     return params
 
 
@@ -428,21 +440,21 @@ def fusion_forward(params: ModelParams, agent_feats: Tensor, lane_feats: Tensor,
 
 def decode_trajectories(params: ModelParams, target_feats: Tensor,
                         target_ids: list) -> ModelOutput:
-    """K offset-sequence heads per target; offsets accumulate from the origin."""
+    """K offset-sequence heads per target; offsets accumulate from the origin.
+
+    All heads run as one batch: the (K, N_t, h) hidden state gives
+    (K, N_t, T_f, 2) cumulative paths and (N_t, K) scores.
+    """
     cfg = params.cfg
-    t_f = cfg.t_future
+    dec = params.decoder
+    t_f, k = cfg.t_future, cfg.modes
     n_t = target_feats.shape[0]
-    cumsum = Tensor(np.tril(np.ones((t_f, t_f))))
-    trajectories = [[] for _ in range(n_t)]
-    score_cols = []
-    for head in params.decoder_heads:
-        hidden = relu(add(matmul(target_feats, head.w1), head.b1))
-        offsets = add(matmul(hidden, head.w_offsets), head.b_offsets)
-        score_cols.append(add(matmul(hidden, head.w_score), head.b_score))
-        for i in range(n_t):
-            per_step = reshape(gather_rows(offsets, [i]), (t_f, 2))
-            trajectories[i].append(matmul(cumsum, per_step))
-    scores = score_cols[0] if len(score_cols) == 1 else concat(score_cols, axis=1)
+    hidden = split_heads(relu(add(matmul(target_feats, dec.w1), dec.b1)), k)
+    offsets = reshape(add(matmul(hidden, dec.w_offsets), dec.b_offsets), (k * n_t, t_f, 2))
+    paths = matmul(np.tril(np.ones((t_f, t_f))), offsets)
+    scores = transpose(reshape(add(matmul(hidden, dec.w_score), dec.b_score), (k, n_t)))
+    trajectories = [[reshape(gather_rows(paths, [m * n_t + i]), (t_f, 2)) for m in range(k)]
+                    for i in range(n_t)]
     return ModelOutput(trajectories=trajectories, scores=scores,
                        confidences=row_softmax(scores), target_ids=list(target_ids))
 

@@ -42,6 +42,7 @@ __all__ = [
     "generate_dataset",
     "emit_dataset",
     "load_dataset",
+    "sha256_file",
 ]
 
 DT = 0.1
@@ -403,7 +404,7 @@ def generate_dataset(cfg: GeneratorConfig, n: int) -> list:
     return [generate_scenario(cfg, i) for i in range(n)]
 
 
-def _sha256(path) -> str:
+def sha256_file(path) -> str:
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(65536), b""):
@@ -419,7 +420,7 @@ def emit_dataset(cfg: GeneratorConfig, n: int, out_dir) -> dict:
         scn = generate_scenario(cfg, i)
         fname = f"{scn.name}.json"
         save_scenario(os.path.join(out_dir, fname), scn)
-        files.append({"name": fname, "sha256": _sha256(os.path.join(out_dir, fname))})
+        files.append({"name": fname, "sha256": sha256_file(os.path.join(out_dir, fname))})
     manifest = {"seed": cfg.seed, "template": cfg.template, "count": n, "files": files}
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=1)
@@ -428,12 +429,19 @@ def emit_dataset(cfg: GeneratorConfig, n: int, out_dir) -> dict:
 
 def load_dataset(data_dir) -> list:
     """Read scenarios listed in the manifest, verifying checksums."""
-    with open(os.path.join(data_dir, "manifest.json")) as fh:
+    manifest_path = os.path.join(data_dir, "manifest.json")
+    with open(manifest_path) as fh:
         manifest = json.load(fh)
+    files = manifest.get("files") if isinstance(manifest, dict) else None
+    if not isinstance(files, list):
+        raise ValueError(f"{manifest_path}: 'files' is missing or not a list")
     out = []
-    for entry in manifest["files"]:
+    for i, entry in enumerate(files):
+        for key in ("name", "sha256"):
+            if not isinstance(entry, dict) or not isinstance(entry.get(key), str):
+                raise ValueError(f"{manifest_path}: files[{i}].{key} is missing or not a string")
         path = os.path.join(data_dir, entry["name"])
-        if _sha256(path) != entry["sha256"]:
+        if sha256_file(path) != entry["sha256"]:
             raise ValueError(f"checksum mismatch for {entry['name']}")
         out.append(parse_scenario(path))
     return out

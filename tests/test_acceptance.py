@@ -64,9 +64,9 @@ def test_criterion_1_neutral_bias_identity():
         w = init_attention_weights(rng, cfg)
         x = Tensor(rng.normal(size=(n, d_model)))
         neutral = BiasSet(
-            b=[Tensor(np.ones((n, n))) for _ in range(heads)],
-            d_inter=[Tensor(np.zeros((n, n))) for _ in range(heads)],
-            d_outer=[Tensor(np.ones((n, n))) for _ in range(heads)],
+            b=Tensor(np.ones((heads, n, n))),
+            d_inter=Tensor(np.zeros((heads, n, n))),
+            d_outer=Tensor(np.ones((heads, n, n))),
         )
         plain = standard_attention(x, x, x, w, cfg)
         biased = biased_attention(x, x, x, w, cfg, neutral)

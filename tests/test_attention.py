@@ -19,6 +19,7 @@ from laneformer.attention import (
 )
 from laneformer.autodiff import Tensor, uniform_init
 from laneformer.scenario import AgentHistory, Lane, LaneConnectivity, Scenario
+from laneformer.synth import GeneratorConfig, generate_scenario
 from laneformer.topology import build_topology
 
 
@@ -38,9 +39,9 @@ def _row_scene():
 
 def _neutral_biases(n, heads):
     return BiasSet(
-        b=[Tensor(np.ones((n, n))) for _ in range(heads)],
-        d_inter=[Tensor(np.zeros((n, n))) for _ in range(heads)],
-        d_outer=[Tensor(np.ones((n, n))) for _ in range(heads)],
+        b=Tensor(np.ones((heads, n, n))),
+        d_inter=Tensor(np.zeros((heads, n, n))),
+        d_outer=Tensor(np.ones((heads, n, n))),
     )
 
 
@@ -61,9 +62,9 @@ def test_disabled_groups_compose_neutral_elements():
     bw = init_bias_weights(heads=2, n_categories=4)
     off = compose_bias_matrices(bw, topo, use_relations=False, use_reachability=False)
     for h in range(2):
-        assert (off.b[h].data == 1.0).all()
-        assert (off.d_inter[h].data == 0.0).all()
-        assert (off.d_outer[h].data == 1.0).all()
+        assert (off.b.data[h] == 1.0).all()
+        assert (off.d_inter.data[h] == 0.0).all()
+        assert (off.d_outer.data[h] == 1.0).all()
 
     on = compose_bias_matrices(bw, topo)
     # all coefficients start at 1: B = M_p + M_s + gate * (M_l + M_r) where
@@ -71,9 +72,9 @@ def test_disabled_groups_compose_neutral_elements():
     expected_b = topo.m_p + topo.m_s + topo.m_c.sum(axis=2) * (topo.m_l + topo.m_r)
     expected_d = topo.m_pre_spd + topo.m_suc_spd
     for h in range(2):
-        assert np.abs(on.b[h].data - expected_b).max() < 1e-12
-        assert np.abs(on.d_inter[h].data - expected_d).max() < 1e-12
-        assert np.abs(on.d_outer[h].data - expected_d).max() < 1e-12
+        assert np.abs(on.b.data[h] - expected_b).max() < 1e-12
+        assert np.abs(on.d_inter.data[h] - expected_d).max() < 1e-12
+        assert np.abs(on.d_outer.data[h] - expected_d).max() < 1e-12
 
 
 def test_marking_gate_scales_lateral_terms_per_category():
@@ -81,10 +82,10 @@ def test_marking_gate_scales_lateral_terms_per_category():
     topo = build_topology(sc)
     bw = init_bias_weights(heads=1, n_categories=4)
     # categories: solid=0, dashed=1; weight dashed pairs by 3, solid by 0
-    bw.wc[0].data[:] = 0.0
-    bw.wc[0].data[1, 0] = 3.0
+    bw.wc.data[0] = 0.0
+    bw.wc.data[0, 1, 0] = 3.0
     biases = compose_bias_matrices(bw, topo)
-    b = biases.b[0].data
+    b = biases.b.data[0]
     assert abs(b[0, 1] - 3.0 * topo.m_l[0, 1]) < 1e-12   # dashed pair
     assert b[1, 2] == 0.0                                # solid pair gated off
     assert b[0, 2] == 0.0                                # unconnected pair
@@ -93,10 +94,10 @@ def test_marking_gate_scales_lateral_terms_per_category():
 def test_bias_weight_count_matches_head_budget():
     heads, c = 3, 4
     bw = init_bias_weights(heads, c)
-    per_head = [bw.wp, bw.ws, bw.wl, bw.wr, bw.wc,
-                bw.wpre_inter, bw.wsuc_inter, bw.wpre_outer, bw.wsuc_outer]
-    assert all(len(group) == heads for group in per_head)
-    values = sum(t.data.size for group in per_head for t in group)
+    groups = [bw.wp, bw.ws, bw.wl, bw.wr, bw.wc,
+              bw.wpre_inter, bw.wsuc_inter, bw.wpre_outer, bw.wsuc_outer]
+    assert all(group.shape[0] == heads for group in groups)
+    values = sum(group.data.size for group in groups)
     assert values == heads * (4 + c + 4)
 
 
@@ -106,7 +107,7 @@ def test_d_outer_zero_silences_the_layer():
     w = init_attention_weights(rng, cfg)
     x = Tensor(rng.normal(size=(4, 8)))
     biases = _neutral_biases(4, 2)
-    biases.d_outer = [Tensor(np.zeros((4, 4))) for _ in range(2)]
+    biases.d_outer = Tensor(np.zeros((2, 4, 4)))
     out = biased_attention(x, x, x, w, cfg, biases)
     assert np.abs(out.data).max() == 0.0
 
@@ -253,10 +254,10 @@ def _per_head_reference(q, k, v, w, cfg, mask=None, biases=None):
         qh, kh, vh = q @ w.wq.data[:, cols], k @ w.wk.data[:, cols], v @ w.wv.data[:, cols]
         logits = qh @ kh.T / np.sqrt(dk)
         if biases is not None:
-            logits = logits * biases.b[h].data + biases.d_inter[h].data
+            logits = logits * biases.b.data[h] + biases.d_inter.data[h]
         p = _softmax(logits, mask)
         if biases is not None:
-            p = p * biases.d_outer[h].data
+            p = p * biases.d_outer.data[h]
         heads.append(p @ vh)
     return np.concatenate(heads, axis=1) @ w.wo.data
 
@@ -281,8 +282,7 @@ def test_fused_heads_match_per_head_reference():
 
         bw = init_bias_weights(cfg.heads, 4)
         for group in (bw.wp, bw.wl, bw.wpre_inter, bw.wsuc_outer):
-            for t in group:
-                t.data = rng.normal(size=t.data.shape)
+            group.data = rng.normal(size=group.data.shape)
         biases = compose_bias_matrices(bw, topo)
         got = biased_attention(Tensor(x), Tensor(x), Tensor(x), w, cfg, biases).data
         assert np.abs(got - _per_head_reference(x, x, x, w, cfg, biases=biases)).max() < 1e-12
@@ -315,3 +315,27 @@ def test_fused_projection_init_keeps_per_head_draw_order():
             block = uniform_init(rng, 6, (6, 2))
             assert np.array_equal(fused.data[:, 2 * h:2 * h + 2], block)
     assert np.array_equal(w.wo.data, uniform_init(rng, 6, (6, 6)))
+
+
+def test_fused_composition_matches_per_head_reference():
+    # the fork map has every relation, reachability and two marking categories
+    topo = build_topology(generate_scenario(GeneratorConfig(seed=1, template="fork"), 0))
+    n, c = topo.n_lanes, len(topo.categories)
+    for seed in range(10):
+        rng = np.random.default_rng(seed)
+        heads = (1, 2, 3, 4)[seed % 4]
+        bw = init_bias_weights(heads, c)
+        for group in vars(bw).values():
+            group.data = rng.normal(size=group.data.shape)
+        biases = compose_bias_matrices(bw, topo)
+        assert biases.heads == heads
+        for h in range(heads):
+            coef = {name: group.data[h] for name, group in vars(bw).items()}
+            gate = topo.m_c.reshape(n * n, c) @ coef["wc"]
+            b = (coef["wp"] * topo.m_p + coef["ws"] * topo.m_s
+                 + gate.reshape(n, n) * (coef["wl"] * topo.m_l + coef["wr"] * topo.m_r))
+            d_inter = coef["wpre_inter"] * topo.m_pre_spd + coef["wsuc_inter"] * topo.m_suc_spd
+            d_outer = coef["wpre_outer"] * topo.m_pre_spd + coef["wsuc_outer"] * topo.m_suc_spd
+            assert np.abs(biases.b.data[h] - b).max() < 1e-12
+            assert np.abs(biases.d_inter.data[h] - d_inter).max() < 1e-12
+            assert np.abs(biases.d_outer.data[h] - d_outer).max() < 1e-12

@@ -14,7 +14,6 @@ from laneformer.autodiff import (
     Tensor,
     add,
     backpropagate,
-    concat,
     gather_rows,
     grad_check,
     layer_norm,
@@ -22,7 +21,6 @@ from laneformer.autodiff import (
     matmul,
     merge_heads,
     multiply,
-    reduce_mean,
     reduce_sum,
     relu,
     reshape,
@@ -31,7 +29,6 @@ from laneformer.autodiff import (
     scale,
     smooth_l1,
     split_heads,
-    stack,
     subtract,
     transpose,
     uniform_init,
@@ -87,9 +84,6 @@ def test_primitive_gradients_match_finite_differences():
              [np.where(np.abs(np.abs(a34) - 1.0) < 0.05, 0.5, a34)]),
             ("reduce_sum", lambda a: reduce_sum(a), [a34]),
             ("reduce_sum_ax", lambda a: reduce_sum(a, axis=1, keepdims=True), [a34]),
-            ("reduce_mean", lambda a: reduce_mean(a, axis=0), [a34]),
-            ("concat0", lambda a, b: concat([a, b], axis=0), [a34, b34]),
-            ("concat1", lambda a, b: concat([a, b], axis=1), [a34, b34]),
             ("gather", lambda a: gather_rows(a, [2, 0, 2]), [a34]),
             ("transpose", lambda a: transpose(a), [a34]),
             ("reshape", lambda a: reshape(a, (4, 3)), [a34]),
@@ -105,7 +99,7 @@ def test_primitive_gradients_match_finite_differences():
             assert report.passed, (
                 f"seed {seed}: {name} max rel error {report.max_error:.2e}")
             checks += 1
-    assert checks == 100 * 21
+    assert checks == 100 * 18
 
 
 def test_row_softmax_rows_sum_to_one():
@@ -250,7 +244,7 @@ def test_batched_op_gradients_match_finite_differences():
     for seed in range(10):
         rng = np.random.default_rng(seed)
         a234 = rng.normal(size=(2, 3, 4))
-        b234 = rng.normal(size=(2, 3, 4))
+        rng.normal(size=(2, 3, 4))   # unused draw: keeps the inputs drawn after it fixed
         a2234 = rng.normal(size=(2, 2, 3, 4))
         mask34 = rng.random((3, 4)) < 0.6
         mask34[:, 1] = True
@@ -272,8 +266,6 @@ def test_batched_op_gradients_match_finite_differences():
             ("split_heads_3d", lambda a: split_heads(a, 2), [a234]),
             ("split_heads_4d", lambda a: split_heads(a, 4), [a2234]),
             ("merge_heads_4d", lambda a: merge_heads(a), [a2234]),
-            ("stack0", lambda a, b: stack([a, b]), [a234, b234]),
-            ("stack2", lambda a, b: stack([a, b], axis=2), [a234, b234]),
             ("softmax_3d", lambda a: row_softmax(a), [a234]),
             ("softmax_3d_mask_bcast", lambda a: row_softmax(a, mask=mask34), [a234]),
             ("softmax_4d_mask_bcast", lambda a: row_softmax(a, mask=mask2134), [a2234]),
@@ -373,9 +365,17 @@ def _rewrite(path, blob):
 
 def test_checkpoint_rejects_version_1(tmp_path):
     path, blob, fresh = _two_record_checkpoint(tmp_path)
-    assert struct.unpack("<H", blob[4:6]) == (2,)
+    assert struct.unpack("<H", blob[4:6]) == (3,)
     _rewrite(path, blob[:4] + struct.pack("<H", 1) + blob[6:])
     with pytest.raises(ValueError, match=r"m\.ckpt: checkpoint version 1 .*per head"):
+        load_checkpoint(path, fresh)
+
+
+def test_checkpoint_rejects_version_2(tmp_path):
+    path, blob, fresh = _two_record_checkpoint(tmp_path)
+    _rewrite(path, blob[:4] + struct.pack("<H", 2) + blob[6:])
+    with pytest.raises(ValueError, match=r"m\.ckpt: checkpoint version 2 .*per head"
+                                         r".*lane_bias\.wp0.*decoder0\.w1"):
         load_checkpoint(path, fresh)
 
 

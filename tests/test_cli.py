@@ -2,6 +2,7 @@
 
 import json
 import os
+import shutil
 
 import numpy as np
 import pytest
@@ -199,6 +200,40 @@ def test_eval_restores_config_from_manifest(workspace, tmp_path):
     assert main(["eval", "--data", workspace["data"],
                  "--model", os.path.join(workspace["run"], "model.ckpt"),
                  "--out", out]) == EXIT_OK
+
+
+def test_eval_manifest_with_unknown_model_key_is_config_error(workspace, tmp_path, capsys):
+    run = shutil.copytree(workspace["run"], tmp_path / "run")
+    manifest = json.load(open(run / "manifest.json"))
+    manifest["ModelConfig"]["dropout"] = 0.1
+    json.dump(manifest, open(run / "manifest.json", "w"))
+    assert main(["eval", "--data", workspace["data"], "--model", str(run / "model.ckpt"),
+                 "--out", str(tmp_path / "e")]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert str(run / "manifest.json") in err and "'dropout'" in err
+
+    del manifest["ModelConfig"]["dropout"]
+    manifest["ModelConfig"]["modes"] = 0
+    json.dump(manifest, open(run / "manifest.json", "w"))
+    assert main(["eval", "--data", workspace["data"], "--model", str(run / "model.ckpt"),
+                 "--out", str(tmp_path / "e")]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert str(run / "manifest.json") in err and "at least 1 mode" in err
+
+
+def test_dataset_manifest_without_files_is_data_error(workspace, tmp_path, capsys):
+    data = shutil.copytree(workspace["data"], tmp_path / "data")
+    manifest = json.load(open(data / "manifest.json"))
+    entries = manifest.pop("files")
+    json.dump(manifest, open(data / "manifest.json", "w"))
+    assert main(["matrices", "--data", str(data), "--out", str(tmp_path / "m")]) == EXIT_DATA_ERROR
+    err = capsys.readouterr().err
+    assert str(data / "manifest.json") in err and "'files'" in err
+
+    del entries[1]["sha256"]
+    json.dump(dict(manifest, files=entries), open(data / "manifest.json", "w"))
+    assert main(["matrices", "--data", str(data), "--out", str(tmp_path / "m")]) == EXIT_DATA_ERROR
+    assert "manifest.json: files[1].sha256 is missing" in capsys.readouterr().err
 
 
 def test_predict_writes_csv_and_svg(workspace, tmp_path):

@@ -6,10 +6,12 @@ import re
 import numpy as np
 import pytest
 
-from laneformer.autodiff import load_checkpoint, save_checkpoint
+from laneformer.autodiff import Tensor, load_checkpoint, save_checkpoint, uniform_init
 from laneformer.model import (
     ModelConfig,
     PredictionSet,
+    _init_decoder,
+    decode_trajectories,
     hte_forward,
     init_model,
     map_net_forward,
@@ -274,3 +276,58 @@ def test_attention_projections_register_as_one_matrix_each():
             assert params.registry[f"{prefix}.{proj}"].data.shape == (cfg.d_model, cfg.d_model)
     assert not [n for n in names if re.search(r"\.w[qkv]\d+$", n)]   # no per-head copies
     assert "interaction.ffn.w1" in names
+
+
+def test_bias_groups_and_decoder_register_as_one_tensor_each():
+    cfg = _cfg(modes=3, heads=4, d_model=8, decoder_hidden=5)
+    params = init_model(cfg, seed=0)
+    reg = params.registry
+    c = len(cfg.connection_types)
+    for prefix in ("lane_bias", "fuse_l2l_bias"):
+        for group in ("wp", "ws", "wl", "wr", "wpre_inter", "wsuc_inter",
+                      "wpre_outer", "wsuc_outer"):
+            assert reg[f"{prefix}.{group}"].data.shape == (4, 1, 1)
+        assert reg[f"{prefix}.wc"].data.shape == (4, c, 1)
+    expected = {"w1": (8, 3 * 5), "b1": (1, 3 * 5), "w_offsets": (3, 5, 2 * T_F),
+                "b_offsets": (3, 1, 2 * T_F), "w_score": (3, 5, 1), "b_score": (3, 1, 1)}
+    assert {n: reg[n].data.shape for n in reg.names() if n.startswith("decoder")} == {
+        f"decoder.{k}": v for k, v in expected.items()}
+    assert not [n for n in reg.names() if re.match(r"(lane_bias|fuse_l2l_bias)\.\w+\d$", n)]
+
+
+def test_decoder_init_keeps_per_head_draw_order():
+    cfg = _cfg(modes=3, d_model=6, decoder_hidden=4)
+    dec = _init_decoder(np.random.default_rng(8), cfg)
+    rng = np.random.default_rng(8)
+    for k in range(3):
+        assert np.array_equal(dec.w1.data[:, 4 * k:4 * k + 4], uniform_init(rng, 6, (6, 4)))
+        assert np.array_equal(dec.w_offsets.data[k], uniform_init(rng, 4, (4, 2 * T_F)))
+        assert np.array_equal(dec.w_score.data[k], uniform_init(rng, 4, (4, 1)))
+    for bias in (dec.b1, dec.b_offsets, dec.b_score):
+        assert (bias.data == 0.0).all()
+
+
+def test_decoder_matches_per_head_reference():
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        k, h, n_t = (1, 2, 3, 6, 4)[seed], 5, (1, 3, 2, 1, 4)[seed]
+        cfg = _cfg(modes=k, decoder_hidden=h)
+        params = init_model(cfg, seed=seed)
+        dec = params.decoder
+        for t in (dec.b1, dec.b_offsets, dec.b_score):
+            t.data = rng.normal(size=t.data.shape)
+        feats = rng.normal(size=(n_t, cfg.d_model))
+        out = decode_trajectories(params, Tensor(feats), list(range(n_t)))
+        scores = np.zeros((n_t, k))
+        for m in range(k):
+            cols = slice(m * h, (m + 1) * h)
+            hidden = np.maximum(feats @ dec.w1.data[:, cols] + dec.b1.data[:, cols], 0.0)
+            offsets = hidden @ dec.w_offsets.data[m] + dec.b_offsets.data[m]
+            scores[:, m] = (hidden @ dec.w_score.data[m] + dec.b_score.data[m])[:, 0]
+            for i in range(n_t):
+                path = np.cumsum(offsets[i].reshape(T_F, 2), axis=0)
+                assert np.abs(out.trajectories[i][m].data - path).max() < 1e-12
+        assert np.abs(out.scores.data - scores).max() < 1e-12
+        conf = np.exp(scores - scores.max(axis=1, keepdims=True))
+        conf /= conf.sum(axis=1, keepdims=True)
+        assert np.abs(out.confidences.data - conf).max() < 1e-12
