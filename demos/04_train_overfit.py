@@ -7,6 +7,7 @@ the best mode hugging the true future. Runs in roughly ten seconds.
 
 import numpy as np
 
+from laneformer.autodiff import no_grad
 from laneformer.metrics import min_ade, min_fde
 from laneformer.model import ModelConfig, init_model, model_forward, prepare_sample
 from laneformer.synth import GeneratorConfig, generate_dataset
@@ -33,7 +34,8 @@ def main():
     print(f"loss dropped {100 * drop:.1f}% over {result.steps} steps")
 
     for s in samples:
-        pred = model_forward(params, s).prediction_set()
+        with no_grad():
+            pred = model_forward(params, s).prediction_set()
         gt = s.ground_truth[pred.target_ids[0]]
         fde, k = min_fde(pred.trajectories[0], gt)
         ade = min_ade(pred.trajectories[0], gt)

@@ -25,6 +25,7 @@ from .autodiff import (
     backpropagate,
     grad_check,
     load_checkpoint,
+    no_grad,
     save_checkpoint,
 )
 from .evaluation import (

@@ -2,12 +2,14 @@
 
 The tape is implicit: every tensor produced by an operation keeps references
 to its parents and a closure routing the output gradient back to them.
+Inside `no_grad()` nothing is recorded, so inference builds no tape.
 Everything runs in float64 so analytic gradients can be compared against
 central finite differences at tight tolerances.
 """
 
 from __future__ import annotations
 
+import contextlib
 import math
 import struct
 from dataclasses import dataclass
@@ -21,6 +23,7 @@ __all__ = [
     "NondeterministicFunctionError",
     "as_tensor",
     "tensor",
+    "no_grad",
     "matmul",
     "transpose",
     "reshape",
@@ -86,11 +89,30 @@ def tensor(data, requires_grad=False) -> Tensor:
     return Tensor(data, requires_grad=requires_grad)
 
 
+_recording = True
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Record no tape inside the block: every op returns a plain constant tensor.
+
+    Nests, and restores the previous state on exit, also after an exception.
+    """
+    global _recording
+    previous, _recording = _recording, False
+    try:
+        yield
+    finally:
+        _recording = previous
+
+
 def _result(data, parents, backward) -> Tensor:
     # Constant subgraphs are pruned: no parents recorded, no backward closure.
-    for p in parents:
-        if p.requires_grad:
-            return Tensor(data, requires_grad=True, _parents=tuple(parents), _backward=backward)
+    if _recording:
+        for p in parents:
+            if p.requires_grad:
+                return Tensor(data, requires_grad=True, _parents=tuple(parents),
+                              _backward=backward)
     return Tensor(data)
 
 
@@ -383,6 +405,9 @@ def _topological_order(root: Tensor) -> list:
 
 def backpropagate(loss: Tensor) -> None:
     """Accumulate d loss / d t into t.grad for every tensor reachable from loss."""
+    if not _recording:
+        raise RuntimeError("backpropagate: called inside no_grad(), where no tape is "
+                           "recorded; run the forward pass and backpropagate outside it")
     if loss.data.size != 1:
         raise ValueError(f"backpropagate: loss must be scalar, got shape {loss.data.shape}")
     if not loss.requires_grad:
@@ -470,36 +495,43 @@ def grad_check(f, inputs, h: float = 1e-6, tol: float = 1e-6,
     the max per input. The floor keeps near-zero gradient entries, where the
     finite difference is pure roundoff noise, from dominating the ratio while
     still flagging disagreements large enough to matter.
+
+    f runs 2 N + 3 times for N input scalars: twice to confirm it is
+    deterministic, 2 N times for the differences, all under no_grad(), then
+    once recording the tape that gives the analytic gradients.
     """
     inputs = [as_tensor(t) for t in inputs]
     for t in inputs:
         t.requires_grad = True
 
-    first = f(*inputs).data.copy()
-    if not np.array_equal(first, f(*inputs).data):
-        raise NondeterministicFunctionError("function output changed between evaluations")
+    with no_grad():
+        first = f(*inputs).data.copy()
+        if not np.array_equal(first, f(*inputs).data):
+            raise NondeterministicFunctionError("function output changed between evaluations")
+        if first.size != 1:
+            raise ValueError("grad_check: f must return a scalar tensor")
+        numeric = []
+        for t in inputs:
+            num = np.zeros_like(t.data)
+            flat = t.data.reshape(-1)
+            nflat = num.reshape(-1)
+            for i in range(flat.size):
+                orig = flat[i]
+                flat[i] = orig + h
+                fp = float(f(*inputs).data)
+                flat[i] = orig - h
+                fm = float(f(*inputs).data)
+                flat[i] = orig
+                nflat[i] = (fp - fm) / (2.0 * h)
+            numeric.append(num)
 
     for t in inputs:
         t.grad = None
-    out = f(*inputs)
-    if out.data.size != 1:
-        raise ValueError("grad_check: f must return a scalar tensor")
-    backpropagate(out)
-    analytic = [t.grad.copy() if t.grad is not None else np.zeros_like(t.data) for t in inputs]
+    backpropagate(f(*inputs))
 
     errors = []
-    for t, a in zip(inputs, analytic):
-        num = np.zeros_like(t.data)
-        flat = t.data.reshape(-1)
-        nflat = num.reshape(-1)
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            fp = float(f(*inputs).data)
-            flat[i] = orig - h
-            fm = float(f(*inputs).data)
-            flat[i] = orig
-            nflat[i] = (fp - fm) / (2.0 * h)
+    for t, num in zip(inputs, numeric):
+        a = t.grad if t.grad is not None else np.zeros_like(t.data)
         denom = np.maximum(np.abs(a), np.abs(num)) + floor
         rel = np.abs(a - num) / denom
         errors.append(float(rel.max(initial=0.0)))

@@ -21,7 +21,7 @@ import sys
 import numpy as np
 
 from . import scenario as sc
-from .autodiff import grad_check, load_checkpoint, save_checkpoint
+from .autodiff import grad_check, load_checkpoint, no_grad, save_checkpoint
 from .evaluation import (
     evaluate_model,
     sweep_neighborhoods,
@@ -471,7 +471,8 @@ def cmd_predict(args) -> int:
             sample = prepare_sample(scn, params.cfg)
         except ValueError as e:
             raise DataError(str(e)) from e
-        pred = model_forward(params, sample).prediction_set()
+        with no_grad():
+            pred = model_forward(params, sample).prediction_set()
         csv_path = os.path.join(args.out, f"{scn.name}_predictions.csv")
         write_predictions_csv(csv_path, scn.name, sample.target_ids,
                               pred.trajectories, pred.confidences)

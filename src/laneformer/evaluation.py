@@ -13,6 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .autodiff import no_grad
 from .metrics import evaluate_prediction, miss_rate
 from .model import ModelParams, model_forward, prepare_sample
 
@@ -52,31 +53,42 @@ def _summarize(rows) -> "EvaluationReport":
     )
 
 
-def evaluate_model(params: ModelParams, scenarios, oracle: bool = False) -> EvaluationReport:
-    """Metric rows for every target agent of every scenario.
-
-    With oracle=True the ground truth itself is scored as a single
-    full-confidence mode, which drives every metric to zero.
-    """
-    rows = []
+def _scored_samples(scenarios, cfg):
+    """Prepared samples, each checked to carry the ground truth a report scores."""
     for scn in scenarios:
-        sample = prepare_sample(scn, params.cfg)
+        sample = prepare_sample(scn, cfg)
         if sample.ground_truth is None:
             raise ValueError(f"scenario {scn.name!r} has no ground truth to score")
+        yield sample
+
+
+def _report(params: ModelParams, samples, oracle: bool = False) -> EvaluationReport:
+    rows = []
+    for sample in samples:
         if oracle:
             trajectories = np.stack([sample.ground_truth[i][None]
                                      for i in sample.target_ids])
             confidences = np.ones((len(sample.target_ids), 1))
         else:
-            pred = model_forward(params, sample).prediction_set()
+            with no_grad():
+                pred = model_forward(params, sample).prediction_set()
             trajectories, confidences = pred.trajectories, pred.confidences
         for row_idx, agent_id in enumerate(sample.target_ids):
             gt = sample.ground_truth[agent_id]
             m = evaluate_prediction(trajectories[row_idx], confidences[row_idx], gt)
-            rows.append({"scenario_id": scn.name, "agent_id": int(agent_id),
+            rows.append({"scenario_id": sample.scenario.name, "agent_id": int(agent_id),
                          "min_ade": m["min_ade"], "min_fde": m["min_fde"],
                          "b_min_fde": m["b_min_fde"], "miss": int(m["miss"])})
     return _summarize(rows)
+
+
+def evaluate_model(params: ModelParams, scenarios, oracle: bool = False) -> EvaluationReport:
+    """Metric rows for every target agent of every scenario, run without a tape.
+
+    With oracle=True the ground truth itself is scored as a single
+    full-confidence mode, which drives every metric to zero.
+    """
+    return _report(params, _scored_samples(scenarios, params.cfg), oracle)
 
 
 def write_report_csv(path, report: EvaluationReport) -> None:
@@ -94,18 +106,20 @@ def sweep_neighborhoods(params: ModelParams, scenarios, grid: dict) -> list:
     """Evaluate every combination of attention neighborhood sizes.
 
     grid maps interaction names (a2a, a2l, l2a) to candidate sizes; absent
-    names keep their configured value. Inference only, no retraining.
+    names keep their configured value. Inference only, no retraining. The
+    sizes do not enter sample preparation, so each scene is prepared once.
     """
     known = {"a2a", "a2l", "l2a"}
     unknown = set(grid) - known
     if unknown:
         raise ValueError(f"unknown sweep dimensions {sorted(unknown)}")
     names = sorted(grid)
+    samples = list(_scored_samples(scenarios, params.cfg))
     results = []
     for combo in itertools.product(*(grid[n] for n in names)):
         overrides = {f"e_{n}": int(v) for n, v in zip(names, combo)}
         swept = replace(params, cfg=replace(params.cfg, **overrides))
-        report = evaluate_model(swept, scenarios)
+        report = _report(swept, samples)
         results.append({**{n: int(v) for n, v in zip(names, combo)},
                         "min_ade": report.mean_min_ade,
                         "min_fde": report.mean_min_fde,

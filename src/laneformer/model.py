@@ -22,6 +22,7 @@ from .autodiff import (
     add,
     gather_rows,
     matmul,
+    no_grad,
     relu,
     reshape,
     row_softmax,
@@ -469,5 +470,7 @@ def model_forward(params: ModelParams, sample: Sample) -> ModelOutput:
 
 
 def predict(params: ModelParams, raw: sc.Scenario) -> PredictionSet:
-    """Convenience wrapper: prepare, run, and strip gradients."""
-    return model_forward(params, prepare_sample(raw, params.cfg)).prediction_set()
+    """Convenience wrapper: prepare, then run without a tape."""
+    sample = prepare_sample(raw, params.cfg)
+    with no_grad():
+        return model_forward(params, sample).prediction_set()

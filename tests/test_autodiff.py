@@ -2,10 +2,12 @@
 
 import os
 import struct
+import sys
 
 import numpy as np
 import pytest
 
+from laneformer import autodiff
 from laneformer.autodiff import (
     GradCheckReport,
     NondeterministicFunctionError,
@@ -21,6 +23,7 @@ from laneformer.autodiff import (
     matmul,
     merge_heads,
     multiply,
+    no_grad,
     reduce_sum,
     relu,
     reshape,
@@ -402,3 +405,154 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
     _rewrite(path, blob + b"\x00\x01")
     with pytest.raises(ValueError, match=r"m\.ckpt: 2 trailing bytes"):
         load_checkpoint(path, fresh)
+
+
+# ---------------------------------------------------------------------------
+# no_grad
+
+def _op_calls(x, y, w, g):
+    """One call of every differentiable op on grad-requiring inputs."""
+    return {
+        "matmul": lambda: matmul(x, w),
+        "transpose": lambda: transpose(x),
+        "reshape": lambda: reshape(x, (4, 3)),
+        "split_heads": lambda: split_heads(x, 2),
+        "merge_heads": lambda: merge_heads(reshape(x, (1, 3, 4))),
+        "gather_rows": lambda: gather_rows(x, [2, 0]),
+        "add": lambda: add(x, y),
+        "subtract": lambda: subtract(x, y),
+        "multiply": lambda: multiply(x, y),
+        "scale": lambda: scale(x, 2.0),
+        "relu": lambda: relu(x),
+        "row_softmax": lambda: row_softmax(x),
+        "layer_norm": lambda: layer_norm(x, g, g),
+        "smooth_l1": lambda: smooth_l1(x),
+        "reduce_sum": lambda: reduce_sum(x),
+    }
+
+
+# names in autodiff.__all__ that are not tensor ops
+_NOT_OPS = {"Tensor", "ParameterRegistry", "ShapeError", "NondeterministicFunctionError",
+            "as_tensor", "tensor", "no_grad", "backpropagate", "grad_check",
+            "GradCheckReport", "uniform_init", "save_checkpoint", "load_checkpoint"}
+
+
+def test_no_grad_ops_record_no_tape():
+    rng = np.random.default_rng(0)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    y = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    g = Tensor(rng.normal(size=4), requires_grad=True)
+    ops = _op_calls(x, y, w, g)
+    assert set(ops) == set(autodiff.__all__) - _NOT_OPS
+    for name, call in ops.items():
+        taped = call()
+        assert taped._parents and taped._backward is not None, name
+        with no_grad():
+            out = call()
+        assert out._parents == () and out._backward is None, name
+        assert not out.requires_grad, name
+        assert np.array_equal(out.data, taped.data), name
+
+
+def test_no_grad_nests_and_restores_after_exception():
+    x = Tensor(np.ones((2, 2)), requires_grad=True)
+    recorded = lambda: bool(add(x, x)._parents)
+    assert recorded()
+    with no_grad():
+        with no_grad():
+            assert not recorded()
+        assert not recorded()
+    assert recorded()
+    with pytest.raises(ShapeError):
+        with no_grad():
+            with no_grad():
+                matmul(x, Tensor(np.ones((3, 3))))
+    assert recorded()
+    with pytest.raises(KeyError):
+        with no_grad():
+            raise KeyError("inside")
+    assert recorded()
+
+
+def test_backpropagate_inside_no_grad_raises():
+    x = Tensor(np.ones((2, 2)), requires_grad=True)
+    loss = reduce_sum(multiply(x, x))
+    with no_grad():
+        with pytest.raises(RuntimeError, match="no_grad"):
+            backpropagate(loss)
+        with pytest.raises(RuntimeError, match="no_grad"):
+            backpropagate(reduce_sum(x))
+    assert x.grad is None
+    backpropagate(loss)
+    assert np.array_equal(x.grad, 2.0 * x.data)
+
+
+def _taped_grad_check_errors(f, inputs, h, tol, floor=1e-3):
+    """grad_check as a plain loop in which every evaluation records a tape."""
+    for t in inputs:
+        t.requires_grad = True
+    first = f(*inputs).data.copy()
+    assert np.array_equal(first, f(*inputs).data)
+    for t in inputs:
+        t.grad = None
+    backpropagate(f(*inputs))
+    analytic = [t.grad.copy() if t.grad is not None else np.zeros_like(t.data) for t in inputs]
+    errors = []
+    for t, a in zip(inputs, analytic):
+        num = np.zeros_like(t.data)
+        flat, nflat = t.data.reshape(-1), num.reshape(-1)
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            fp = float(f(*inputs).data)
+            flat[i] = orig - h
+            fm = float(f(*inputs).data)
+            flat[i] = orig
+            nflat[i] = (fp - fm) / (2.0 * h)
+        rel = np.abs(a - num) / (np.maximum(np.abs(a), np.abs(num)) + floor)
+        errors.append(float(rel.max(initial=0.0)))
+    return errors
+
+
+def test_grad_check_matches_taped_reference_loop(monkeypatch):
+    # the two finite-difference tests above, replayed with every grad_check
+    # call compared against the taped loop on the same draws
+    audited = [0]
+
+    def compared(f, inputs, h=1e-6, tol=1e-6):
+        ref_inputs = [Tensor(t.data.copy()) for t in inputs]
+        taped = []
+
+        def counted(*ts):
+            out = f(*ts)
+            taped.append(bool(out._parents))
+            return out
+
+        report = autodiff.grad_check(counted, inputs, h=h, tol=tol)
+        n = sum(t.data.size for t in inputs)
+        assert len(taped) == 2 * n + 3
+        assert taped == [False] * (2 * n + 2) + [True], "only the last evaluation records"
+        assert report.errors == _taped_grad_check_errors(f, ref_inputs, h, tol)
+        audited[0] += 1
+        return report
+
+    monkeypatch.setattr(sys.modules[__name__], "grad_check", compared)
+    test_primitive_gradients_match_finite_differences()
+    test_batched_op_gradients_match_finite_differences()
+    assert audited[0] == 100 * 18 + 10 * 19
+
+
+def test_grad_check_rejects_non_scalar_after_the_determinism_check():
+    # a non-scalar f fails as before, after the determinism check
+    with pytest.raises(ValueError, match="f must return a scalar tensor"):
+        grad_check(lambda x: add(x, x), [Tensor(np.ones((2, 2)))])
+    calls = [0]
+
+    def drifting(x):
+        calls[0] += 1
+        return add(x, Tensor(np.full((2, 2), float(calls[0]))))
+
+    with pytest.raises(NondeterministicFunctionError):
+        grad_check(drifting, [Tensor(np.ones((2, 2)))])
+    assert calls[0] == 2

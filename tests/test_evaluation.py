@@ -2,6 +2,7 @@
 
 import os
 import xml.etree.ElementTree as ET
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,10 +16,19 @@ from laneformer.evaluation import (
     write_report_csv,
     write_sweep_csv,
 )
-from laneformer.model import init_model
+from laneformer import evaluation
+from laneformer.metrics import evaluate_prediction
+from laneformer.model import init_model, model_forward, prepare_sample
 from laneformer.plotting import scene_svg, write_prediction_svg, write_predictions_csv
 
-from test_model import _cfg, _scene
+from laneformer.synth import TEMPLATES, GeneratorConfig, generate_scenario
+
+from test_model import _cfg, _scene, _toy_cfg
+
+
+def _template_scenes(seed, agents=4):
+    return [generate_scenario(GeneratorConfig(seed=seed, template=t, agent_count=agents), 0)
+            for t in TEMPLATES]
 
 
 def test_oracle_evaluation_is_all_zeros():
@@ -146,3 +156,53 @@ def test_prediction_artifacts_on_disk(tmp_path):
     write_prediction_svg(svg_path, [np.array([[0.0, 0.0], [5.0, 0.0]])],
                          np.zeros((2, 2)), None, trajectories[0], conf[0])
     ET.parse(svg_path)
+
+
+def test_evaluation_rows_match_taped_forward_for_every_template():
+    cfg = _toy_cfg()
+    params = init_model(cfg, seed=6)
+    scenes = _template_scenes(6)
+    expected = []
+    for scn in scenes:
+        sample = prepare_sample(scn, cfg)
+        out = model_forward(params, sample)
+        assert out.scores._parents
+        pred = out.prediction_set()
+        for row, agent_id in enumerate(sample.target_ids):
+            m = evaluate_prediction(pred.trajectories[row], pred.confidences[row],
+                                    sample.ground_truth[agent_id])
+            expected.append({"scenario_id": scn.name, "agent_id": int(agent_id),
+                             "min_ade": m["min_ade"], "min_fde": m["min_fde"],
+                             "b_min_fde": m["b_min_fde"], "miss": int(m["miss"])})
+    assert evaluate_model(params, scenes).rows == expected
+
+
+_GRID = {"a2a": [1, 8], "a2l": [2, 16], "l2a": [1, 4]}
+
+
+def test_sweep_matches_per_combination_evaluation():
+    params = init_model(_toy_cfg(), seed=7)
+    scenes = _template_scenes(7)
+    results = sweep_neighborhoods(params, scenes, _GRID)
+    assert len(results) == 8
+    for r in results:
+        swept = replace(params, cfg=replace(params.cfg, e_a2a=r["a2a"], e_a2l=r["a2l"],
+                                            e_l2a=r["l2a"]))
+        report = evaluate_model(swept, scenes)
+        assert r == {"a2a": r["a2a"], "a2l": r["a2l"], "l2a": r["l2a"],
+                     "min_ade": report.mean_min_ade, "min_fde": report.mean_min_fde,
+                     "b_min_fde": report.mean_b_min_fde, "miss_rate": report.miss_rate}
+
+
+def test_sweep_prepares_each_scene_once(monkeypatch):
+    calls = []
+    real = evaluation.prepare_sample
+
+    def counted(scn, cfg):
+        calls.append(scn.name)
+        return real(scn, cfg)
+
+    monkeypatch.setattr(evaluation, "prepare_sample", counted)
+    scenes = _template_scenes(8, agents=2)
+    sweep_neighborhoods(init_model(_toy_cfg(), seed=8), scenes, _GRID)
+    assert calls == [scn.name for scn in scenes]

@@ -5,8 +5,17 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from laneformer.autodiff import Tensor, load_checkpoint, save_checkpoint, uniform_init
+from laneformer.attention import capture_softmax
+from laneformer.autodiff import (
+    Tensor,
+    load_checkpoint,
+    no_grad,
+    save_checkpoint,
+    uniform_init,
+)
 from laneformer.model import (
     ModelConfig,
     PredictionSet,
@@ -25,6 +34,7 @@ from laneformer.scenario import (
     LaneConnectivity,
     Scenario,
 )
+from laneformer.synth import TEMPLATES, GeneratorConfig, generate_scenario
 
 T_H, T_F = 6, 5
 
@@ -331,3 +341,69 @@ def test_decoder_matches_per_head_reference():
         conf = np.exp(scores - scores.max(axis=1, keepdims=True))
         conf /= conf.sum(axis=1, keepdims=True)
         assert np.abs(out.confidences.data - conf).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# inference without a tape
+
+def _toy_cfg(**overrides):
+    # the acceptance toy config, at the generator's default history and horizon
+    base = dict(d_model=16, heads=2, layers=1, modes=6, n_lane_nodes=6,
+                decoder_hidden=32, e_a2a=8, e_a2l=16, e_l2a=4)
+    base.update(overrides)
+    return ModelConfig(**base)
+
+
+def _same_outputs(a, b) -> bool:
+    return (np.array_equal(a.scores.data, b.scores.data)
+            and np.array_equal(a.confidences.data, b.confidences.data)
+            and all(np.array_equal(x.data, y.data)
+                    for ta, tb in zip(a.trajectories, b.trajectories)
+                    for x, y in zip(ta, tb)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(seed=st.integers(0, 10_000), template=st.sampled_from(TEMPLATES),
+       agents=st.integers(1, 5), biases=st.booleans())
+def test_no_grad_forward_matches_taped_forward(seed, template, agents, biases):
+    cfg = _toy_cfg(use_relation_bias=biases, use_reachability_bias=biases)
+    params = init_model(cfg, seed=seed)
+    sample = prepare_sample(generate_scenario(
+        GeneratorConfig(seed=seed, template=template, agent_count=agents), 0), cfg)
+    taped = model_forward(params, sample)
+    assert taped.scores._parents
+    with no_grad():
+        untaped = model_forward(params, sample)
+    assert untaped.scores._parents == () and untaped.confidences._parents == ()
+    assert all(m._parents == () for modes in untaped.trajectories for m in modes)
+    assert _same_outputs(taped, untaped)
+
+
+@pytest.mark.parametrize("template", TEMPLATES)
+def test_predict_matches_taped_forward(template):
+    cfg = _toy_cfg()
+    params = init_model(cfg, seed=4)
+    raw = generate_scenario(GeneratorConfig(seed=4, template=template, agent_count=4), 1)
+    taped = model_forward(params, prepare_sample(raw, cfg)).prediction_set()
+    pred = predict(params, raw)
+    assert np.array_equal(pred.trajectories, taped.trajectories)
+    assert np.array_equal(pred.confidences, taped.confidences)
+    assert pred.target_ids == taped.target_ids
+
+
+def test_capture_softmax_records_under_no_grad():
+    # criterion 9's three scenes: 54 matrices with or without a tape
+    counts = []
+    for seed, template in zip((1, 2, 3), ("fork", "merge", "intersection")):
+        cfg = _toy_cfg()
+        params = init_model(cfg, seed=seed)
+        sample = prepare_sample(generate_scenario(GeneratorConfig(seed=seed,
+                                                                  template=template), 0), cfg)
+        with capture_softmax() as taped:
+            model_forward(params, sample)
+        with no_grad(), capture_softmax() as untaped:
+            model_forward(params, sample)
+        assert len(untaped) == len(taped)
+        assert all(np.array_equal(a, b) for a, b in zip(taped, untaped))
+        counts.append(len(untaped))
+    assert sum(counts) == 54
