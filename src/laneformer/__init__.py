@@ -31,7 +31,6 @@ from .autodiff import (
 from .evaluation import (
     EvaluationReport,
     evaluate_model,
-    run_bias_ablation,
     sweep_neighborhoods,
     write_report_csv,
 )

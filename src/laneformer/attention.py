@@ -6,7 +6,9 @@ a reachability term D_inter before the softmax then rescales the resulting
 probabilities by D_outer, and a local variant that restricts each query to
 its e nearest keys by Euclidean distance. Every bias coefficient group is
 one learnable tensor with a leading head axis: a scalar per head, or a
-length-C vector per head for the boundary-marking gate.
+length-C vector per head for the boundary-marking gate. The two-layer
+perceptron here serves both the transformer block's feed-forward and the
+model's embedding and aggregation layers.
 """
 
 from __future__ import annotations
@@ -37,11 +39,13 @@ __all__ = [
     "AttentionWeights",
     "BiasWeights",
     "BiasSet",
-    "FeedForwardWeights",
+    "MLPWeights",
     "LayerWeights",
     "init_attention_weights",
     "init_bias_weights",
     "init_layer_weights",
+    "init_mlp",
+    "mlp",
     "compose_bias_matrices",
     "nearest_neighbor_mask",
     "standard_attention",
@@ -56,17 +60,17 @@ __all__ = [
 class AttentionConfig:
     d_model: int
     heads: int
-    d_k: int = 0
 
     def __post_init__(self):
-        if self.d_k == 0:
-            self.d_k = self.d_model // self.heads
         if self.heads < 1 or self.d_model < 1:
             raise ValueError("heads and d_model must be positive")
-        if self.heads * self.d_k != self.d_model:
+        if self.d_model % self.heads:
             raise ValueError(
-                f"heads * d_k must equal d_model ({self.heads} * {self.d_k} "
-                f"!= {self.d_model})")
+                f"d_model must split evenly into heads ({self.d_model} % {self.heads} != 0)")
+
+    @property
+    def d_k(self) -> int:
+        return self.d_model // self.heads
 
 
 @dataclass
@@ -122,7 +126,9 @@ class BiasSet:
 
 
 @dataclass
-class FeedForwardWeights:
+class MLPWeights:
+    """Two-layer perceptron x -> relu(x w1 + b1) w2 + b2."""
+
     w1: Tensor
     b1: Tensor
     w2: Tensor
@@ -132,7 +138,7 @@ class FeedForwardWeights:
 @dataclass
 class LayerWeights:
     attn: AttentionWeights
-    ffn: FeedForwardWeights
+    ffn: MLPWeights
     ln1_gain: Tensor
     ln1_bias: Tensor
     ln2_gain: Tensor
@@ -162,12 +168,12 @@ def init_bias_weights(heads: int, n_categories: int) -> BiasWeights:
     )
 
 
-def init_feed_forward(rng: np.random.Generator, d_model: int, d_ff: int) -> FeedForwardWeights:
-    return FeedForwardWeights(
-        w1=Tensor(uniform_init(rng, d_model, (d_model, d_ff)), requires_grad=True),
-        b1=Tensor(np.zeros((1, d_ff)), requires_grad=True),
-        w2=Tensor(uniform_init(rng, d_ff, (d_ff, d_model)), requires_grad=True),
-        b2=Tensor(np.zeros((1, d_model)), requires_grad=True),
+def init_mlp(rng: np.random.Generator, d_in: int, d_hidden: int, d_out: int) -> MLPWeights:
+    return MLPWeights(
+        w1=Tensor(uniform_init(rng, d_in, (d_in, d_hidden)), requires_grad=True),
+        b1=Tensor(np.zeros((1, d_hidden)), requires_grad=True),
+        w2=Tensor(uniform_init(rng, d_hidden, (d_hidden, d_out)), requires_grad=True),
+        b2=Tensor(np.zeros((1, d_out)), requires_grad=True),
     )
 
 
@@ -175,7 +181,7 @@ def init_layer_weights(rng: np.random.Generator, cfg: AttentionConfig) -> LayerW
     d = cfg.d_model
     return LayerWeights(
         attn=init_attention_weights(rng, cfg),
-        ffn=init_feed_forward(rng, d, 2 * d),
+        ffn=init_mlp(rng, d, 2 * d, d),
         ln1_gain=Tensor(np.ones((1, d)), requires_grad=True),
         ln1_bias=Tensor(np.zeros((1, d)), requires_grad=True),
         ln2_gain=Tensor(np.ones((1, d)), requires_grad=True),
@@ -305,7 +311,7 @@ def local_attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights,
     return _attention_core(q, k, v, w, cfg, mask, None)
 
 
-def _feed_forward(x: Tensor, w: FeedForwardWeights) -> Tensor:
+def mlp(x: Tensor, w: MLPWeights) -> Tensor:
     return add(matmul(relu(add(matmul(x, w.w1), w.b1)), w.w2), w.b2)
 
 
@@ -315,4 +321,4 @@ def transformer_layer(x_q: Tensor, x_kv: Tensor, w: LayerWeights, cfg: Attention
     """Residual attention block with post-norm and a two-layer feed-forward."""
     att = _attention_core(x_q, x_kv, x_kv, w.attn, cfg, mask, biases)
     h1 = layer_norm(add(x_q, att), w.ln1_gain, w.ln1_bias)
-    return layer_norm(add(h1, _feed_forward(h1, w.ffn)), w.ln2_gain, w.ln2_bias)
+    return layer_norm(add(h1, mlp(h1, w.ffn)), w.ln2_gain, w.ln2_bias)

@@ -25,7 +25,6 @@ __all__ = [
     "tensor",
     "no_grad",
     "matmul",
-    "transpose",
     "reshape",
     "split_heads",
     "merge_heads",
@@ -165,17 +164,6 @@ def matmul(a, b, transpose_b: bool = False) -> Tensor:
             _accum(b, _unbroadcast(gb, b.data.shape))
 
     return _result(out, (a, b), backward)
-
-
-def transpose(a) -> Tensor:
-    a = as_tensor(a)
-    if a.data.ndim != 2:
-        raise ShapeError(f"transpose: expected 2-d tensor, got shape {a.data.shape}")
-
-    def backward(g):
-        _accum(a, g.T)
-
-    return _result(a.data.T.copy(), (a,), backward)
 
 
 def reshape(a, shape) -> Tensor:

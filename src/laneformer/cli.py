@@ -28,7 +28,7 @@ from .evaluation import (
     write_report_csv,
     write_sweep_csv,
 )
-from .model import ModelConfig, init_model, model_forward, prepare_sample
+from .model import NEIGHBORHOODS, ModelConfig, init_model, model_forward, prepare_sample
 from .plotting import write_prediction_svg, write_predictions_csv
 from .synth import GeneratorConfig, emit_dataset, load_dataset, sha256_file
 from .topology import build_topology
@@ -126,21 +126,17 @@ def _convert(raw: str, like):
     return raw
 
 
-def _overlay(cls, values: dict, consumed: set, **overrides):
-    """Instantiate a config dataclass from matching keys in `values`."""
+def _overlay(base, values: dict, consumed: set, **overrides):
+    """Copy of config dataclass `base` with matching keys in `values`, then `overrides`."""
     kwargs = {}
-    for f in dataclasses.fields(cls):
-        default = f.default if f.default is not dataclasses.MISSING else (
-            f.default_factory() if f.default_factory is not dataclasses.MISSING
-            else None)
-        if dataclasses.is_dataclass(default):
-            continue
-        if f.name in values:
-            kwargs[f.name] = _convert(values[f.name], default)
+    for f in dataclasses.fields(base):
+        current = getattr(base, f.name)
+        if f.name in values and not dataclasses.is_dataclass(current):
+            kwargs[f.name] = _convert(values[f.name], current)
             consumed.add(f.name)
     kwargs.update(overrides)
     try:
-        return cls(**kwargs)
+        return dataclasses.replace(base, **kwargs)
     except ValueError as e:
         raise ConfigError(str(e)) from e
 
@@ -179,6 +175,21 @@ def parse_grid(spec: str) -> dict:
     return grid
 
 
+def _sweep_grid(spec: str, cfg: ModelConfig) -> dict:
+    """The --grid sweep, every name and size checked against `cfg` before any work."""
+    grid = parse_grid(spec)
+    for name, sizes in grid.items():
+        if name not in NEIGHBORHOODS:
+            raise ConfigError(f"unknown sweep dimension {name!r} "
+                              f"(known: {', '.join(NEIGHBORHOODS)})")
+        for size in sizes:
+            try:
+                dataclasses.replace(cfg, **{f"e_{name}": size})
+            except ValueError as e:
+                raise ConfigError(f"grid dimension {name!r}: {e}") from e
+    return grid
+
+
 # ---------------------------------------------------------------------------
 # shared helpers
 
@@ -198,25 +209,11 @@ def _load_scenarios(path) -> list:
     return [sc.parse_scenario(path)]
 
 
-def _model_config(values: dict, consumed: set, base: ModelConfig | None = None) -> ModelConfig:
-    if base is None:
-        return _overlay(ModelConfig, values, consumed)
-    kwargs = {}
-    for f in dataclasses.fields(ModelConfig):
-        if f.name in values:
-            kwargs[f.name] = _convert(values[f.name], getattr(base, f.name))
-            consumed.add(f.name)
-    try:
-        return dataclasses.replace(base, **kwargs)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
-
-
 def _restore_model(model_path, values: dict, consumed: set, seed_flag):
     if not os.path.exists(model_path):
         raise DataError(f"no such model checkpoint: {model_path}")
     manifest_path = os.path.join(os.path.dirname(model_path) or ".", "manifest.json")
-    base = None
+    base = ModelConfig()
     if os.path.exists(manifest_path):
         with open(manifest_path) as fh:
             doc = json.load(fh)
@@ -230,7 +227,7 @@ def _restore_model(model_path, values: dict, consumed: set, seed_flag):
                 base = ModelConfig(**raw)
             except ValueError as e:
                 raise ConfigError(f"{manifest_path}: {e}") from e
-    cfg = _model_config(values, consumed, base)
+    cfg = _overlay(base, values, consumed)
     params = init_model(cfg, seed=seed_flag or 0)
     try:
         stored_seed = load_checkpoint(model_path, params.registry)
@@ -295,7 +292,7 @@ def cmd_generate(args) -> int:
         count = _convert(values["count"], 0)
         consumed.add("count")
     overrides = {"seed": args.seed} if args.seed is not None else {}
-    gen_cfg = _overlay(GeneratorConfig, values, consumed, **overrides)
+    gen_cfg = _overlay(GeneratorConfig(), values, consumed, **overrides)
     _reject_unknown(values, consumed, args.config or "<defaults>")
     if count < 0:
         raise ConfigError(f"count must be non-negative, got {count}")
@@ -310,15 +307,11 @@ def cmd_matrices(args) -> int:
     scenarios = _load_scenarios(args.data)
     values = _read_config(args)
     consumed: set = set()
-    cfg = _model_config(values, consumed)
+    cfg = _overlay(ModelConfig(), values, consumed)
     _reject_unknown(values, consumed, args.config or "<defaults>")
     os.makedirs(args.out, exist_ok=True)
     for scn in scenarios:
-        resampled = sc.Scenario(
-            lanes=[sc.resample_lane_nodes(l, cfg.n_lane_nodes) for l in scn.lanes],
-            connectivity=scn.connectivity, agents=scn.agents,
-            target_ids=scn.target_ids, ground_truth=scn.ground_truth, name=scn.name)
-        topo = build_topology(resampled, cfg.connection_types)
+        topo = build_topology(sc.resample_lanes(scn, cfg.n_lane_nodes), cfg.connection_types)
         out = os.path.join(args.out, f"{scn.name}_matrices.npz")
         np.savez(out, lane_ids=np.asarray(topo.lane_ids), m_p=topo.m_p, m_s=topo.m_s,
                  m_l=topo.m_l, m_r=topo.m_r, pre_hops=topo.pre_hops,
@@ -331,7 +324,7 @@ def cmd_matrices(args) -> int:
 def cmd_gradcheck(args) -> int:
     values = _read_config(args)
     consumed: set = set()
-    cfg = _model_config(values, consumed, micro_config())
+    cfg = _overlay(micro_config(), values, consumed)
     _reject_unknown(values, consumed, args.config or "<defaults>")
     tol = args.tolerance if args.tolerance is not None else 1e-5
     seed = args.seed if args.seed is not None else 0
@@ -368,14 +361,14 @@ def cmd_gradcheck(args) -> int:
 def cmd_train(args) -> int:
     values = _read_config(args)
     consumed: set = set()
-    model_cfg = _model_config(values, consumed)
+    model_cfg = _overlay(ModelConfig(), values, consumed)
     train_overrides = {}
     if args.seed is not None:
         train_overrides["seed"] = args.seed
     if args.epochs is not None:
         train_overrides["epochs"] = args.epochs
-    loss_cfg = _overlay(LossConfig, values, consumed)
-    train_cfg = _overlay(TrainingConfig, values, consumed, loss=loss_cfg,
+    loss_cfg = _overlay(LossConfig(), values, consumed)
+    train_cfg = _overlay(TrainingConfig(), values, consumed, loss=loss_cfg,
                          **train_overrides)
     _reject_unknown(values, consumed, args.config or "<defaults>")
 
@@ -425,6 +418,7 @@ def cmd_eval(args) -> int:
     consumed: set = set()
     params, stored_seed = _restore_model(args.model, values, consumed, args.seed)
     _reject_unknown(values, consumed, args.config or "<defaults>")
+    grid = _sweep_grid(args.grid, params.cfg) if args.grid else None
     scenarios = _load_scenarios(args.data)
     if not scenarios:
         raise DataError(f"{args.data}: dataset is empty")
@@ -441,8 +435,7 @@ def cmd_eval(args) -> int:
              "mean_min_ade": report.mean_min_ade,
              "mean_b_min_fde": report.mean_b_min_fde,
              "miss_rate": report.miss_rate, "oracle": bool(args.oracle)}
-    if args.grid:
-        grid = parse_grid(args.grid)
+    if grid:
         results = sweep_neighborhoods(params, scenarios, grid)
         write_sweep_csv(os.path.join(args.out, "sweep.csv"), results)
         for row in results:

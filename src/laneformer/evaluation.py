@@ -1,4 +1,4 @@
-"""Model evaluation: metric reports, neighborhood sweeps, bias ablation.
+"""Model evaluation: metric reports and neighborhood sweeps.
 
 Reports are per-(scenario, target) metric rows plus one summary row whose
 miss column holds the miss rate. Metrics are computed in the normalized
@@ -15,7 +15,7 @@ import numpy as np
 
 from .autodiff import no_grad
 from .metrics import evaluate_prediction, miss_rate
-from .model import ModelParams, model_forward, prepare_sample
+from .model import NEIGHBORHOODS, ModelParams, model_forward, prepare_sample
 
 __all__ = [
     "EvaluationReport",
@@ -23,8 +23,6 @@ __all__ = [
     "write_report_csv",
     "sweep_neighborhoods",
     "write_sweep_csv",
-    "AblationResult",
-    "run_bias_ablation",
 ]
 
 
@@ -109,8 +107,7 @@ def sweep_neighborhoods(params: ModelParams, scenarios, grid: dict) -> list:
     names keep their configured value. Inference only, no retraining. The
     sizes do not enter sample preparation, so each scene is prepared once.
     """
-    known = {"a2a", "a2l", "l2a"}
-    unknown = set(grid) - known
+    unknown = set(grid) - set(NEIGHBORHOODS)
     if unknown:
         raise ValueError(f"unknown sweep dimensions {sorted(unknown)}")
     names = sorted(grid)
@@ -137,32 +134,3 @@ def write_sweep_csv(path, results: list) -> None:
         for r in results:
             fh.write(",".join(repr(r[c]) if isinstance(r[c], float) else str(r[c])
                               for c in cols) + "\n")
-
-
-@dataclass
-class AblationResult:
-    """Held-out comparison of topology biases on versus off."""
-
-    biased: EvaluationReport
-    unbiased: EvaluationReport
-
-    @property
-    def b_min_fde_gap(self) -> float:
-        """Positive when the biased model scores better (lower) b-minFDE."""
-        return self.unbiased.mean_b_min_fde - self.biased.mean_b_min_fde
-
-
-def run_bias_ablation(make_params, train_fn, train_scenarios, eval_scenarios) -> AblationResult:
-    """Train twice from the same init seed, with and without bias matrices.
-
-    make_params(use_biases: bool) must return freshly initialized params;
-    train_fn(params) trains in place.
-    """
-    biased_params = make_params(True)
-    train_fn(biased_params)
-    unbiased_params = make_params(False)
-    train_fn(unbiased_params)
-    return AblationResult(
-        biased=evaluate_model(biased_params, eval_scenarios),
-        unbiased=evaluate_model(unbiased_params, eval_scenarios),
-    )

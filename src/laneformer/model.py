@@ -22,23 +22,25 @@ from .autodiff import (
     add,
     gather_rows,
     matmul,
+    merge_heads,
     no_grad,
     relu,
     reshape,
     row_softmax,
     split_heads,
-    transpose,
     uniform_init,
 )
 from .attention import (
     AttentionConfig,
     AttentionWeights,
     BiasWeights,
-    FeedForwardWeights,
     LayerWeights,
+    MLPWeights,
     compose_bias_matrices,
     init_bias_weights,
     init_layer_weights,
+    init_mlp,
+    mlp,
     nearest_neighbor_mask,
     transformer_layer,
 )
@@ -67,6 +69,9 @@ FEATURE_SCALE = 10.0
 
 N_AGENT_FEATURES = 8
 N_MAP_FEATURES = 5
+
+# local-attention interactions, each with a neighborhood size e_<name>
+NEIGHBORHOODS = ("a2a", "a2l", "l2a")
 
 
 @dataclass
@@ -97,6 +102,10 @@ class ModelConfig:
                 f"feature widths are fixed at {N_AGENT_FEATURES}/{N_MAP_FEATURES}")
         if self.n_lane_nodes < 2:
             raise ValueError("n_lane_nodes must be at least 2")
+        for name in NEIGHBORHOODS:
+            e = getattr(self, f"e_{name}")
+            if e < 1:
+                raise ValueError(f"e_{name} must be at least 1, got {e}")
 
     def attention(self) -> AttentionConfig:
         return AttentionConfig(d_model=self.d_model, heads=self.heads)
@@ -120,9 +129,7 @@ class Sample:
 
     def to_world(self, points: np.ndarray) -> np.ndarray:
         """Map normalized-frame points back to raw scene coordinates."""
-        c, s = np.cos(self.frame_heading), np.sin(self.frame_heading)
-        rot = np.array([[c, -s], [s, c]])
-        return points @ rot.T + self.frame_origin
+        return points @ sc.rotation(self.frame_heading).T + self.frame_origin
 
 
 def prepare_sample(raw: sc.Scenario, cfg: ModelConfig) -> Sample:
@@ -152,16 +159,13 @@ def prepare_sample(raw: sc.Scenario, cfg: ModelConfig) -> Sample:
         feats[i, :, 6:8] = a.velocities / FEATURE_SCALE
         agent_pos[i] = a.positions[np.flatnonzero(a.padding)[-1]]
 
-    lanes = [sc.resample_lane_nodes(l, cfg.n_lane_nodes) for l in norm.lanes]
-    resampled = sc.Scenario(lanes=lanes, connectivity=norm.connectivity,
-                            agents=norm.agents, target_ids=norm.target_ids,
-                            ground_truth=norm.ground_truth, name=norm.name)
+    resampled = sc.resample_lanes(norm, cfg.n_lane_nodes)
     topo = build_topology(resampled, cfg.connection_types)
 
-    n_l = len(lanes)
+    n_l = len(resampled.lanes)
     lane_feats = np.zeros((n_l, cfg.n_lane_nodes, N_MAP_FEATURES))
     lane_pos = np.zeros((n_l, 2))
-    for i, l in enumerate(lanes):
+    for i, l in enumerate(resampled.lanes):
         pts = l.centerline
         tangent = sc.finite_difference_velocities(pts, 1.0)
         norms = np.linalg.norm(tangent, axis=1, keepdims=True)
@@ -188,14 +192,6 @@ def prepare_sample(raw: sc.Scenario, cfg: ModelConfig) -> Sample:
 
 # ---------------------------------------------------------------------------
 # parameters
-
-
-@dataclass
-class MLPWeights:
-    w1: Tensor
-    b1: Tensor
-    w2: Tensor
-    b2: Tensor
 
 
 @dataclass
@@ -238,15 +234,6 @@ class ModelParams:
         return self.cfg.attention()
 
 
-def _init_mlp(rng, d_in, d_hidden, d_out) -> MLPWeights:
-    return MLPWeights(
-        w1=Tensor(uniform_init(rng, d_in, (d_in, d_hidden)), requires_grad=True),
-        b1=Tensor(np.zeros((1, d_hidden)), requires_grad=True),
-        w2=Tensor(uniform_init(rng, d_hidden, (d_hidden, d_out)), requires_grad=True),
-        b2=Tensor(np.zeros((1, d_out)), requires_grad=True),
-    )
-
-
 def _init_decoder(rng, cfg: ModelConfig) -> DecoderHeads:
     d, h, out, k = cfg.d_model, cfg.decoder_hidden, 2 * cfg.t_future, cfg.modes
     # drawn head by head (hidden layer, offsets, score), then joined per weight
@@ -268,7 +255,7 @@ def _register(reg: ParameterRegistry, prefix: str, obj) -> None:
     if isinstance(obj, Tensor):
         reg.add(prefix, obj)
     elif isinstance(obj, (MLPWeights, DecoderHeads, LayerWeights, AttentionWeights,
-                          FeedForwardWeights, BiasWeights)):
+                          BiasWeights)):
         for name in vars(obj):
             _register(reg, f"{prefix}.{name}", getattr(obj, name))
     elif isinstance(obj, list):
@@ -285,12 +272,12 @@ def init_model(cfg: ModelConfig, seed: int = 0) -> ModelParams:
     c = len(cfg.connection_types)
     params = ModelParams(
         cfg=cfg,
-        agent_embed=_init_mlp(rng, N_AGENT_FEATURES, d, d),
+        agent_embed=init_mlp(rng, N_AGENT_FEATURES, d, d),
         temporal_layers=[init_layer_weights(rng, att) for _ in range(cfg.layers)],
-        temporal_agg=_init_mlp(rng, d, d, d),
+        temporal_agg=init_mlp(rng, d, d, d),
         interaction=init_layer_weights(rng, att),
-        node_embed=_init_mlp(rng, N_MAP_FEATURES, d, d),
-        node_agg=_init_mlp(rng, d, d, d),
+        node_embed=init_mlp(rng, N_MAP_FEATURES, d, d),
+        node_agg=init_mlp(rng, d, d, d),
         lane_layers=[init_layer_weights(rng, att) for _ in range(cfg.layers)],
         lane_bias=init_bias_weights(cfg.heads, c),
         fuse_a2l=init_layer_weights(rng, att),
@@ -362,10 +349,6 @@ class ModelOutput:
 # forward stages
 
 
-def _mlp(x: Tensor, w: MLPWeights) -> Tensor:
-    return add(matmul(relu(add(matmul(x, w.w1), w.b1)), w.w2), w.b2)
-
-
 def hte_forward(params: ModelParams, agent_features: np.ndarray,
                 observed: np.ndarray) -> Tensor:
     """History encoder: (N_a, T, 8) tracks to one (N_a, D) feature matrix.
@@ -380,13 +363,13 @@ def hte_forward(params: ModelParams, agent_features: np.ndarray,
     if not counts.all():
         raise ValueError(f"empty history for agent {int(np.flatnonzero(counts == 0)[0])}")
     att = params.attention()
-    x = _mlp(Tensor(agent_features), params.agent_embed)
+    x = mlp(Tensor(agent_features), params.agent_embed)
     mask = np.broadcast_to(observed[:, None, :], (n_a, t, t))
     for lw in params.temporal_layers:
         x = transformer_layer(x, x, lw, att, mask=mask)
     pool = (observed / counts[:, None])[:, None, :]
     pooled = reshape(matmul(Tensor(pool), x), (n_a, params.cfg.d_model))
-    return _mlp(pooled, params.temporal_agg)
+    return mlp(pooled, params.temporal_agg)
 
 
 def ain_forward(params: ModelParams, agent_feats: Tensor) -> Tensor:
@@ -403,10 +386,10 @@ def map_net_forward(params: ModelParams, sample: Sample) -> Tensor:
     """
     att = params.attention()
     cfg = params.cfg
-    nodes = _mlp(Tensor(sample.lane_features), params.node_embed)
+    nodes = mlp(Tensor(sample.lane_features), params.node_embed)
     pool = Tensor(np.full((1, cfg.n_lane_nodes), 1.0 / cfg.n_lane_nodes))
     pooled = reshape(matmul(pool, nodes), (sample.lane_features.shape[0], cfg.d_model))
-    lanes = _mlp(pooled, params.node_agg)
+    lanes = mlp(pooled, params.node_agg)
     biases = compose_bias_matrices(params.lane_bias, sample.topology,
                                    use_relations=cfg.use_relation_bias,
                                    use_reachability=cfg.use_reachability_bias)
@@ -453,7 +436,7 @@ def decode_trajectories(params: ModelParams, target_feats: Tensor,
     hidden = split_heads(relu(add(matmul(target_feats, dec.w1), dec.b1)), k)
     offsets = reshape(add(matmul(hidden, dec.w_offsets), dec.b_offsets), (k * n_t, t_f, 2))
     paths = matmul(np.tril(np.ones((t_f, t_f))), offsets)
-    scores = transpose(reshape(add(matmul(hidden, dec.w_score), dec.b_score), (k, n_t)))
+    scores = merge_heads(add(matmul(hidden, dec.w_score), dec.b_score))  # (K, N_t, 1) -> (N_t, K)
     trajectories = [[reshape(gather_rows(paths, [m * n_t + i]), (t_f, 2)) for m in range(k)]
                     for i in range(n_t)]
     return ModelOutput(trajectories=trajectories, scores=scores,

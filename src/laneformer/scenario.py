@@ -12,7 +12,7 @@ one future polyline per agent.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -30,8 +30,10 @@ __all__ = [
     "scenario_to_dict",
     "scenario_from_dict",
     "normalize_scenario",
+    "rotation",
     "resample_centerline",
     "resample_lane_nodes",
+    "resample_lanes",
     "arc_length_midpoint",
     "finite_difference_velocities",
     "lane_index_map",
@@ -306,7 +308,8 @@ def save_scenario(path, sc: Scenario) -> None:
 # geometry
 
 
-def _rotation(angle: float) -> np.ndarray:
+def rotation(angle: float) -> np.ndarray:
+    """2x2 matrix turning column vectors counterclockwise by angle radians."""
     c, s = np.cos(angle), np.sin(angle)
     return np.array([[c, -s], [s, c]])
 
@@ -327,7 +330,7 @@ def normalize_scenario(sc: Scenario, target: int) -> Scenario:
         raise ValueError(f"target unobserved at reference time (agent {target})")
     origin = tgt.positions[ref].copy()
     h0 = float(tgt.headings[ref])
-    rot = _rotation(-h0)
+    rot = rotation(-h0)
 
     def move_points(p):
         return (p - origin) @ rot.T
@@ -384,6 +387,11 @@ def resample_lane_nodes(lane: Lane, n: int) -> Lane:
     """Lane with its centerline resampled to exactly n arc-length-uniform nodes."""
     return Lane(lane_id=lane.lane_id, lane_type=lane.lane_type,
                 centerline=resample_centerline(lane.centerline, n))
+
+
+def resample_lanes(sc: Scenario, n: int) -> Scenario:
+    """The scenario with every lane resampled to n nodes; the rest is shared."""
+    return replace(sc, lanes=[resample_lane_nodes(l, n) for l in sc.lanes])
 
 
 def arc_length_midpoint(points: np.ndarray) -> np.ndarray:

@@ -31,6 +31,7 @@ from .autodiff import (
     smooth_l1,
     subtract,
 )
+from .metrics import min_fde
 from .model import ModelOutput, ModelParams, Sample, model_forward
 
 __all__ = [
@@ -80,11 +81,11 @@ class LossBreakdown:
 
 
 def select_best_mode(trajectories: np.ndarray, gt: np.ndarray) -> int:
-    """Index of the mode whose endpoint is closest to the ground-truth endpoint."""
-    trajectories = np.asarray(trajectories)
-    gt = np.asarray(gt)
-    d = np.linalg.norm(trajectories[:, -1, :] - gt[-1], axis=1)
-    return int(np.argmin(d))  # argmin takes the first minimum on ties
+    """Index of the mode whose endpoint is closest to the ground-truth endpoint.
+
+    The same rule as minFDE's, so the loss trains the mode the metrics score.
+    """
+    return min_fde(trajectories, gt)[1]
 
 
 def classification_loss(confidences: Tensor, best_modes, epsilon: float) -> Tensor:
@@ -181,20 +182,33 @@ class AdamOptimizer:
         self._v = {n: np.zeros_like(t.data) for n, t in registry.items()}
 
     def step(self) -> None:
+        """One update in place, with two work arrays per tensor.
+
+        The float operations and their order are those of the out-of-place
+        p -= lr * (m / bc1) / (sqrt(v / bc2) + eps), so the result is the same.
+        """
         self.step_count += 1
         b1, b2 = self.beta1, self.beta2
         bc1 = 1.0 - b1 ** self.step_count
         bc2 = 1.0 - b2 ** self.step_count
         for name, t in self.registry.items():
-            if t.grad is None:
+            g = t.grad
+            if g is None:
                 continue
-            m = self._m[name]
-            v = self._v[name]
+            m, v = self._m[name], self._v[name]
+            num, den = np.empty_like(g), np.empty_like(g)
             m *= b1
-            m += (1.0 - b1) * t.grad
+            m += np.multiply(g, 1.0 - b1, out=num)
             v *= b2
-            v += (1.0 - b2) * t.grad * t.grad
-            t.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            np.multiply(g, 1.0 - b2, out=num)
+            v += np.multiply(num, g, out=num)
+            np.divide(m, bc1, out=num)
+            num *= self.lr
+            np.divide(v, bc2, out=den)
+            np.sqrt(den, out=den)
+            den += self.eps
+            num /= den
+            t.data -= num
 
 
 class TrainingDiverged(RuntimeError):
@@ -237,21 +251,6 @@ class TrainingResult:
     steps: int
 
 
-def _check_finite(registry: ParameterRegistry, loss_value: float, batch_idx: int) -> None:
-    bad = not np.isfinite(loss_value)
-    if not bad:
-        for _, t in registry.items():
-            if t.grad is not None and not np.isfinite(t.grad).all():
-                bad = True
-                break
-    if bad:
-        top = sorted(registry.norms().items(), key=lambda kv: -kv[1])[:3]
-        desc = ", ".join(f"{n}={v:.3e}" for n, v in top)
-        raise TrainingDiverged(
-            f"non-finite loss or gradient at batch {batch_idx} (largest parameter "
-            f"norms: {desc})")
-
-
 def train_epoch(params: ModelParams, batches, opt: AdamOptimizer,
                 cfg: TrainingConfig, epoch: int, curve: list,
                 step_offset: int) -> EpochReport:
@@ -267,10 +266,16 @@ def train_epoch(params: ModelParams, batches, opt: AdamOptimizer,
         breakdown = batch_loss(params, batch, cfg.loss)
         backpropagate(breakdown.total)
         vals = breakdown.values()
-        _check_finite(params.registry, vals["loss"], batch_idx)
         grad_norm = float(np.sqrt(sum(
             float((t.grad ** 2).sum()) for _, t in params.registry.items()
             if t.grad is not None)))
+        # a NaN or inf anywhere in a gradient makes the norm non-finite
+        if not (np.isfinite(vals["loss"]) and np.isfinite(grad_norm)):
+            top = sorted(params.registry.norms().items(), key=lambda kv: -kv[1])[:3]
+            desc = ", ".join(f"{n}={v:.3e}" for n, v in top)
+            raise TrainingDiverged(
+                f"non-finite loss or gradient at batch {batch_idx} (largest parameter "
+                f"norms: {desc})")
         opt.lr = learning_rate(cfg, epoch)
         opt.step()
         step += 1

@@ -12,7 +12,9 @@ from laneformer.attention import (
     init_attention_weights,
     init_bias_weights,
     init_layer_weights,
+    init_mlp,
     local_attention,
+    mlp,
     nearest_neighbor_mask,
     standard_attention,
     transformer_layer,
@@ -236,6 +238,27 @@ def test_attention_config_validates_head_split():
         AttentionConfig(d_model=10, heads=4)
     cfg = AttentionConfig(d_model=12, heads=4)
     assert cfg.d_k == 3
+
+
+def test_attention_head_width_is_derived_not_set():
+    assert AttentionConfig(d_model=12, heads=4).d_k == 3
+    with pytest.raises(TypeError):
+        AttentionConfig(d_model=12, heads=4, d_k=4)
+    with pytest.raises(ValueError, match=r"d_model.*heads"):
+        AttentionConfig(d_model=10, heads=4)
+
+
+def test_mlp_draw_order_and_expression():
+    w = init_mlp(np.random.default_rng(3), 5, 7, 2)
+    rng = np.random.default_rng(3)
+    assert np.array_equal(w.w1.data, uniform_init(rng, 5, (5, 7)))
+    assert np.array_equal(w.w2.data, uniform_init(rng, 7, (7, 2)))
+    assert w.b1.data.shape == (1, 7) and w.b2.data.shape == (1, 2)
+    assert not w.b1.data.any() and not w.b2.data.any()
+    w.b1.data[:] = np.linspace(-0.2, 0.2, 7)
+    x = np.random.default_rng(4).normal(size=(3, 5))
+    expected = np.maximum(x @ w.w1.data + w.b1.data, 0.0) @ w.w2.data + w.b2.data
+    assert np.array_equal(mlp(Tensor(x), w).data, expected)
 
 
 def _softmax(x, mask=None):

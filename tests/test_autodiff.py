@@ -33,7 +33,6 @@ from laneformer.autodiff import (
     smooth_l1,
     split_heads,
     subtract,
-    transpose,
     uniform_init,
 )
 
@@ -88,7 +87,6 @@ def test_primitive_gradients_match_finite_differences():
             ("reduce_sum", lambda a: reduce_sum(a), [a34]),
             ("reduce_sum_ax", lambda a: reduce_sum(a, axis=1, keepdims=True), [a34]),
             ("gather", lambda a: gather_rows(a, [2, 0, 2]), [a34]),
-            ("transpose", lambda a: transpose(a), [a34]),
             ("reshape", lambda a: reshape(a, (4, 3)), [a34]),
         ]
         for name, fn, arrays in specs:
@@ -102,7 +100,7 @@ def test_primitive_gradients_match_finite_differences():
             assert report.passed, (
                 f"seed {seed}: {name} max rel error {report.max_error:.2e}")
             checks += 1
-    assert checks == 100 * 18
+    assert checks == 100 * 17
 
 
 def test_row_softmax_rows_sum_to_one():
@@ -414,7 +412,6 @@ def _op_calls(x, y, w, g):
     """One call of every differentiable op on grad-requiring inputs."""
     return {
         "matmul": lambda: matmul(x, w),
-        "transpose": lambda: transpose(x),
         "reshape": lambda: reshape(x, (4, 3)),
         "split_heads": lambda: split_heads(x, 2),
         "merge_heads": lambda: merge_heads(reshape(x, (1, 3, 4))),
@@ -540,7 +537,7 @@ def test_grad_check_matches_taped_reference_loop(monkeypatch):
     monkeypatch.setattr(sys.modules[__name__], "grad_check", compared)
     test_primitive_gradients_match_finite_differences()
     test_batched_op_gradients_match_finite_differences()
-    assert audited[0] == 100 * 18 + 10 * 19
+    assert audited[0] == 100 * 17 + 10 * 19
 
 
 def test_grad_check_rejects_non_scalar_after_the_determinism_check():

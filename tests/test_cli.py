@@ -1,5 +1,6 @@
 """End-to-end command tests driving main() in process."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -7,6 +8,8 @@ import shutil
 import numpy as np
 import pytest
 
+from laneformer import cli
+from laneformer.autodiff import GradCheckReport
 from laneformer.cli import (
     EXIT_CHECK_FAILURE,
     EXIT_CONFIG_ERROR,
@@ -19,7 +22,8 @@ from laneformer.cli import (
     parse_config_file,
     parse_grid,
 )
-from laneformer.model import prepare_sample
+from laneformer.model import ModelConfig, prepare_sample
+from laneformer.training import LossConfig, TrainingConfig, TrainingResult
 
 SMALL_MODEL = (
     "d_model=8\nheads=2\nlayers=1\nn_lane_nodes=4\ndecoder_hidden=8\n"
@@ -286,3 +290,87 @@ def test_micro_fixture_is_consistent():
     # the micro scene exercises chain, lateral, and marking pathways
     assert sample.topology.pre_hops.max() == 1
     assert sample.topology.m_c.sum() == 2.0
+
+
+@pytest.mark.parametrize("grid, named", [("xyz=1", "'xyz'"), ("a2a=2;l2a=4,0", "'l2a'")])
+def test_eval_bad_grid_is_config_error_before_any_work(workspace, tmp_path, capsys, grid,
+                                                       named, monkeypatch):
+    monkeypatch.setattr(cli, "evaluate_model", lambda *a, **k: pytest.fail("evaluated"))
+    out = tmp_path / "ev"
+    assert main(["eval", "--data", workspace["data"],
+                 "--model", os.path.join(workspace["run"], "model.ckpt"),
+                 "--out", str(out), "--grid", grid]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and named in err
+    assert not out.exists()
+
+
+def test_train_with_empty_neighborhood_is_config_error_before_any_work(workspace, tmp_path,
+                                                                       capsys):
+    cfg = _write(tmp_path / "t.cfg", SMALL_MODEL.replace("e_a2a=2", "e_a2a=0"))
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--data", workspace["data"],
+                 "--out", str(out)]) == EXIT_CONFIG_ERROR
+    assert "e_a2a must be at least 1, got 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_config_file_sets_every_training_field(workspace, tmp_path, monkeypatch):
+    model = dict(t_history=7, t_future=9, modes=3, d_model=12, heads=3, layers=1,
+                 n_lane_nodes=5, m_agent=8, m_map=5, decoder_hidden=10, e_a2a=3, e_a2l=4,
+                 e_l2a=2, use_relation_bias=False, use_reachability_bias=False,
+                 use_local_attention=False, connection_types=("solid", "dashed"))
+    loss = dict(epsilon=0.3, huber_delta=2.5, weight_reg=0.5, weight_cls=0.25, weight_goal=4.0)
+    training = dict(epochs=2, batch_size=3, lr_init=0.01, lr_late=0.002, decay_epoch=1,
+                    max_steps=5, checkpoint_every=1, seed=9)
+    assert set(model) == {f.name for f in dataclasses.fields(ModelConfig)}
+    assert set(loss) == {f.name for f in dataclasses.fields(LossConfig)}
+    assert set(training) | {"loss"} == {f.name for f in dataclasses.fields(TrainingConfig)}
+    lines = [f"{k}={','.join(v) if isinstance(v, tuple) else v}"
+             for k, v in {**model, **loss, **training}.items()]
+    cfg = _write(tmp_path / "all.cfg", "\n".join(lines) + "\n")
+    seen = {}
+
+    def fake_train(params, samples, train_cfg, progress=None, checkpoint_dir=None):
+        seen["model"], seen["train"] = params.cfg, train_cfg
+        return TrainingResult(curve=[], epoch_reports=[], final_loss=float("nan"), steps=0)
+
+    # history and horizon differ from the generated data's, so skip preparation
+    monkeypatch.setattr(cli, "prepare_sample", lambda s, c: s)
+    monkeypatch.setattr(cli, "train", fake_train)
+    assert main(["train", "--config", cfg, "--data", workspace["data"],
+                 "--out", str(tmp_path / "run")]) == EXIT_OK
+    assert seen["model"] == ModelConfig(**model)
+    assert seen["train"] == TrainingConfig(**training, loss=LossConfig(**loss))
+
+
+def test_gradcheck_starts_from_micro_config(tmp_path, monkeypatch, capsys):
+    seen = []
+    real_init = cli.init_model
+
+    def init_model(cfg, seed=0):
+        seen.append(cfg)
+        return real_init(cfg, seed)
+
+    monkeypatch.setattr(cli, "init_model", init_model)
+    monkeypatch.setattr(cli, "grad_check",
+                        lambda f, inputs, h, tol: GradCheckReport([0.0] * len(inputs), tol))
+    assert main(["gradcheck"]) == EXIT_OK
+    cfg = _write(tmp_path / "g.cfg", "modes=3\nuse_local_attention=false\n")
+    assert main(["gradcheck", "--config", cfg]) == EXIT_OK
+    assert seen == [micro_config(),
+                    dataclasses.replace(micro_config(), modes=3, use_local_attention=False)]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["matrices", "gradcheck", "train", "eval", "predict"])
+def test_unknown_config_keys_exit_2(workspace, tmp_path, capsys, command):
+    cfg = _write(tmp_path / "u.cfg", SMALL_MODEL + "wheelbase=2.7\n")
+    argv = [command, "--config", cfg, "--out", str(tmp_path / "o")]
+    if command != "gradcheck":
+        argv += ["--data", workspace["data"]]
+    if command in ("eval", "predict"):
+        argv += ["--model", os.path.join(workspace["run"], "model.ckpt")]
+    assert main(argv) == EXIT_CONFIG_ERROR
+    assert "unknown config keys ['wheelbase']" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()

@@ -1,4 +1,4 @@
-"""Evaluation report, sweep, ablation scaffolding, and artifact writers."""
+"""Evaluation report, sweep, and artifact writers."""
 
 import os
 import xml.etree.ElementTree as ET
@@ -8,10 +8,8 @@ import numpy as np
 import pytest
 
 from laneformer.evaluation import (
-    AblationResult,
     EvaluationReport,
     evaluate_model,
-    run_bias_ablation,
     sweep_neighborhoods,
     write_report_csv,
     write_sweep_csv,
@@ -104,24 +102,6 @@ def test_sweep_csv_writer(tmp_path):
     assert lines[1] == "4,1.5,2.0,2.25,0.0"
     with pytest.raises(ValueError, match="empty sweep"):
         write_sweep_csv(os.path.join(tmp_path, "x.csv"), [])
-
-
-def test_bias_ablation_scaffold_runs_both_variants():
-    cfg_on = _cfg()
-    cfg_off = _cfg(use_relation_bias=False, use_reachability_bias=False)
-    seen = []
-
-    def make_params(use_biases):
-        seen.append(use_biases)
-        return init_model(cfg_on if use_biases else cfg_off, seed=3)
-
-    result = run_bias_ablation(make_params, lambda p: None, [], [_scene()])
-    assert seen == [True, False]
-    assert isinstance(result.biased, EvaluationReport)
-    assert isinstance(result.unbiased, EvaluationReport)
-    gap = AblationResult(biased=result.biased, unbiased=result.unbiased).b_min_fde_gap
-    assert abs(gap - (result.unbiased.mean_b_min_fde
-                      - result.biased.mean_b_min_fde)) < 1e-12
 
 
 def test_scene_svg_structure():

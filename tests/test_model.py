@@ -263,6 +263,13 @@ def test_model_config_validation():
     assert att.d_model == 8 and att.heads == 2 and att.d_k == 4
 
 
+@pytest.mark.parametrize("name", ["e_a2a", "e_a2l", "e_l2a"])
+def test_model_config_rejects_neighborhoods_below_one(name):
+    with pytest.raises(ValueError, match=f"{name} must be at least 1, got 0"):
+        _cfg(**{name: 0})
+    assert getattr(_cfg(**{name: 1}), name) == 1
+
+
 def test_batched_hte_rows_equal_single_agent_passes():
     cfg = _cfg(layers=2)
     params = init_model(cfg, seed=6)

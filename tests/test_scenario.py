@@ -16,6 +16,8 @@ from laneformer.scenario import (
     normalize_scenario,
     parse_scenario,
     resample_centerline,
+    resample_lanes,
+    rotation,
     save_scenario,
     scenario_from_dict,
     scenario_to_dict,
@@ -280,6 +282,25 @@ def test_resample_points_stay_on_polyline():
 def test_resample_needs_two_points():
     with pytest.raises(ValueError, match="n >= 2"):
         resample_centerline(np.array([[0.0, 0.0], [1.0, 0.0]]), 1)
+
+
+def test_resample_lanes_resamples_every_lane_and_shares_the_rest():
+    sc = _small_scenario()
+    sc.name = "s"
+    out = resample_lanes(sc, 6)
+    assert [l.centerline.shape for l in out.lanes] == [(6, 2)] * 3
+    assert [(l.lane_id, l.lane_type) for l in out.lanes] == [(0, "vehicle"), (1, "vehicle"),
+                                                            (2, "bus")]
+    assert np.allclose(out.lanes[2].centerline[:, 0], np.linspace(0.0, 10.0, 6))
+    assert out.agents is sc.agents and out.connectivity is sc.connectivity
+    assert out.ground_truth is sc.ground_truth and out.name == "s"
+    assert out.target_ids == sc.target_ids
+    assert [l.centerline.shape for l in sc.lanes] == [(2, 2)] * 3   # input untouched
+
+
+def test_rotation_turns_counterclockwise():
+    assert np.allclose(rotation(np.pi / 2) @ [1.0, 0.0], [0.0, 1.0])
+    assert np.allclose(rotation(0.3) @ rotation(-0.3), np.eye(2))
 
 
 def test_finite_differences_exact_for_linear_motion():

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from laneformer import training
 from laneformer.autodiff import ParameterRegistry, Tensor, backpropagate, reduce_sum, multiply
 from laneformer.model import ModelConfig, init_model, model_forward, prepare_sample
 from laneformer.training import (
@@ -21,6 +22,7 @@ from laneformer.training import (
     scenario_loss,
     select_best_mode,
     train,
+    train_epoch,
 )
 
 from test_model import _cfg, _scene
@@ -156,6 +158,61 @@ def test_adam_minimizes_quadratic():
         backpropagate(loss)
         opt.step()
     assert np.abs(x.data).max() < 0.05
+
+
+def test_adam_matches_out_of_place_formula_bit_for_bit():
+    rng = np.random.default_rng(0)
+    shapes = {"a": (3, 4), "b": (1, 5), "c": (2, 3, 2), "d": (7,)}
+    reg = ParameterRegistry()
+    for name, shape in shapes.items():
+        reg.add(name, Tensor(rng.normal(size=shape)))
+    opt = AdamOptimizer(reg, lr=1e-2)
+    b1, b2, eps = opt.beta1, opt.beta2, opt.eps
+    ref = {n: t.data.copy() for n, t in reg.items()}
+    m = {n: np.zeros(shape) for n, shape in shapes.items()}
+    v = {n: np.zeros(shape) for n, shape in shapes.items()}
+    for step in range(1, 51):
+        opt.lr = 1e-2 if step <= 25 else 3e-3
+        for name, t in reg.items():
+            # "d" has no gradient every third step, so Adam skips it
+            skip = name == "d" and step % 3 == 0
+            t.grad = None if skip else rng.normal(scale=10.0 ** rng.integers(-4, 3),
+                                                  size=t.data.shape)
+        for name, t in reg.items():
+            g = t.grad
+            if g is None:
+                continue
+            m[name] = b1 * m[name] + (1.0 - b1) * g
+            v[name] = b2 * v[name] + (1.0 - b2) * g * g
+            ref[name] = ref[name] - opt.lr * (m[name] / (1.0 - b1 ** step)) / (
+                np.sqrt(v[name] / (1.0 - b2 ** step)) + eps)
+        opt.step()
+        for name, t in reg.items():
+            assert np.array_equal(t.data, ref[name]), (step, name)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("bad", [np.nan, 1e200])
+def test_non_finite_gradient_norm_stops_before_the_step(monkeypatch, bad):
+    # the loss stays finite; one gradient entry is NaN, or so large that the
+    # squared norm overflows
+    cfg = _cfg()
+    params = init_model(cfg, seed=5)
+    sample = prepare_sample(_scene(), cfg)
+    real = training.backpropagate
+
+    def poisoned(loss):
+        real(loss)
+        params.registry["lane0.ffn.w2"].grad[1, 2] = bad
+
+    monkeypatch.setattr(training, "backpropagate", poisoned)
+    before = {n: t.data.copy() for n, t in params.registry.items()}
+    opt = AdamOptimizer(params.registry)
+    curve = []
+    with pytest.raises(TrainingDiverged, match="non-finite loss or gradient at batch 0"):
+        train_epoch(params, [[sample]], opt, TrainingConfig(), 0, curve, 0)
+    assert opt.step_count == 0 and curve == []
+    assert all(np.array_equal(t.data, before[n]) for n, t in params.registry.items())
 
 
 def test_learning_rate_schedule_boundary():
