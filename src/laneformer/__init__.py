@@ -59,7 +59,6 @@ from .scenario import (
     normalize_scenario,
     parse_scenario,
     resample_centerline,
-    resample_lane_nodes,
     save_scenario,
     validate_scenario,
 )

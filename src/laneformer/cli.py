@@ -178,6 +178,9 @@ def parse_grid(spec: str) -> dict:
 def _sweep_grid(spec: str, cfg: ModelConfig) -> dict:
     """The --grid sweep, every name and size checked against `cfg` before any work."""
     grid = parse_grid(spec)
+    if not cfg.use_local_attention:
+        raise ConfigError("--grid sweeps local-attention neighborhoods, but the model has "
+                          "use_local_attention=false, so every size gives the same result")
     for name, sizes in grid.items():
         if name not in NEIGHBORHOODS:
             raise ConfigError(f"unknown sweep dimension {name!r} "
@@ -382,13 +385,13 @@ def cmd_train(args) -> int:
     for s in samples:
         if s.ground_truth is None:
             raise DataError(f"scenario {s.scenario.name!r} has no ground truth")
+    if args.resume and not os.path.exists(args.resume):
+        raise DataError(f"no such checkpoint: {args.resume}")
 
     os.makedirs(args.out, exist_ok=True)
     params = init_model(model_cfg, seed=train_cfg.seed)
     extra = {"command": "train", "scenarios": len(samples)}
     if args.resume:
-        if not os.path.exists(args.resume):
-            raise DataError(f"no such checkpoint: {args.resume}")
         load_checkpoint(args.resume, params.registry)
         extra["parent_checkpoint"] = os.path.abspath(args.resume)
         extra["parent_checksum"] = sha256_file(args.resume)

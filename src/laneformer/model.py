@@ -6,7 +6,8 @@ encoder turns each lane's resampled centerline into one row, a stack of
 topology-biased layers mixes lanes (every layer reuses one composed bias
 set), a four-step fusion exchanges information between the two sets with
 local attention, and K decoding heads, run as one batch, emit offset
-sequences plus a score that becomes the mode confidence.
+sequences plus a score that becomes the mode confidence. The output is one
+(N_t, K, T_f, 2) path tensor and one (N_t, K) score tensor.
 """
 
 from __future__ import annotations
@@ -22,12 +23,10 @@ from .autodiff import (
     add,
     gather_rows,
     matmul,
-    merge_heads,
     no_grad,
     relu,
     reshape,
     row_softmax,
-    split_heads,
     uniform_init,
 )
 from .attention import (
@@ -333,15 +332,25 @@ class PredictionSet:
 class ModelOutput:
     """Tensor-valued forward result, differentiable end to end."""
 
-    trajectories: list          # [target][mode] -> Tensor (T_future, 2)
+    paths: Tensor               # (N_targets, K, T_future, 2)
     scores: Tensor              # (N_targets, K) raw
     confidences: Tensor         # (N_targets, K) softmaxed rows
     target_ids: list
 
+    @property
+    def trajectories(self) -> list:
+        """[target][mode] -> (T_future, 2) views of `paths`, built on each read.
+
+        Only the benchmark's traced tape count reads this list; delete it
+        once the benchmark reads `paths` (ROADMAP item 1(e)).
+        """
+        n_t, k, t_f, _ = self.paths.shape
+        flat = reshape(self.paths, (n_t * k, t_f, 2))
+        return [[reshape(gather_rows(flat, [i * k + m]), (t_f, 2)) for m in range(k)]
+                for i in range(n_t)]
+
     def prediction_set(self) -> PredictionSet:
-        stacked = np.stack([
-            np.stack([m.data for m in modes]) for modes in self.trajectories])
-        return PredictionSet(trajectories=stacked, confidences=self.confidences.data,
+        return PredictionSet(trajectories=self.paths.data, confidences=self.confidences.data,
                              target_ids=list(self.target_ids))
 
 
@@ -426,21 +435,19 @@ def decode_trajectories(params: ModelParams, target_feats: Tensor,
                         target_ids: list) -> ModelOutput:
     """K offset-sequence heads per target; offsets accumulate from the origin.
 
-    All heads run as one batch: the (K, N_t, h) hidden state gives
-    (K, N_t, T_f, 2) cumulative paths and (N_t, K) scores.
+    All heads run as one batch: the (N_t, K, 1, h) hidden state gives
+    (N_t, K, T_f, 2) cumulative paths and (N_t, K) scores.
     """
     cfg = params.cfg
     dec = params.decoder
-    t_f, k = cfg.t_future, cfg.modes
+    t_f, k, h = cfg.t_future, cfg.modes, cfg.decoder_hidden
     n_t = target_feats.shape[0]
-    hidden = split_heads(relu(add(matmul(target_feats, dec.w1), dec.b1)), k)
-    offsets = reshape(add(matmul(hidden, dec.w_offsets), dec.b_offsets), (k * n_t, t_f, 2))
+    hidden = reshape(relu(add(matmul(target_feats, dec.w1), dec.b1)), (n_t, k, 1, h))
+    offsets = reshape(add(matmul(hidden, dec.w_offsets), dec.b_offsets), (n_t, k, t_f, 2))
     paths = matmul(np.tril(np.ones((t_f, t_f))), offsets)
-    scores = merge_heads(add(matmul(hidden, dec.w_score), dec.b_score))  # (K, N_t, 1) -> (N_t, K)
-    trajectories = [[reshape(gather_rows(paths, [m * n_t + i]), (t_f, 2)) for m in range(k)]
-                    for i in range(n_t)]
-    return ModelOutput(trajectories=trajectories, scores=scores,
-                       confidences=row_softmax(scores), target_ids=list(target_ids))
+    scores = reshape(add(matmul(hidden, dec.w_score), dec.b_score), (n_t, k))
+    return ModelOutput(paths=paths, scores=scores, confidences=row_softmax(scores),
+                       target_ids=list(target_ids))
 
 
 def model_forward(params: ModelParams, sample: Sample) -> ModelOutput:

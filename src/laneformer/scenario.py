@@ -32,7 +32,6 @@ __all__ = [
     "normalize_scenario",
     "rotation",
     "resample_centerline",
-    "resample_lane_nodes",
     "resample_lanes",
     "arc_length_midpoint",
     "finite_difference_velocities",
@@ -383,15 +382,10 @@ def resample_centerline(points: np.ndarray, n: int) -> np.ndarray:
     return np.column_stack([np.interp(u, s, points[:, 0]), np.interp(u, s, points[:, 1])])
 
 
-def resample_lane_nodes(lane: Lane, n: int) -> Lane:
-    """Lane with its centerline resampled to exactly n arc-length-uniform nodes."""
-    return Lane(lane_id=lane.lane_id, lane_type=lane.lane_type,
-                centerline=resample_centerline(lane.centerline, n))
-
-
 def resample_lanes(sc: Scenario, n: int) -> Scenario:
     """The scenario with every lane resampled to n nodes; the rest is shared."""
-    return replace(sc, lanes=[resample_lane_nodes(l, n) for l in sc.lanes])
+    return replace(sc, lanes=[replace(l, centerline=resample_centerline(l.centerline, n))
+                              for l in sc.lanes])
 
 
 def arc_length_midpoint(points: np.ndarray) -> np.ndarray:

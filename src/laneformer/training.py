@@ -5,7 +5,9 @@ a batch: a Huber regression penalty on the best mode's full trajectory
 (normalized by N * T_future), a hinge penalty pushing the best mode's
 confidence a margin above every other mode's, and a Huber penalty on the
 best mode's endpoint. Best mode means smallest endpoint error, ties going
-to the lower index; the selection itself is not differentiated.
+to the lower index; the selection itself is not differentiated. Each term
+is a few tensor ops over all targets at once: the best modes' (N, T_f, 2)
+errors for the two Huber terms, an (N, K) one-hot mask for the hinge.
 """
 
 from __future__ import annotations
@@ -23,9 +25,11 @@ from .autodiff import (
     add,
     backpropagate,
     gather_rows,
+    matmul,
     multiply,
     reduce_sum,
     relu,
+    reshape,
     save_checkpoint,
     scale,
     smooth_l1,
@@ -93,60 +97,47 @@ def classification_loss(confidences: Tensor, best_modes, epsilon: float) -> Tens
     n, k = confidences.shape
     if k == 1:
         raise ValueError("classification loss undefined for a single mode")
-    pieces = []
-    for i, k_hat in enumerate(best_modes):
-        row = gather_rows(confidences, [i])
-        onehot = np.zeros((1, k))
-        onehot[0, k_hat] = 1.0
-        c_hat = reduce_sum(multiply(row, Tensor(onehot)), axis=1, keepdims=True)
-        margins = relu(subtract(add(row, Tensor(np.full((1, 1), epsilon))), c_hat))
-        pieces.append(reduce_sum(multiply(margins, Tensor(1.0 - onehot))))
-    total = pieces[0]
-    for p in pieces[1:]:
-        total = add(total, p)
-    return scale(total, 1.0 / (n * (k - 1)))
+    onehot = np.zeros((n, k))
+    onehot[np.arange(n), best_modes] = 1.0
+    c_hat = reduce_sum(multiply(confidences, Tensor(onehot)), axis=1, keepdims=True)
+    margins = relu(subtract(add(confidences, epsilon), c_hat))
+    return scale(reduce_sum(multiply(margins, Tensor(1.0 - onehot))), 1.0 / (n * (k - 1)))
 
 
-def _huber_sum(diff: Tensor, delta: float) -> Tensor:
-    return reduce_sum(smooth_l1(diff, delta=delta))
+def regression_loss(errors: Tensor, delta: float) -> Tensor:
+    """Per-coordinate Huber on the (N, T_future, 2) best-mode errors, / (N * T_future)."""
+    n, t_f = errors.shape[:2]
+    return scale(reduce_sum(smooth_l1(errors, delta=delta)), 1.0 / (n * t_f))
 
 
-def regression_loss(best_trajectories, gt: np.ndarray, delta: float) -> Tensor:
-    """Per-coordinate Huber on the selected modes, / (N * T_future)."""
-    n = len(best_trajectories)
-    t_f = best_trajectories[0].shape[0]
-    total = None
-    for i, traj in enumerate(best_trajectories):
-        term = _huber_sum(subtract(traj, Tensor(gt[i])), delta)
-        total = term if total is None else add(total, term)
-    return scale(total, 1.0 / (n * t_f))
-
-
-def goal_loss(best_trajectories, gt: np.ndarray, delta: float) -> Tensor:
-    """Per-coordinate Huber on the selected modes' endpoints, / N."""
-    n = len(best_trajectories)
-    t_f = best_trajectories[0].shape[0]
-    total = None
-    for i, traj in enumerate(best_trajectories):
-        endpoint = gather_rows(traj, [t_f - 1])
-        term = _huber_sum(subtract(endpoint, Tensor(gt[i][-1:])), delta)
-        total = term if total is None else add(total, term)
-    return scale(total, 1.0 / n)
+def goal_loss(errors: Tensor, delta: float) -> Tensor:
+    """Per-coordinate Huber on the (N, T_future, 2) best-mode errors' last step, / N."""
+    n, t_f = errors.shape[:2]
+    last = np.zeros((1, t_f))
+    last[0, -1] = 1.0
+    endpoints = matmul(Tensor(last), errors)  # (N, 1, 2)
+    return scale(reduce_sum(smooth_l1(endpoints, delta=delta)), 1.0 / n)
 
 
 def scenario_loss(output: ModelOutput, sample: Sample,
                   loss_cfg: LossConfig | None = None) -> LossBreakdown:
-    """Objective over one scenario's targets; needs ground truth on the sample."""
+    """Objective over one scenario's targets; needs ground truth on the sample.
+
+    The best modes are picked on the numpy paths, then gathered in one
+    step; every term then covers all targets at once.
+    """
     cfg = loss_cfg or LossConfig()
     if sample.ground_truth is None:
         raise ValueError(f"scenario {sample.scenario.name!r} has no ground truth")
     gt = np.stack([sample.ground_truth[i] for i in output.target_ids])
-    best = [select_best_mode(np.stack([m.data for m in modes]), gt[i])
-            for i, modes in enumerate(output.trajectories)]
-    chosen = [output.trajectories[i][k] for i, k in enumerate(best)]
-    reg = regression_loss(chosen, gt, cfg.huber_delta)
+    paths = output.paths
+    n_t, k, t_f, _ = paths.shape
+    best = [select_best_mode(modes, g) for modes, g in zip(paths.data, gt)]
+    chosen = gather_rows(reshape(paths, (n_t * k, t_f, 2)), np.arange(n_t) * k + best)
+    errors = subtract(chosen, Tensor(gt))
+    reg = regression_loss(errors, cfg.huber_delta)
     cls = classification_loss(output.confidences, best, cfg.epsilon)
-    goal = goal_loss(chosen, gt, cfg.huber_delta)
+    goal = goal_loss(errors, cfg.huber_delta)
     total = add(add(scale(reg, cfg.weight_reg), scale(cls, cfg.weight_cls)),
                 scale(goal, cfg.weight_goal))
     return LossBreakdown(total=total, reg=reg, cls=cls, goal=goal)

@@ -305,6 +305,31 @@ def test_eval_bad_grid_is_config_error_before_any_work(workspace, tmp_path, caps
     assert not out.exists()
 
 
+def test_eval_grid_without_local_attention_is_config_error_before_any_work(
+        workspace, tmp_path, capsys, monkeypatch):
+    # with local attention off, every neighborhood size gives the same forward
+    run = shutil.copytree(workspace["run"], tmp_path / "run")
+    manifest = json.load(open(run / "manifest.json"))
+    manifest["ModelConfig"]["use_local_attention"] = False
+    json.dump(manifest, open(run / "manifest.json", "w"))
+    monkeypatch.setattr(cli, "_load_scenarios", lambda *a: pytest.fail("loaded scenes"))
+    out = tmp_path / "ev"
+    assert main(["eval", "--data", workspace["data"], "--model", str(run / "model.ckpt"),
+                 "--out", str(out), "--grid", "a2a=1,2,8"]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "use_local_attention" in err
+    assert not out.exists()
+
+
+def test_train_resume_missing_checkpoint_is_data_error_before_any_work(workspace, tmp_path,
+                                                                      capsys):
+    out = tmp_path / "run1"
+    assert main(["train", "--config", workspace["train_cfg"], "--data", workspace["data"],
+                 "--out", str(out), "--resume", str(tmp_path / "nope.ckpt")]) == EXIT_DATA_ERROR
+    assert "no such checkpoint" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_train_with_empty_neighborhood_is_config_error_before_any_work(workspace, tmp_path,
                                                                        capsys):
     cfg = _write(tmp_path / "t.cfg", SMALL_MODEL.replace("e_a2a=2", "e_a2a=0"))

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 from laneformer.attention import capture_softmax
 from laneformer.autodiff import (
     Tensor,
+    backpropagate,
     load_checkpoint,
     no_grad,
+    reduce_sum,
     save_checkpoint,
     uniform_init,
 )
@@ -131,9 +133,7 @@ def test_forward_output_contract():
     params = init_model(cfg, seed=0)
     sample = prepare_sample(_scene(), cfg)
     out = model_forward(params, sample)
-    assert len(out.trajectories) == 1 and len(out.trajectories[0]) == cfg.modes
-    for mode in out.trajectories[0]:
-        assert mode.data.shape == (T_F, 2)
+    assert out.paths.shape == (1, cfg.modes, T_F, 2)
     assert out.confidences.data.shape == (1, cfg.modes)
     assert abs(out.confidences.data.sum() - 1.0) < 1e-12
 
@@ -343,11 +343,30 @@ def test_decoder_matches_per_head_reference():
             scores[:, m] = (hidden @ dec.w_score.data[m] + dec.b_score.data[m])[:, 0]
             for i in range(n_t):
                 path = np.cumsum(offsets[i].reshape(T_F, 2), axis=0)
-                assert np.abs(out.trajectories[i][m].data - path).max() < 1e-12
+                assert np.abs(out.paths.data[i, m] - path).max() < 1e-12
         assert np.abs(out.scores.data - scores).max() < 1e-12
         conf = np.exp(scores - scores.max(axis=1, keepdims=True))
         conf /= conf.sum(axis=1, keepdims=True)
         assert np.abs(out.confidences.data - conf).max() < 1e-12
+
+
+def test_trajectories_view_reads_paths_and_is_taped():
+    cfg = _cfg(modes=3)
+    params = init_model(cfg, seed=0)
+    raw = _scene(n_extra_agents=2)
+    raw.target_ids = [0, 2]
+    out = model_forward(params, prepare_sample(raw, cfg))
+    view = out.trajectories
+    assert [len(modes) for modes in view] == [3, 3]
+    for i, modes in enumerate(view):
+        for m, traj in enumerate(modes):
+            assert np.array_equal(traj.data, out.paths.data[i, m])
+            assert traj._parents
+    # each view's gradient lands on exactly its own slice of paths
+    backpropagate(reduce_sum(view[1][2]))
+    want = np.zeros(out.paths.shape)
+    want[1, 2] = 1.0
+    assert np.array_equal(out.paths.grad, want)
 
 
 # ---------------------------------------------------------------------------
@@ -364,9 +383,7 @@ def _toy_cfg(**overrides):
 def _same_outputs(a, b) -> bool:
     return (np.array_equal(a.scores.data, b.scores.data)
             and np.array_equal(a.confidences.data, b.confidences.data)
-            and all(np.array_equal(x.data, y.data)
-                    for ta, tb in zip(a.trajectories, b.trajectories)
-                    for x, y in zip(ta, tb)))
+            and np.array_equal(a.paths.data, b.paths.data))
 
 
 @settings(max_examples=25, deadline=None)
@@ -382,6 +399,7 @@ def test_no_grad_forward_matches_taped_forward(seed, template, agents, biases):
     with no_grad():
         untaped = model_forward(params, sample)
     assert untaped.scores._parents == () and untaped.confidences._parents == ()
+    assert untaped.paths._parents == ()
     assert all(m._parents == () for modes in untaped.trajectories for m in modes)
     assert _same_outputs(taped, untaped)
 

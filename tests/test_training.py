@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 
 from laneformer import training
-from laneformer.autodiff import ParameterRegistry, Tensor, backpropagate, reduce_sum, multiply
-from laneformer.model import ModelConfig, init_model, model_forward, prepare_sample
+from laneformer.autodiff import (
+    ParameterRegistry,
+    Tensor,
+    backpropagate,
+    grad_check,
+    multiply,
+    reduce_sum,
+)
+from laneformer.model import ModelConfig, ModelOutput, init_model, model_forward, prepare_sample
 from laneformer.training import (
     AdamOptimizer,
     LossConfig,
@@ -61,24 +68,22 @@ def test_classification_needs_two_modes():
 
 def test_huber_values_inside_and_outside_delta():
     # residual 0.5 -> 0.5 * 0.25 = 0.125; residual 2 -> 1 * (2 - 0.5) = 1.5
-    traj = Tensor(np.array([[0.5, 0.0], [2.0, 0.0]]))
-    loss = regression_loss([traj], np.zeros((1, 2, 2)), 1.0)
+    errors = Tensor(np.array([[[0.5, 0.0], [2.0, 0.0]]]))
+    loss = regression_loss(errors, 1.0)
     # sum = 0.125 + 1.5, normalized by N * T = 1 * 2
     assert abs(loss.item() - (0.125 + 1.5) / 2.0) < 1e-12
 
 
 def test_goal_loss_uses_only_the_endpoint():
-    traj = Tensor(np.array([[9.0, 9.0], [5.0, 5.0], [0.3, 0.4]]))
-    loss = goal_loss([traj], np.zeros((1, 3, 2)), 1.0)
+    errors = Tensor(np.array([[[9.0, 9.0], [5.0, 5.0], [0.3, 0.4]]]))
+    loss = goal_loss(errors, 1.0)
     # per-coordinate Huber of (0.3, 0.4): 0.5*0.09 + 0.5*0.16 = 0.125
     assert abs(loss.item() - 0.125) < 1e-12
 
 
 def test_regression_normalizes_by_agents_and_steps():
-    t1 = Tensor(np.full((4, 2), 0.5))
-    t2 = Tensor(np.full((4, 2), 0.5))
-    gt = np.zeros((2, 4, 2))
-    loss = regression_loss([t1, t2], gt, 1.0)
+    errors = Tensor(np.full((2, 4, 2), 0.5))
+    loss = regression_loss(errors, 1.0)
     # every coordinate contributes 0.125; 16 coords over N*T = 8
     assert abs(loss.item() - 16 * 0.125 / 8.0) < 1e-12
 
@@ -97,6 +102,55 @@ def test_scenario_loss_composes_weighted_terms():
                                                      weight_goal=3.0))
     expect = 2.0 * plain.reg.item() + 0.5 * plain.cls.item() + 3.0 * plain.goal.item()
     assert abs(weighted.total.item() - expect) < 1e-12
+
+
+def _multi_target_case():
+    # three targets, six modes; delta 0.5 puts errors on both sides of the Huber kink
+    cfg = _cfg(modes=6)
+    params = init_model(cfg, seed=5)
+    raw = _scene(n_extra_agents=2)
+    raw.target_ids = [0, 1, 2]
+    sample = prepare_sample(raw, cfg)
+    return model_forward(params, sample), sample, LossConfig(
+        epsilon=0.1, huber_delta=0.5, weight_reg=1.5, weight_cls=0.7, weight_goal=2.0)
+
+
+def _huber(e, delta):
+    return np.where(np.abs(e) <= delta, 0.5 * e * e, delta * (np.abs(e) - 0.5 * delta))
+
+
+def test_multi_target_scenario_loss_matches_numpy():
+    out, sample, cfg = _multi_target_case()
+    paths, conf = out.paths.data, out.confidences.data
+    n, k, t_f, _ = paths.shape
+    assert (n, k) == (3, 6)
+    gt = sample.ground_truth[[0, 1, 2]]
+    best = np.argmin(np.linalg.norm(paths[:, :, -1] - gt[:, None, -1], axis=-1), axis=1)
+    errors = paths[np.arange(n), best] - gt
+    assert (np.abs(errors) <= cfg.huber_delta).any() and (np.abs(errors) > cfg.huber_delta).any()
+    reg = _huber(errors, cfg.huber_delta).sum() / (n * t_f)
+    goal = _huber(errors[:, -1], cfg.huber_delta).sum() / n
+    margins = np.maximum(0.0, conf + cfg.epsilon - conf[np.arange(n), best][:, None])
+    margins[np.arange(n), best] = 0.0
+    cls = margins.sum() / (n * (k - 1))
+    total = cfg.weight_reg * reg + cfg.weight_cls * cls + cfg.weight_goal * goal
+
+    got = scenario_loss(out, sample, cfg)
+    for name, want in (("reg", reg), ("cls", cls), ("goal", goal), ("total", total)):
+        value = getattr(got, name).item()
+        assert abs(value - want) <= 1e-12 * abs(want), (name, value, want)
+
+
+def test_multi_target_scenario_loss_gradients_match_finite_differences():
+    out, sample, cfg = _multi_target_case()
+    paths, conf = Tensor(out.paths.data.copy()), Tensor(out.confidences.data.copy())
+
+    def loss(p, c):
+        return scenario_loss(ModelOutput(paths=p, scores=out.scores, confidences=c,
+                                         target_ids=out.target_ids), sample, cfg).total
+
+    report = grad_check(loss, [paths, conf])
+    assert report.passed, report.errors
 
 
 def test_scenario_loss_requires_ground_truth():
