@@ -11,14 +11,12 @@ the lateral term off.
 import numpy as np
 
 from laneformer.attention import (
-    AttentionConfig,
     BiasSet,
-    biased_attention,
+    attention,
     capture_softmax,
     compose_bias_matrices,
     init_attention_weights,
     init_bias_weights,
-    standard_attention,
 )
 from laneformer.autodiff import Tensor
 from laneformer.scenario import Lane, LaneConnectivity, Scenario
@@ -53,19 +51,19 @@ def main():
     show("successor hop counts", topo.suc_hops)
     show("lateral closeness", topo.m_l)
 
-    cfg = AttentionConfig(d_model=8, heads=1)
+    heads = 1
     rng = np.random.default_rng(3)
-    w = init_attention_weights(rng, cfg)
+    w = init_attention_weights(rng, 8, heads)
     x = Tensor(rng.normal(size=(3, 8)))
-    bw = init_bias_weights(cfg.heads, len(topo.categories))
+    bw = init_bias_weights(heads, len(topo.categories))
 
     # neutral set: B all ones, D_inter zero, D_outer all ones
     n = 3
     neutral = BiasSet(b=Tensor(np.ones((1, n, n))),
                       d_inter=Tensor(np.zeros((1, n, n))),
                       d_outer=Tensor(np.ones((1, n, n))))
-    plain = standard_attention(x, x, x, w, cfg)
-    same = biased_attention(x, x, x, w, cfg, neutral)
+    plain = attention(x, x, x, w, heads)
+    same = attention(x, x, x, w, heads, biases=neutral)
     print("\nneutral biases vs standard attention, max diff:",
           float(np.abs(plain.data - same.data).max()))
 
@@ -79,7 +77,7 @@ def main():
         biases = compose_bias_matrices(bw, topo, use_relations=True,
                                        use_reachability=True)
         with capture_softmax() as trace:
-            biased_attention(x, x, x, w, cfg, biases)
+            attention(x, x, x, w, heads, biases=biases)
         probs = trace[0]
         print(f"\nwith a {marking} lateral boundary:")
         # pair (0, 2) is the lateral one; the gate decides whether its

@@ -6,15 +6,12 @@ attention, the full encode-fuse-decode model, training, and metrics.
 """
 
 from .attention import (
-    AttentionConfig,
     BiasSet,
     BiasWeights,
-    biased_attention,
+    attention,
     capture_softmax,
     compose_bias_matrices,
-    local_attention,
     nearest_neighbor_mask,
-    standard_attention,
     transformer_layer,
 )
 from .autodiff import (
@@ -74,7 +71,6 @@ from .synth import (
 from .topology import (
     TopologyMatrices,
     build_connection_type_tensor,
-    build_rpe_matrices,
     build_spd_matrix,
     build_topology,
     distance_to_bias,

@@ -1,14 +1,15 @@
-"""Multi-head attention with optional topology bias and local windows.
+"""Multi-head attention with optional topology bias and key mask.
 
-Three flavors share one core: plain scaled dot-product attention, a biased
-variant that multiplies pre-softmax logits by a structure matrix B and adds
-a reachability term D_inter before the softmax then rescales the resulting
-probabilities by D_outer, and a local variant that restricts each query to
-its e nearest keys by Euclidean distance. Every bias coefficient group is
-one learnable tensor with a leading head axis: a scalar per head, or a
-length-C vector per head for the boundary-marking gate. The two-layer
-perceptron here serves both the transformer block's feed-forward and the
-model's embedding and aggregation layers.
+One function computes every head at once. Given a bias set, it multiplies
+the scaled logits by a structure matrix B and adds a reachability term
+D_inter before the softmax, then rescales the probabilities by D_outer:
+softmax(QK^T / sqrt(d_k) * B + D_inter) * D_outer. Given a key mask, it
+keeps only the flagged keys; nearest_neighbor_mask builds the local window
+that keeps each query's e nearest keys by Euclidean distance. Every bias
+coefficient group is one learnable tensor with a leading head axis: a
+scalar per head, or a length-C vector per head for the boundary-marking
+gate. The two-layer perceptron here serves both the transformer block's
+feed-forward and the model's embedding and aggregation layers.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .autodiff import (
 from .topology import TopologyMatrices
 
 __all__ = [
-    "AttentionConfig",
     "AttentionWeights",
     "BiasWeights",
     "BiasSet",
@@ -48,29 +48,10 @@ __all__ = [
     "mlp",
     "compose_bias_matrices",
     "nearest_neighbor_mask",
-    "standard_attention",
-    "biased_attention",
-    "local_attention",
+    "attention",
     "transformer_layer",
     "capture_softmax",
 ]
-
-
-@dataclass
-class AttentionConfig:
-    d_model: int
-    heads: int
-
-    def __post_init__(self):
-        if self.heads < 1 or self.d_model < 1:
-            raise ValueError("heads and d_model must be positive")
-        if self.d_model % self.heads:
-            raise ValueError(
-                f"d_model must split evenly into heads ({self.d_model} % {self.heads} != 0)")
-
-    @property
-    def d_k(self) -> int:
-        return self.d_model // self.heads
 
 
 @dataclass
@@ -110,7 +91,7 @@ class BiasWeights:
 
 @dataclass
 class BiasSet:
-    """Composed bias matrices ready for biased_attention, each (H, N_l, N_l).
+    """Composed bias matrices ready for attention, each (H, N_l, N_l).
 
     b entries multiply scaled logits, d_inter entries add to them, d_outer
     entries rescale the softmax probabilities; head h uses slice h.
@@ -119,10 +100,6 @@ class BiasSet:
     b: Tensor
     d_inter: Tensor
     d_outer: Tensor
-
-    @property
-    def heads(self) -> int:
-        return self.b.shape[0]
 
 
 @dataclass
@@ -145,11 +122,11 @@ class LayerWeights:
     ln2_bias: Tensor
 
 
-def init_attention_weights(rng: np.random.Generator, cfg: AttentionConfig) -> AttentionWeights:
-    d, dk = cfg.d_model, cfg.d_k
+def init_attention_weights(rng: np.random.Generator, d_model: int, heads: int) -> AttentionWeights:
+    d, dk = d_model, d_model // heads
     # one (d, d_k) block per head, drawn head by head: all of Q, then K, then V
     make = lambda: Tensor(np.concatenate(
-        [uniform_init(rng, d, (d, dk)) for _ in range(cfg.heads)], axis=1), requires_grad=True)
+        [uniform_init(rng, d, (d, dk)) for _ in range(heads)], axis=1), requires_grad=True)
     return AttentionWeights(
         wq=make(),
         wk=make(),
@@ -177,10 +154,10 @@ def init_mlp(rng: np.random.Generator, d_in: int, d_hidden: int, d_out: int) -> 
     )
 
 
-def init_layer_weights(rng: np.random.Generator, cfg: AttentionConfig) -> LayerWeights:
-    d = cfg.d_model
+def init_layer_weights(rng: np.random.Generator, d_model: int, heads: int) -> LayerWeights:
+    d = d_model
     return LayerWeights(
-        attn=init_attention_weights(rng, cfg),
+        attn=init_attention_weights(rng, d_model, heads),
         ffn=init_mlp(rng, d, 2 * d, d),
         ln1_gain=Tensor(np.ones((1, d)), requires_grad=True),
         ln1_bias=Tensor(np.zeros((1, d)), requires_grad=True),
@@ -198,7 +175,7 @@ def compose_bias_matrices(bw: BiasWeights, topo: TopologyMatrices,
     """Combine structure matrices with their learnable coefficients.
 
     A disabled group substitutes its neutral element (all-ones B and
-    d_outer, all-zero d_inter), which reduces biased_attention to the
+    d_outer, all-zero d_inter), which reduces biased attention to the
     standard form.
     """
     heads = bw.wp.shape[0]
@@ -247,15 +224,20 @@ def _record_softmax(p: Tensor) -> None:
 # ---------------------------------------------------------------------------
 # attention ops
 
-def _attention_core(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights,
-                    cfg: AttentionConfig, mask: np.ndarray | None,
-                    biases: BiasSet | None) -> Tensor:
-    """All heads at once over (..., N, D) inputs; mask is (..., N_q, N_k)."""
-    heads = cfg.heads
+def attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights, heads: int,
+              mask: np.ndarray | None = None, biases: BiasSet | None = None) -> Tensor:
+    """All heads at once over (..., N, D) inputs; mask is (..., N_q, N_k) keep flags.
+
+    Per head: softmax(QK^T / sqrt(d_k) * B + D_inter) * D_outer, applied to
+    V, where the bias set supplies B, D_inter and D_outer; without one the
+    logits pass unchanged. d_k is the projected width over the head count.
+    """
+    if biases is not None and biases.b.shape[0] != heads:
+        raise ValueError(f"bias set has {biases.b.shape[0]} heads, attention {heads}")
     qh = split_heads(matmul(q, w.wq), heads)
     kh = split_heads(matmul(k, w.wk), heads)
     vh = split_heads(matmul(v, w.wv), heads)
-    logits = scale(matmul(qh, kh, transpose_b=True), 1.0 / np.sqrt(cfg.d_k))
+    logits = scale(matmul(qh, kh, transpose_b=True), 1.0 / np.sqrt(qh.shape[-1]))
     if biases is not None:
         logits = add(multiply(logits, biases.b), biases.d_inter)
     p = row_softmax(logits, mask=None if mask is None else np.asarray(mask)[..., None, :, :])
@@ -263,24 +245,6 @@ def _attention_core(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights,
     if biases is not None:
         p = multiply(p, biases.d_outer)
     return matmul(merge_heads(matmul(p, vh)), w.wo)
-
-
-def standard_attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights,
-                       cfg: AttentionConfig, mask: np.ndarray | None = None) -> Tensor:
-    """Scaled dot-product attention; mask rows are query x key keep flags."""
-    return _attention_core(q, k, v, w, cfg, mask, None)
-
-
-def biased_attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights,
-                     cfg: AttentionConfig, biases: BiasSet) -> Tensor:
-    """Attention with logits shaped by B and D_inter, output by D_outer.
-
-    Per head: softmax((QK^T / sqrt(d_k)) * B + D_inter) * D_outer, applied
-    to V. No masking; the bias matrices carry all structure.
-    """
-    if biases.heads != cfg.heads:
-        raise ValueError(f"bias set has {biases.heads} heads, config {cfg.heads}")
-    return _attention_core(q, k, v, w, cfg, None, biases)
 
 
 def nearest_neighbor_mask(q_pos: np.ndarray, k_pos: np.ndarray, e: int) -> np.ndarray:
@@ -303,22 +267,14 @@ def nearest_neighbor_mask(q_pos: np.ndarray, k_pos: np.ndarray, e: int) -> np.nd
     return mask
 
 
-def local_attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights,
-                    cfg: AttentionConfig, q_pos: np.ndarray, k_pos: np.ndarray,
-                    e: int) -> Tensor:
-    """Standard attention restricted to each query's e nearest keys."""
-    mask = nearest_neighbor_mask(np.asarray(q_pos), np.asarray(k_pos), e)
-    return _attention_core(q, k, v, w, cfg, mask, None)
-
-
 def mlp(x: Tensor, w: MLPWeights) -> Tensor:
     return add(matmul(relu(add(matmul(x, w.w1), w.b1)), w.w2), w.b2)
 
 
-def transformer_layer(x_q: Tensor, x_kv: Tensor, w: LayerWeights, cfg: AttentionConfig,
+def transformer_layer(x_q: Tensor, x_kv: Tensor, w: LayerWeights, heads: int,
                       mask: np.ndarray | None = None,
                       biases: BiasSet | None = None) -> Tensor:
     """Residual attention block with post-norm and a two-layer feed-forward."""
-    att = _attention_core(x_q, x_kv, x_kv, w.attn, cfg, mask, biases)
+    att = attention(x_q, x_kv, x_kv, w.attn, heads, mask, biases)
     h1 = layer_norm(add(x_q, att), w.ln1_gain, w.ln1_bias)
     return layer_norm(add(h1, mlp(h1, w.ffn)), w.ln2_gain, w.ln2_bias)

@@ -22,7 +22,6 @@ __all__ = [
     "ShapeError",
     "NondeterministicFunctionError",
     "as_tensor",
-    "tensor",
     "no_grad",
     "matmul",
     "reshape",
@@ -82,10 +81,6 @@ class Tensor:
 
 def as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
-
-
-def tensor(data, requires_grad=False) -> Tensor:
-    return Tensor(data, requires_grad=requires_grad)
 
 
 _recording = True

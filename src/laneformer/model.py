@@ -12,7 +12,7 @@ sequences plus a score that becomes the mode confidence. The output is one
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, is_dataclass
 
 import numpy as np
 
@@ -30,8 +30,6 @@ from .autodiff import (
     uniform_init,
 )
 from .attention import (
-    AttentionConfig,
-    AttentionWeights,
     BiasWeights,
     LayerWeights,
     MLPWeights,
@@ -94,6 +92,11 @@ class ModelConfig:
     connection_types: tuple = sc.BOUNDARY_TYPES
 
     def __post_init__(self):
+        if self.heads < 1 or self.d_model < 1:
+            raise ValueError("heads and d_model must be positive")
+        if self.d_model % self.heads:
+            raise ValueError(
+                f"d_model must split evenly into heads ({self.d_model} % {self.heads} != 0)")
         if self.modes < 1:
             raise ValueError(f"need at least 1 mode, got {self.modes}")
         if self.m_agent != N_AGENT_FEATURES or self.m_map != N_MAP_FEATURES:
@@ -105,9 +108,6 @@ class ModelConfig:
             e = getattr(self, f"e_{name}")
             if e < 1:
                 raise ValueError(f"e_{name} must be at least 1, got {e}")
-
-    def attention(self) -> AttentionConfig:
-        return AttentionConfig(d_model=self.d_model, heads=self.heads)
 
 
 @dataclass
@@ -135,7 +135,12 @@ def prepare_sample(raw: sc.Scenario, cfg: ModelConfig) -> Sample:
     sc.validate_scenario(raw)
     t = raw.t_history
     if t != cfg.t_history:
-        raise ValueError(f"history length {t} does not match configured {cfg.t_history}")
+        raise ValueError(f"scenario {raw.name!r}: history length {t} does not match "
+                         f"configured t_history {cfg.t_history}")
+    t_f = None if raw.ground_truth is None else np.shape(raw.ground_truth)[1]
+    if t_f not in (None, cfg.t_future):
+        raise ValueError(f"scenario {raw.name!r}: future length {t_f} does not match "
+                         f"configured t_future {cfg.t_future}")
     target = raw.target_ids[0]
     ref = raw.agents[target]
     origin = ref.positions[t - 1].copy()
@@ -229,9 +234,6 @@ class ModelParams:
     decoder: DecoderHeads
     registry: ParameterRegistry = field(default_factory=ParameterRegistry)
 
-    def attention(self) -> AttentionConfig:
-        return self.cfg.attention()
-
 
 def _init_decoder(rng, cfg: ModelConfig) -> DecoderHeads:
     d, h, out, k = cfg.d_model, cfg.decoder_hidden, 2 * cfg.t_future, cfg.modes
@@ -253,8 +255,7 @@ def _init_decoder(rng, cfg: ModelConfig) -> DecoderHeads:
 def _register(reg: ParameterRegistry, prefix: str, obj) -> None:
     if isinstance(obj, Tensor):
         reg.add(prefix, obj)
-    elif isinstance(obj, (MLPWeights, DecoderHeads, LayerWeights, AttentionWeights,
-                          BiasWeights)):
+    elif is_dataclass(obj):
         for name in vars(obj):
             _register(reg, f"{prefix}.{name}", getattr(obj, name))
     elif isinstance(obj, list):
@@ -266,24 +267,23 @@ def _register(reg: ParameterRegistry, prefix: str, obj) -> None:
 
 def init_model(cfg: ModelConfig, seed: int = 0) -> ModelParams:
     rng = np.random.default_rng(seed)
-    att = cfg.attention()
-    d = cfg.d_model
+    d, heads = cfg.d_model, cfg.heads
     c = len(cfg.connection_types)
     params = ModelParams(
         cfg=cfg,
         agent_embed=init_mlp(rng, N_AGENT_FEATURES, d, d),
-        temporal_layers=[init_layer_weights(rng, att) for _ in range(cfg.layers)],
+        temporal_layers=[init_layer_weights(rng, d, heads) for _ in range(cfg.layers)],
         temporal_agg=init_mlp(rng, d, d, d),
-        interaction=init_layer_weights(rng, att),
+        interaction=init_layer_weights(rng, d, heads),
         node_embed=init_mlp(rng, N_MAP_FEATURES, d, d),
         node_agg=init_mlp(rng, d, d, d),
-        lane_layers=[init_layer_weights(rng, att) for _ in range(cfg.layers)],
-        lane_bias=init_bias_weights(cfg.heads, c),
-        fuse_a2l=init_layer_weights(rng, att),
-        fuse_l2l=init_layer_weights(rng, att),
-        fuse_l2l_bias=init_bias_weights(cfg.heads, c),
-        fuse_l2a=init_layer_weights(rng, att),
-        fuse_a2a=init_layer_weights(rng, att),
+        lane_layers=[init_layer_weights(rng, d, heads) for _ in range(cfg.layers)],
+        lane_bias=init_bias_weights(heads, c),
+        fuse_a2l=init_layer_weights(rng, d, heads),
+        fuse_l2l=init_layer_weights(rng, d, heads),
+        fuse_l2l_bias=init_bias_weights(heads, c),
+        fuse_l2a=init_layer_weights(rng, d, heads),
+        fuse_a2a=init_layer_weights(rng, d, heads),
         decoder=_init_decoder(rng, cfg),
     )
     reg = params.registry
@@ -371,11 +371,10 @@ def hte_forward(params: ModelParams, agent_features: np.ndarray,
     counts = observed.sum(axis=1)
     if not counts.all():
         raise ValueError(f"empty history for agent {int(np.flatnonzero(counts == 0)[0])}")
-    att = params.attention()
     x = mlp(Tensor(agent_features), params.agent_embed)
     mask = np.broadcast_to(observed[:, None, :], (n_a, t, t))
     for lw in params.temporal_layers:
-        x = transformer_layer(x, x, lw, att, mask=mask)
+        x = transformer_layer(x, x, lw, params.cfg.heads, mask=mask)
     pool = (observed / counts[:, None])[:, None, :]
     pooled = reshape(matmul(Tensor(pool), x), (n_a, params.cfg.d_model))
     return mlp(pooled, params.temporal_agg)
@@ -383,8 +382,7 @@ def hte_forward(params: ModelParams, agent_features: np.ndarray,
 
 def ain_forward(params: ModelParams, agent_feats: Tensor) -> Tensor:
     """Agent interaction: one full self-attention block over agent rows."""
-    return transformer_layer(agent_feats, agent_feats, params.interaction,
-                             params.attention())
+    return transformer_layer(agent_feats, agent_feats, params.interaction, params.cfg.heads)
 
 
 def map_net_forward(params: ModelParams, sample: Sample) -> Tensor:
@@ -393,7 +391,6 @@ def map_net_forward(params: ModelParams, sample: Sample) -> Tensor:
     Every biased layer reuses the same composed bias set, so one group of
     bias coefficients serves the whole stack.
     """
-    att = params.attention()
     cfg = params.cfg
     nodes = mlp(Tensor(sample.lane_features), params.node_embed)
     pool = Tensor(np.full((1, cfg.n_lane_nodes), 1.0 / cfg.n_lane_nodes))
@@ -403,7 +400,7 @@ def map_net_forward(params: ModelParams, sample: Sample) -> Tensor:
                                    use_relations=cfg.use_relation_bias,
                                    use_reachability=cfg.use_reachability_bias)
     for lw in params.lane_layers:
-        lanes = transformer_layer(lanes, lanes, lw, att, biases=biases)
+        lanes = transformer_layer(lanes, lanes, lw, cfg.heads, biases=biases)
     return lanes
 
 
@@ -416,18 +413,17 @@ def _local_mask(cfg: ModelConfig, q_pos, k_pos, e: int):
 def fusion_forward(params: ModelParams, agent_feats: Tensor, lane_feats: Tensor,
                    sample: Sample) -> Tensor:
     """Agent/lane exchange: A2L, biased L2L, L2A, A2A; returns agent rows."""
-    att = params.attention()
     cfg = params.cfg
     a_pos, l_pos = sample.agent_positions, sample.lane_positions
-    lanes = transformer_layer(lane_feats, agent_feats, params.fuse_a2l, att,
+    lanes = transformer_layer(lane_feats, agent_feats, params.fuse_a2l, cfg.heads,
                               mask=_local_mask(cfg, l_pos, a_pos, cfg.e_a2l))
     l2l_bias = compose_bias_matrices(params.fuse_l2l_bias, sample.topology,
                                      use_relations=cfg.use_relation_bias,
                                      use_reachability=cfg.use_reachability_bias)
-    lanes = transformer_layer(lanes, lanes, params.fuse_l2l, att, biases=l2l_bias)
-    agents = transformer_layer(agent_feats, lanes, params.fuse_l2a, att,
+    lanes = transformer_layer(lanes, lanes, params.fuse_l2l, cfg.heads, biases=l2l_bias)
+    agents = transformer_layer(agent_feats, lanes, params.fuse_l2a, cfg.heads,
                                mask=_local_mask(cfg, a_pos, l_pos, cfg.e_l2a))
-    return transformer_layer(agents, agents, params.fuse_a2a, att,
+    return transformer_layer(agents, agents, params.fuse_a2a, cfg.heads,
                              mask=_local_mask(cfg, a_pos, a_pos, cfg.e_a2a))
 
 

@@ -1,12 +1,15 @@
 """Lane-graph structure matrices: relation closeness, path distance, markings.
 
-Four N_l x N_l closeness matrices (predecessor, successor, left, right) hold
-1 / max(d, 0.1) where d is the Euclidean distance between the two lanes'
-arc-length midpoints, but only at pairs where the relation actually holds;
-everything else, including the diagonal, stays 0. Two shortest-path-distance
-matrices count directed hops through the predecessor or successor relation.
-A boundary-marking tensor one-hot encodes the lateral connection type per
-laterally connected pair and is all-zero elsewhere.
+build_topology derives every matrix the biased attention layers consume
+from one scenario, in one pass with one lane-index map. Four N_l x N_l
+closeness matrices (predecessor, successor, left, right), the relative
+position encoding, hold 1 / max(d, 0.1) where d is the Euclidean distance
+between the two lanes' arc-length midpoints, but only at pairs where the
+relation actually holds; everything else, including the diagonal, stays 0.
+Two shortest-path-distance matrices count directed hops through the
+predecessor or successor relation. A boundary-marking tensor one-hot
+encodes the lateral connection type per laterally connected pair and is
+all-zero elsewhere.
 """
 
 from __future__ import annotations
@@ -20,9 +23,7 @@ from .scenario import BOUNDARY_TYPES, Scenario, arc_length_midpoint, lane_index_
 
 __all__ = [
     "EPS_DISTANCE",
-    "RpeMatrices",
     "TopologyMatrices",
-    "build_rpe_matrices",
     "build_spd_matrix",
     "distance_to_bias",
     "build_connection_type_tensor",
@@ -31,16 +32,6 @@ __all__ = [
 
 # lower bound on midpoint distance so closeness entries stay finite (meters)
 EPS_DISTANCE = 0.1
-
-
-@dataclass
-class RpeMatrices:
-    """Relation closeness matrices, one per relation, each (N_l, N_l)."""
-
-    m_p: np.ndarray
-    m_s: np.ndarray
-    m_l: np.ndarray
-    m_r: np.ndarray
 
 
 @dataclass
@@ -72,33 +63,20 @@ def _midpoints(sc: Scenario) -> np.ndarray:
     return np.stack([arc_length_midpoint(l.centerline) for l in sc.lanes])
 
 
-def _closeness(midpoints: np.ndarray, pairs, index: dict) -> np.ndarray:
+def _index_pairs(pairs, index: dict) -> list:
+    """Lane-id relation pairs (or lateral triples) as storage-order index pairs."""
+    return [(index[a], index[b]) for a, b, *_ in pairs]
+
+
+def _closeness(midpoints: np.ndarray, pairs) -> np.ndarray:
     n = len(midpoints)
     m = np.zeros((n, n))
-    for a, b in pairs:
-        i, j = index[a], index[b]
+    for i, j in pairs:
         if i == j:
             continue
         d = float(np.linalg.norm(midpoints[i] - midpoints[j]))
         m[i, j] = 1.0 / max(d, EPS_DISTANCE)
     return m
-
-
-def build_rpe_matrices(sc: Scenario) -> RpeMatrices:
-    """Closeness matrices over the scenario's lanes in storage order.
-
-    Callers who need midpoints of the resampled centerlines should resample
-    the lanes before building.
-    """
-    index = lane_index_map(sc)
-    mid = _midpoints(sc)
-    conn = sc.connectivity
-    return RpeMatrices(
-        m_p=_closeness(mid, conn.predecessors, index),
-        m_s=_closeness(mid, conn.successors, index),
-        m_l=_closeness(mid, [(a, b) for a, b, _ in conn.left], index),
-        m_r=_closeness(mid, [(a, b) for a, b, _ in conn.right], index),
-    )
 
 
 def build_spd_matrix(pairs, n: int) -> np.ndarray:
@@ -144,7 +122,10 @@ def build_connection_type_tensor(sc: Scenario, categories=BOUNDARY_TYPES) -> np.
     all-zero, so unconnected pairs contribute nothing regardless of the
     category weights.
     """
-    index = lane_index_map(sc)
+    return _connection_types(sc, categories, lane_index_map(sc))
+
+
+def _connection_types(sc: Scenario, categories, index: dict) -> np.ndarray:
     n, c = len(sc.lanes), len(categories)
     slot = {name: k for k, name in enumerate(categories)}
     m_c = np.zeros((n, n, c))
@@ -156,24 +137,28 @@ def build_connection_type_tensor(sc: Scenario, categories=BOUNDARY_TYPES) -> np.
 
 
 def build_topology(sc: Scenario, categories=BOUNDARY_TYPES) -> TopologyMatrices:
-    """All structure matrices for one scenario, lanes in storage order."""
+    """All structure matrices for one scenario, lanes in storage order.
+
+    Closeness uses the lanes' own centerline midpoints, so callers who want
+    those of resampled centerlines resample the lanes first.
+    """
     index = lane_index_map(sc)
     n = len(sc.lanes)
-    rpe = build_rpe_matrices(sc)
-    pre_pairs = [(index[a], index[b]) for a, b in sc.connectivity.predecessors]
-    suc_pairs = [(index[a], index[b]) for a, b in sc.connectivity.successors]
-    pre_hops = build_spd_matrix(pre_pairs, n)
-    suc_hops = build_spd_matrix(suc_pairs, n)
+    mid = _midpoints(sc)
+    conn = sc.connectivity
+    pre, suc, left, right = (_index_pairs(pairs, index) for pairs in (
+        conn.predecessors, conn.successors, conn.left, conn.right))
+    pre_hops, suc_hops = build_spd_matrix(pre, n), build_spd_matrix(suc, n)
     return TopologyMatrices(
         lane_ids=[l.lane_id for l in sc.lanes],
-        m_p=rpe.m_p,
-        m_s=rpe.m_s,
-        m_l=rpe.m_l,
-        m_r=rpe.m_r,
+        m_p=_closeness(mid, pre),
+        m_s=_closeness(mid, suc),
+        m_l=_closeness(mid, left),
+        m_r=_closeness(mid, right),
         pre_hops=pre_hops,
         suc_hops=suc_hops,
         m_pre_spd=distance_to_bias(pre_hops),
         m_suc_spd=distance_to_bias(suc_hops),
-        m_c=build_connection_type_tensor(sc, categories),
+        m_c=_connection_types(sc, categories, index),
         categories=tuple(categories),
     )

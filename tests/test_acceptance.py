@@ -12,14 +12,11 @@ import time
 import numpy as np
 
 from laneformer.attention import (
-    AttentionConfig,
     BiasSet,
-    biased_attention,
+    attention,
     capture_softmax,
     init_attention_weights,
-    local_attention,
     nearest_neighbor_mask,
-    standard_attention,
 )
 from laneformer.autodiff import Tensor, grad_check
 from laneformer.cli import main as cli_main
@@ -60,16 +57,15 @@ def test_criterion_1_neutral_bias_identity():
         heads = int(rng.choice([1, 2, 4]))
         d_model = heads * int(rng.choice([2, 4]))
         n = int(rng.integers(2, 9))
-        cfg = AttentionConfig(d_model=d_model, heads=heads)
-        w = init_attention_weights(rng, cfg)
+        w = init_attention_weights(rng, d_model, heads)
         x = Tensor(rng.normal(size=(n, d_model)))
         neutral = BiasSet(
             b=Tensor(np.ones((heads, n, n))),
             d_inter=Tensor(np.zeros((heads, n, n))),
             d_outer=Tensor(np.ones((heads, n, n))),
         )
-        plain = standard_attention(x, x, x, w, cfg)
-        biased = biased_attention(x, x, x, w, cfg, neutral)
+        plain = attention(x, x, x, w, heads)
+        biased = attention(x, x, x, w, heads, biases=neutral)
         worst = max(worst, float(np.abs(plain.data - biased.data).max()))
     elapsed = time.perf_counter() - start
     ok = worst <= 1e-12 and elapsed < 5.0
@@ -190,13 +186,12 @@ def test_criterion_5_local_attention_neighbor_sets():
             if sorted(np.flatnonzero(mask[i]).tolist()) != sorted(expect):
                 bad += 1
 
-    cfg = AttentionConfig(d_model=8, heads=2)
-    w = init_attention_weights(np.random.default_rng(1), cfg)
+    w = init_attention_weights(np.random.default_rng(1), 8, 2)
     x = Tensor(np.random.default_rng(2).normal(size=(6, 8)))
     pos = np.random.default_rng(3).normal(size=(6, 2))
     full_diff = float(np.abs(
-        standard_attention(x, x, x, w, cfg).data
-        - local_attention(x, x, x, w, cfg, pos, pos, e=9).data).max())
+        attention(x, x, x, w, 2).data
+        - attention(x, x, x, w, 2, mask=nearest_neighbor_mask(pos, pos, 9)).data).max())
     ok = bad == 0 and full_diff <= 1e-12
     _verdict(5, ok, "local attention neighbor sets match brute force on 200 "
                     f"instances; oversized windows equal full attention "

@@ -4,22 +4,21 @@ import numpy as np
 import pytest
 
 from laneformer.attention import (
-    AttentionConfig,
     BiasSet,
-    biased_attention,
+    attention,
     capture_softmax,
     compose_bias_matrices,
     init_attention_weights,
     init_bias_weights,
     init_layer_weights,
     init_mlp,
-    local_attention,
     mlp,
     nearest_neighbor_mask,
-    standard_attention,
     transformer_layer,
 )
 from laneformer.autodiff import Tensor, uniform_init
+from laneformer.cli import micro_scenario
+from laneformer.model import ModelConfig
 from laneformer.scenario import AgentHistory, Lane, LaneConnectivity, Scenario
 from laneformer.synth import GeneratorConfig, generate_scenario
 from laneformer.topology import build_topology
@@ -48,13 +47,12 @@ def _neutral_biases(n, heads):
 
 
 def test_neutral_biases_reduce_to_standard_attention():
-    cfg = AttentionConfig(d_model=8, heads=2)
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        w = init_attention_weights(rng, cfg)
+        w = init_attention_weights(rng, 8, 2)
         x = Tensor(rng.normal(size=(5, 8)))
-        plain = standard_attention(x, x, x, w, cfg)
-        biased = biased_attention(x, x, x, w, cfg, _neutral_biases(5, 2))
+        plain = attention(x, x, x, w, 2)
+        biased = attention(x, x, x, w, 2, biases=_neutral_biases(5, 2))
         assert np.abs(plain.data - biased.data).max() < 1e-12
 
 
@@ -104,39 +102,36 @@ def test_bias_weight_count_matches_head_budget():
 
 
 def test_d_outer_zero_silences_the_layer():
-    cfg = AttentionConfig(d_model=8, heads=2)
     rng = np.random.default_rng(3)
-    w = init_attention_weights(rng, cfg)
+    w = init_attention_weights(rng, 8, 2)
     x = Tensor(rng.normal(size=(4, 8)))
     biases = _neutral_biases(4, 2)
     biases.d_outer = Tensor(np.zeros((2, 4, 4)))
-    out = biased_attention(x, x, x, w, cfg, biases)
+    out = attention(x, x, x, w, 2, biases=biases)
     assert np.abs(out.data).max() == 0.0
 
 
 def test_biased_attention_rejects_head_mismatch():
-    cfg = AttentionConfig(d_model=8, heads=2)
     rng = np.random.default_rng(0)
-    w = init_attention_weights(rng, cfg)
+    w = init_attention_weights(rng, 8, 2)
     x = Tensor(rng.normal(size=(4, 8)))
     with pytest.raises(ValueError, match="heads"):
-        biased_attention(x, x, x, w, cfg, _neutral_biases(4, 3))
+        attention(x, x, x, w, 2, biases=_neutral_biases(4, 3))
 
 
 def test_captured_softmax_rows_sum_to_one():
-    cfg = AttentionConfig(d_model=8, heads=2)
     rng = np.random.default_rng(9)
-    w = init_attention_weights(rng, cfg)
+    w = init_attention_weights(rng, 8, 2)
     x = Tensor(rng.normal(size=(6, 8)))
     sc = _row_scene()
     bw = init_bias_weights(2, 4)
     biases = compose_bias_matrices(bw, build_topology(sc))
     y = Tensor(rng.normal(size=(3, 8)))
     with capture_softmax() as trace:
-        standard_attention(x, x, x, w, cfg)
-        biased_attention(y, y, y, w, cfg, biases)
-        local_attention(x, x, x, w, cfg, rng.normal(size=(6, 2)),
-                        rng.normal(size=(6, 2)), e=2)
+        attention(x, x, x, w, 2)
+        attention(y, y, y, w, 2, biases=biases)
+        attention(x, x, x, w, 2,
+                  mask=nearest_neighbor_mask(rng.normal(size=(6, 2)), rng.normal(size=(6, 2)), 2))
     assert len(trace) == 6   # 3 calls x 2 heads
     for p in trace:
         assert np.abs(p.sum(axis=1) - 1.0).max() < 1e-12
@@ -144,15 +139,14 @@ def test_captured_softmax_rows_sum_to_one():
 
 
 def _captures_nest_correctly():
-    cfg = AttentionConfig(d_model=4, heads=1)
     rng = np.random.default_rng(1)
-    w = init_attention_weights(rng, cfg)
+    w = init_attention_weights(rng, 4, 1)
     x = Tensor(rng.normal(size=(2, 4)))
     with capture_softmax() as outer:
-        standard_attention(x, x, x, w, cfg)
+        attention(x, x, x, w, 1)
         with capture_softmax() as inner:
-            standard_attention(x, x, x, w, cfg)
-        standard_attention(x, x, x, w, cfg)
+            attention(x, x, x, w, 1)
+        attention(x, x, x, w, 1)
     return len(outer) == 2 and len(inner) == 1
 
 
@@ -195,57 +189,59 @@ def test_nearest_neighbor_mask_edge_cases():
 
 
 def test_local_attention_with_full_window_matches_standard():
-    cfg = AttentionConfig(d_model=8, heads=2)
     rng = np.random.default_rng(13)
-    w = init_attention_weights(rng, cfg)
+    w = init_attention_weights(rng, 8, 2)
     x = Tensor(rng.normal(size=(5, 8)))
     pos = rng.normal(size=(5, 2))
-    full = standard_attention(x, x, x, w, cfg)
-    windowed = local_attention(x, x, x, w, cfg, pos, pos, e=5)
+    full = attention(x, x, x, w, 2)
+    windowed = attention(x, x, x, w, 2, mask=nearest_neighbor_mask(pos, pos, 5))
     assert np.abs(full.data - windowed.data).max() < 1e-12
 
 
 def test_local_attention_ignores_far_keys():
-    cfg = AttentionConfig(d_model=4, heads=1)
     rng = np.random.default_rng(2)
-    w = init_attention_weights(rng, cfg)
+    w = init_attention_weights(rng, 4, 1)
     x = rng.normal(size=(4, 4))
     pos = np.array([[0.0, 0.0], [1.0, 0.0], [50.0, 0.0], [51.0, 0.0]])
-    out1 = local_attention(Tensor(x), Tensor(x), Tensor(x), w, cfg, pos, pos, e=2)
+    out1 = attention(Tensor(x), Tensor(x), Tensor(x), w, 1,
+                     mask=nearest_neighbor_mask(pos, pos, 2))
     # moving a key outside every query's window changes nothing
     x2 = x.copy()
     x2[3] += 100.0
     pos2 = pos.copy()
     pos2[3] = (500.0, 0.0)
-    out2 = local_attention(Tensor(x2[:3]), Tensor(x2[:3]), Tensor(x2[:3]),
-                           w, cfg, pos2[:3], pos2[:3], e=2)
+    out2 = attention(Tensor(x2[:3]), Tensor(x2[:3]), Tensor(x2[:3]), w, 1,
+                     mask=nearest_neighbor_mask(pos2[:3], pos2[:3], 2))
     assert np.abs(out1.data[:2] - out2.data[:2]).max() < 1e-9
 
 
 def test_transformer_layer_shapes_and_determinism():
-    cfg = AttentionConfig(d_model=8, heads=4)
     rng = np.random.default_rng(6)
-    lw = init_layer_weights(rng, cfg)
+    lw = init_layer_weights(rng, 8, 4)
     x = Tensor(np.random.default_rng(0).normal(size=(5, 8)))
-    y1 = transformer_layer(x, x, lw, cfg)
-    y2 = transformer_layer(x, x, lw, cfg)
+    y1 = transformer_layer(x, x, lw, 4)
+    y2 = transformer_layer(x, x, lw, 4)
     assert y1.data.shape == (5, 8)
     assert np.array_equal(y1.data, y2.data)
 
 
 def test_attention_config_validates_head_split():
-    with pytest.raises(ValueError, match="d_model"):
-        AttentionConfig(d_model=10, heads=4)
-    cfg = AttentionConfig(d_model=12, heads=4)
-    assert cfg.d_k == 3
+    # the model config carries the head split every attention layer uses
+    with pytest.raises(ValueError, match=r"d_model must split evenly into heads \(10 % 4 != 0\)"):
+        ModelConfig(d_model=10, heads=4)
+    for bad in (dict(heads=0), dict(d_model=0)):
+        with pytest.raises(ValueError, match="heads and d_model must be positive"):
+            ModelConfig(**bad)
+    cfg = ModelConfig(d_model=12, heads=4)
+    assert (cfg.d_model, cfg.heads) == (12, 4)
 
 
 def test_attention_head_width_is_derived_not_set():
-    assert AttentionConfig(d_model=12, heads=4).d_k == 3
+    # d_k is the projected width over the head count; no config field sets it
     with pytest.raises(TypeError):
-        AttentionConfig(d_model=12, heads=4, d_k=4)
+        ModelConfig(d_model=12, heads=4, d_k=4)
     with pytest.raises(ValueError, match=r"d_model.*heads"):
-        AttentionConfig(d_model=10, heads=4)
+        ModelConfig(d_model=10, heads=4)
 
 
 def test_mlp_draw_order_and_expression():
@@ -268,11 +264,11 @@ def _softmax(x, mask=None):
     return e / e.sum(axis=-1, keepdims=True)
 
 
-def _per_head_reference(q, k, v, w, cfg, mask=None, biases=None):
+def _per_head_reference(q, k, v, w, n_heads, mask=None, biases=None):
     """Attention head by head in numpy, from column slices of wq/wk/wv."""
-    dk = cfg.d_k
+    dk = w.wq.data.shape[1] // n_heads
     heads = []
-    for h in range(cfg.heads):
+    for h in range(n_heads):
         cols = slice(h * dk, (h + 1) * dk)
         qh, kh, vh = q @ w.wq.data[:, cols], k @ w.wk.data[:, cols], v @ w.wv.data[:, cols]
         logits = qh @ kh.T / np.sqrt(dk)
@@ -288,50 +284,58 @@ def _per_head_reference(q, k, v, w, cfg, mask=None, biases=None):
 def test_fused_heads_match_per_head_reference():
     sc = _row_scene()
     topo = build_topology(sc)
+    # three lanes with a successor chain and a lateral pair: every relation and
+    # both reachability matrices are non-zero, so D_outer keeps some of each row
+    chain = build_topology(micro_scenario())
     for seed in range(10):
         rng = np.random.default_rng(seed)
-        cfg = AttentionConfig(d_model=12, heads=(1, 2, 3, 4)[seed % 4])
-        w = init_attention_weights(rng, cfg)
+        heads = (1, 2, 3, 4)[seed % 4]
+        w = init_attention_weights(rng, 12, heads)
         x = rng.normal(size=(3, 12))
         y = rng.normal(size=(5, 12))
         pos_x, pos_y = rng.normal(size=(3, 2)), rng.normal(size=(5, 2))
 
-        got = standard_attention(Tensor(x), Tensor(y), Tensor(y), w, cfg).data
-        assert np.abs(got - _per_head_reference(x, y, y, w, cfg)).max() < 1e-12
+        got = attention(Tensor(x), Tensor(y), Tensor(y), w, heads).data
+        assert np.abs(got - _per_head_reference(x, y, y, w, heads)).max() < 1e-12
 
-        got = local_attention(Tensor(x), Tensor(y), Tensor(y), w, cfg, pos_x, pos_y, e=2).data
         mask = nearest_neighbor_mask(pos_x, pos_y, 2)
-        assert np.abs(got - _per_head_reference(x, y, y, w, cfg, mask=mask)).max() < 1e-12
+        got = attention(Tensor(x), Tensor(y), Tensor(y), w, heads, mask=mask).data
+        assert np.abs(got - _per_head_reference(x, y, y, w, heads, mask=mask)).max() < 1e-12
 
-        bw = init_bias_weights(cfg.heads, 4)
+        bw = init_bias_weights(heads, 4)
         for group in (bw.wp, bw.wl, bw.wpre_inter, bw.wsuc_outer):
             group.data = rng.normal(size=group.data.shape)
         biases = compose_bias_matrices(bw, topo)
-        got = biased_attention(Tensor(x), Tensor(x), Tensor(x), w, cfg, biases).data
-        assert np.abs(got - _per_head_reference(x, x, x, w, cfg, biases=biases)).max() < 1e-12
+        got = attention(Tensor(x), Tensor(x), Tensor(x), w, heads, biases=biases).data
+        assert np.abs(got - _per_head_reference(x, x, x, w, heads, biases=biases)).max() < 1e-12
+
+        # key mask and bias set together, as a padded batch of lane graphs needs
+        mask = nearest_neighbor_mask(pos_x, pos_x, 2)
+        biases = compose_bias_matrices(bw, chain)
+        got = attention(Tensor(x), Tensor(x), Tensor(x), w, heads, mask=mask, biases=biases).data
+        expected = _per_head_reference(x, x, x, w, heads, mask=mask, biases=biases)
+        assert np.abs(got - expected).max() < 1e-12
 
 
 def test_batched_rows_with_own_masks_match_one_at_a_time():
-    cfg = AttentionConfig(d_model=8, heads=2)
     rng = np.random.default_rng(21)
-    lw = init_layer_weights(rng, cfg)
+    lw = init_layer_weights(rng, 8, 2)
     x = rng.normal(size=(4, 6, 8))
     keep = rng.random((4, 6)) < 0.6
     keep[:, -1] = True
     mask = np.broadcast_to(keep[:, None, :], (4, 6, 6))
     with capture_softmax() as trace:
-        batched = transformer_layer(Tensor(x), Tensor(x), lw, cfg, mask=mask).data
+        batched = transformer_layer(Tensor(x), Tensor(x), lw, 2, mask=mask).data
     assert len(trace) == 4 * 2   # one matrix per batch row and head
     for i in range(4):
-        alone = transformer_layer(Tensor(x[i]), Tensor(x[i]), lw, cfg, mask=mask[i]).data
+        alone = transformer_layer(Tensor(x[i]), Tensor(x[i]), lw, 2, mask=mask[i]).data
         assert np.abs(batched[i] - alone).max() < 1e-12
         # padded keys get exactly zero weight in both of the row's heads
         assert all((trace[2 * i + h][:, ~keep[i]] == 0.0).all() for h in range(2))
 
 
 def test_fused_projection_init_keeps_per_head_draw_order():
-    cfg = AttentionConfig(d_model=6, heads=3)
-    w = init_attention_weights(np.random.default_rng(8), cfg)
+    w = init_attention_weights(np.random.default_rng(8), 6, 3)
     rng = np.random.default_rng(8)
     for fused in (w.wq, w.wk, w.wv):
         for h in range(3):
@@ -351,7 +355,7 @@ def test_fused_composition_matches_per_head_reference():
         for group in vars(bw).values():
             group.data = rng.normal(size=group.data.shape)
         biases = compose_bias_matrices(bw, topo)
-        assert biases.heads == heads
+        assert biases.b.shape[0] == heads
         for h in range(heads):
             coef = {name: group.data[h] for name, group in vars(bw).items()}
             gate = topo.m_c.reshape(n * n, c) @ coef["wc"]

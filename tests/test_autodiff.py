@@ -430,7 +430,7 @@ def _op_calls(x, y, w, g):
 
 # names in autodiff.__all__ that are not tensor ops
 _NOT_OPS = {"Tensor", "ParameterRegistry", "ShapeError", "NondeterministicFunctionError",
-            "as_tensor", "tensor", "no_grad", "backpropagate", "grad_check",
+            "as_tensor", "no_grad", "backpropagate", "grad_check",
             "GradCheckReport", "uniform_init", "save_checkpoint", "load_checkpoint"}
 
 

@@ -340,6 +340,44 @@ def test_train_with_empty_neighborhood_is_config_error_before_any_work(workspace
     assert not out.exists()
 
 
+def test_train_with_uneven_head_split_is_config_error_before_any_work(workspace, tmp_path,
+                                                                     capsys, monkeypatch):
+    monkeypatch.setattr(cli, "_load_scenarios", lambda *a: pytest.fail("loaded scenes"))
+    cfg = _write(tmp_path / "t.cfg", SMALL_MODEL.replace("heads=2", "heads=3"))
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--data", workspace["data"],
+                 "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "(8 % 3 != 0)" in err
+    assert not out.exists()
+
+
+def test_eval_manifest_with_uneven_head_split_is_config_error(workspace, tmp_path, capsys):
+    run = shutil.copytree(workspace["run"], tmp_path / "run")
+    manifest = json.load(open(run / "manifest.json"))
+    manifest["ModelConfig"]["heads"] = 3
+    json.dump(manifest, open(run / "manifest.json", "w"))
+    out = tmp_path / "ev"
+    assert main(["eval", "--data", workspace["data"], "--model", str(run / "model.ckpt"),
+                 "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "manifest.json" in err and "(8 % 3 != 0)" in err
+    assert not out.exists()
+
+
+def test_train_with_mismatched_horizon_is_data_error_before_any_work(workspace, tmp_path,
+                                                                    capsys):
+    # the generated scenes carry 60 future steps
+    cfg = _write(tmp_path / "t.cfg", SMALL_MODEL + "t_future=7\n")
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--data", workspace["data"],
+                 "--out", str(out)]) == EXIT_DATA_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("data error: scenario ")
+    assert "future length 60 does not match configured t_future 7" in err
+    assert not out.exists()
+
+
 def test_config_file_sets_every_training_field(workspace, tmp_path, monkeypatch):
     model = dict(t_history=7, t_future=9, modes=3, d_model=12, heads=3, layers=1,
                  n_lane_nodes=5, m_agent=8, m_map=5, decoder_hidden=10, e_a2a=3, e_a2l=4,

@@ -259,8 +259,6 @@ def test_model_config_validation():
         _cfg(m_agent=9)
     with pytest.raises(ValueError, match="n_lane_nodes"):
         _cfg(n_lane_nodes=1)
-    att = _cfg().attention()
-    assert att.d_model == 8 and att.heads == 2 and att.d_k == 4
 
 
 @pytest.mark.parametrize("name", ["e_a2a", "e_a2l", "e_l2a"])

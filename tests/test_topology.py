@@ -7,7 +7,6 @@ from laneformer.scenario import AgentHistory, Lane, LaneConnectivity, Scenario
 from laneformer.topology import (
     EPS_DISTANCE,
     build_connection_type_tensor,
-    build_rpe_matrices,
     build_spd_matrix,
     build_topology,
     distance_to_bias,
@@ -96,7 +95,7 @@ def test_closeness_is_reciprocal_midpoint_distance():
         [Lane(0, "vehicle", [[0.0, 0.0], [10.0, 0.0]]),
          Lane(1, "vehicle", [[0.0, 4.0], [10.0, 4.0]])],
         left=[(0, 1, "dashed")], right=[(1, 0, "dashed")])
-    rpe = build_rpe_matrices(sc)
+    rpe = build_topology(sc)
     assert abs(rpe.m_l[0, 1] - 0.25) < 1e-12
     assert abs(rpe.m_r[1, 0] - 0.25) < 1e-12
     # relation only holds one way per matrix
@@ -110,7 +109,7 @@ def test_closeness_clamps_coincident_midpoints():
         [Lane(0, "vehicle", [[0.0, 0.0], [10.0, 0.0]]),
          Lane(1, "vehicle", [[10.0, 0.0], [0.0, 0.0001]])],
         successors=[(0, 1)])
-    rpe = build_rpe_matrices(sc)
+    rpe = build_topology(sc)
     assert abs(rpe.m_s[0, 1] - 1.0 / EPS_DISTANCE) < 1e-3
     assert rpe.m_s[0, 1] <= 10.0
 
@@ -123,7 +122,7 @@ def test_closeness_entries_bounded():
         lanes = [Lane(i, "vehicle", pts[i]) for i in range(4)]
         sc = _scenario(lanes, successors=[(0, 1), (2, 3)],
                        left=[(1, 2, "solid")], right=[(2, 1, "solid")])
-        rpe = build_rpe_matrices(sc)
+        rpe = build_topology(sc)
         for m in (rpe.m_p, rpe.m_s, rpe.m_l, rpe.m_r):
             assert (np.diag(m) == 0.0).all()
             nz = m[m != 0.0]
