@@ -70,7 +70,6 @@ from .synth import (
 )
 from .topology import (
     TopologyMatrices,
-    build_connection_type_tensor,
     build_spd_matrix,
     build_topology,
     distance_to_bias,
@@ -85,7 +84,6 @@ from .training import (
     goal_loss,
     regression_loss,
     scenario_loss,
-    select_best_mode,
     train,
 )
 

@@ -1,7 +1,11 @@
 """Reverse-mode automatic differentiation over dense float64 numpy arrays.
 
-The tape is implicit: every tensor produced by an operation keeps references
-to its parents and a closure routing the output gradient back to them.
+The tape is implicit: every tensor produced by an operation keeps one edge
+per operand that needs a gradient, that operand and a vector-Jacobian
+product (vjp) mapping the output's gradient to the operand's. Constant
+operands get no edge. `backpropagate` alone stores and sums what the vjps
+return. It adds out of place, so `.grad` arrays may share memory with each
+other and are never written once stored: treat them as read-only.
 Inside `no_grad()` nothing is recorded, so inference builds no tape.
 Everything runs in float64 so analytic gradients can be compared against
 central finite differences at tight tolerances.
@@ -55,7 +59,14 @@ class NondeterministicFunctionError(RuntimeError):
 
 
 class Tensor:
-    """Dense n-d float64 array with optional gradient tracking."""
+    """Dense n-d float64 array with optional gradient tracking.
+
+    A taped op output holds its differentiable operands in `_parents` and,
+    in `_backward`, one vjp per parent in the same order; a constant has
+    `_parents == ()` and `_backward is None`. After `backpropagate`, `grad`
+    holds the summed gradient. It may be a view of, or the same array as,
+    another tensor's gradient, so read it and never write it in place.
+    """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
@@ -100,22 +111,19 @@ def no_grad():
         _recording = previous
 
 
-def _result(data, parents, backward) -> Tensor:
-    # Constant subgraphs are pruned: no parents recorded, no backward closure.
+def _result(data, *edges) -> Tensor:
+    """The op's output tensor, taped with the edges to operands that need a gradient.
+
+    Each edge is an (operand, vjp) pair; the vjp maps the output's gradient to
+    that operand's gradient. Edges to constants are dropped here, so their
+    vjps never run, and inside no_grad() nothing is recorded at all.
+    """
     if _recording:
-        for p in parents:
-            if p.requires_grad:
-                return Tensor(data, requires_grad=True, _parents=tuple(parents),
-                              _backward=backward)
+        kept = [e for e in edges if e[0].requires_grad]
+        if kept:
+            parents, vjps = zip(*kept)
+            return Tensor(data, requires_grad=True, _parents=parents, _backward=vjps)
     return Tensor(data)
-
-
-def _accum(t: Tensor, g: np.ndarray) -> None:
-    if not t.requires_grad:
-        return
-    if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -131,6 +139,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # primitives
+#
+# A vjp returns a new array or a view of the output gradient and never
+# writes either, because backpropagate stores what it returns as is.
 
 
 def matmul(a, b, transpose_b: bool = False) -> Tensor:
@@ -151,14 +162,13 @@ def matmul(a, b, transpose_b: bool = False) -> Tensor:
     except ValueError:
         raise ShapeError(f"matmul: incompatible shapes {ad.shape} x {bd.shape}") from None
 
-    def backward(g):
-        if a.requires_grad:
-            _accum(a, _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape))
-        if b.requires_grad:
-            gb = (np.swapaxes(g, -1, -2) @ ad) if transpose_b else (np.swapaxes(ad, -1, -2) @ g)
-            _accum(b, _unbroadcast(gb, b.data.shape))
+    def vjp_b(g):
+        gb = (np.swapaxes(g, -1, -2) @ ad) if transpose_b else (np.swapaxes(ad, -1, -2) @ g)
+        return _unbroadcast(gb, b.data.shape)
 
-    return _result(out, (a, b), backward)
+    return _result(out,
+                   (a, lambda g: _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape)),
+                   (b, vjp_b))
 
 
 def reshape(a, shape) -> Tensor:
@@ -167,11 +177,7 @@ def reshape(a, shape) -> Tensor:
     if int(np.prod(shape)) != a.data.size:
         raise ShapeError(f"reshape: cannot view {a.data.shape} as {shape}")
     original = a.data.shape
-
-    def backward(g):
-        _accum(a, g.reshape(original))
-
-    return _result(a.data.reshape(shape), (a,), backward)
+    return _result(a.data.reshape(shape), (a, lambda g: g.reshape(original)))
 
 
 def split_heads(a, heads: int) -> Tensor:
@@ -181,11 +187,7 @@ def split_heads(a, heads: int) -> Tensor:
     if a.data.ndim < 2 or shape[-1] % heads:
         raise ShapeError(f"split_heads: cannot split {shape} into {heads} heads")
     out = np.swapaxes(a.data.reshape(shape[:-1] + (heads, shape[-1] // heads)), -3, -2)
-
-    def backward(g):
-        _accum(a, np.swapaxes(g, -3, -2).reshape(shape))
-
-    return _result(out, (a,), backward)
+    return _result(out, (a, lambda g: np.swapaxes(g, -3, -2).reshape(shape)))
 
 
 def merge_heads(a) -> Tensor:
@@ -196,11 +198,7 @@ def merge_heads(a) -> Tensor:
         raise ShapeError(f"merge_heads: expected at least 3-d tensor, got shape {shape}")
     swapped = np.swapaxes(a.data, -3, -2)
     out = swapped.reshape(swapped.shape[:-2] + (shape[-3] * shape[-1],))
-
-    def backward(g):
-        _accum(a, np.swapaxes(g.reshape(swapped.shape), -3, -2))
-
-    return _result(out, (a,), backward)
+    return _result(out, (a, lambda g: np.swapaxes(g.reshape(swapped.shape), -3, -2)))
 
 
 def gather_rows(a, indices) -> Tensor:
@@ -212,65 +210,44 @@ def gather_rows(a, indices) -> Tensor:
     if a.data.shape[0] == 0 or (idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0])):
         raise ShapeError(f"gather_rows: index out of range for {a.data.shape[0]} rows")
 
-    def backward(g):
+    def vjp(g):
         buf = np.zeros_like(a.data)
         np.add.at(buf, idx, g)
-        _accum(a, buf)
+        return buf
 
-    return _result(a.data[idx], (a,), backward)
+    return _result(a.data[idx], (a, vjp))
 
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data + b.data
-
-    def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
-
-    return _result(out, (a, b), backward)
+    return _result(a.data + b.data,
+                   (a, lambda g: _unbroadcast(g, a.data.shape)),
+                   (b, lambda g: _unbroadcast(g, b.data.shape)))
 
 
 def subtract(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data - b.data
-
-    def backward(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, -_unbroadcast(g, b.data.shape))
-
-    return _result(out, (a, b), backward)
+    return _result(a.data - b.data,
+                   (a, lambda g: _unbroadcast(g, a.data.shape)),
+                   (b, lambda g: -_unbroadcast(g, b.data.shape)))
 
 
 def multiply(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    out = a.data * b.data
-
-    def backward(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
-
-    return _result(out, (a, b), backward)
+    return _result(a.data * b.data,
+                   (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
+                   (b, lambda g: _unbroadcast(g * a.data, b.data.shape)))
 
 
 def scale(a, c: float) -> Tensor:
     a = as_tensor(a)
     c = float(c)
-
-    def backward(g):
-        _accum(a, g * c)
-
-    return _result(a.data * c, (a,), backward)
+    return _result(a.data * c, (a, lambda g: g * c))
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    out = np.maximum(a.data, 0.0)
-
-    def backward(g):
-        _accum(a, g * (a.data > 0.0))
-
-    return _result(out, (a,), backward)
+    return _result(np.maximum(a.data, 0.0), (a, lambda g: g * (a.data > 0.0)))
 
 
 def row_softmax(a, mask=None) -> Tensor:
@@ -302,12 +279,12 @@ def row_softmax(a, mask=None) -> Tensor:
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
 
-    def backward(g):
+    def vjp(g):
         gp = g * p
         gp -= p * gp.sum(axis=-1, keepdims=True)
-        _accum(a, gp)
+        return gp
 
-    return _result(p, (a,), backward)
+    return _result(p, (a, vjp))
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -325,16 +302,17 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     xhat = xc * inv
     out = xhat * gvec + bvec
 
-    def backward(g):
+    def vjp_x(g):
         gh = g * gvec
         # d xhat / d x folded into one expression (standard layer-norm backward)
-        gx = inv * (gh - gh.mean(axis=-1, keepdims=True)
-                    - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
-        _accum(x, gx)
-        _accum(gain, (g * xhat).reshape(-1, d).sum(axis=0).reshape(gain.data.shape))
-        _accum(bias, g.reshape(-1, d).sum(axis=0).reshape(bias.data.shape))
+        return inv * (gh - gh.mean(axis=-1, keepdims=True)
+                      - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
 
-    return _result(out, (x, gain, bias), backward)
+    return _result(
+        out,
+        (x, vjp_x),
+        (gain, lambda g: (g * xhat).reshape(-1, d).sum(axis=0).reshape(gain.data.shape)),
+        (bias, lambda g: g.reshape(-1, d).sum(axis=0).reshape(bias.data.shape)))
 
 
 def smooth_l1(a, delta: float = 1.0) -> Tensor:
@@ -345,23 +323,18 @@ def smooth_l1(a, delta: float = 1.0) -> Tensor:
         raise ValueError(f"smooth_l1: delta must be positive, got {delta}")
     absx = np.abs(a.data)
     out = np.where(absx <= delta, 0.5 * a.data * a.data, delta * (absx - 0.5 * delta))
-
-    def backward(g):
-        _accum(a, g * np.clip(a.data, -delta, delta))
-
-    return _result(out, (a,), backward)
+    return _result(out, (a, lambda g: g * np.clip(a.data, -delta, delta)))
 
 
 def reduce_sum(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
-    out = a.data.sum(axis=axis, keepdims=keepdims)
 
-    def backward(g):
+    def vjp(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        _accum(a, np.broadcast_to(g, a.data.shape).copy())
+        return np.broadcast_to(g, a.data.shape)
 
-    return _result(out, (a,), backward)
+    return _result(a.data.sum(axis=axis, keepdims=keepdims), (a, vjp))
 
 
 # ---------------------------------------------------------------------------
@@ -381,13 +354,18 @@ def _topological_order(root: Tensor) -> list:
         visited.add(id(node))
         stack.append((node, True))
         for p in node._parents:
-            if p.requires_grad and id(p) not in visited:
+            if id(p) not in visited:
                 stack.append((p, False))
     return order
 
 
 def backpropagate(loss: Tensor) -> None:
-    """Accumulate d loss / d t into t.grad for every tensor reachable from loss."""
+    """Accumulate d loss / d t into t.grad for every tensor reachable from loss.
+
+    A tensor's first gradient is stored as its vjp returned it, and later
+    ones are added out of place, so no stored array is ever written: one
+    array may serve as the gradient of several tensors.
+    """
     if not _recording:
         raise RuntimeError("backpropagate: called inside no_grad(), where no tape is "
                            "recorded; run the forward pass and backpropagate outside it")
@@ -398,8 +376,11 @@ def backpropagate(loss: Tensor) -> None:
     order = _topological_order(loss)
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
-        if node._backward is not None:
-            node._backward(node.grad)
+        if node._backward is None:
+            continue
+        for parent, vjp in zip(node._parents, node._backward):
+            g = vjp(node.grad)
+            parent.grad = g if parent.grad is None else parent.grad + g
 
 
 # ---------------------------------------------------------------------------

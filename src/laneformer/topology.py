@@ -26,7 +26,6 @@ __all__ = [
     "TopologyMatrices",
     "build_spd_matrix",
     "distance_to_bias",
-    "build_connection_type_tensor",
     "build_topology",
 ]
 
@@ -115,17 +114,13 @@ def distance_to_bias(hops: np.ndarray) -> np.ndarray:
     return np.where(hops >= 1, 1.0 / np.maximum(hops, 1), 0.0)
 
 
-def build_connection_type_tensor(sc: Scenario, categories=BOUNDARY_TYPES) -> np.ndarray:
+def _connection_types(sc: Scenario, categories, index: dict) -> np.ndarray:
     """(N_l, N_l, C) one-hot boundary markings for laterally connected pairs.
 
     Rows for pairs with no lateral connection (diagonal included) are
     all-zero, so unconnected pairs contribute nothing regardless of the
     category weights.
     """
-    return _connection_types(sc, categories, lane_index_map(sc))
-
-
-def _connection_types(sc: Scenario, categories, index: dict) -> np.ndarray:
     n, c = len(sc.lanes), len(categories)
     slot = {name: k for k, name in enumerate(categories)}
     m_c = np.zeros((n, n, c))

@@ -41,7 +41,6 @@ from .model import ModelOutput, ModelParams, Sample, model_forward
 __all__ = [
     "LossConfig",
     "LossBreakdown",
-    "select_best_mode",
     "classification_loss",
     "regression_loss",
     "goal_loss",
@@ -84,14 +83,6 @@ class LossBreakdown:
                 "cls": self.cls.item(), "goal": self.goal.item()}
 
 
-def select_best_mode(trajectories: np.ndarray, gt: np.ndarray) -> int:
-    """Index of the mode whose endpoint is closest to the ground-truth endpoint.
-
-    The same rule as minFDE's, so the loss trains the mode the metrics score.
-    """
-    return min_fde(trajectories, gt)[1]
-
-
 def classification_loss(confidences: Tensor, best_modes, epsilon: float) -> Tensor:
     """Hinge margin over non-best modes, averaged over N * (K - 1) terms."""
     n, k = confidences.shape
@@ -132,7 +123,8 @@ def scenario_loss(output: ModelOutput, sample: Sample,
     gt = np.stack([sample.ground_truth[i] for i in output.target_ids])
     paths = output.paths
     n_t, k, t_f, _ = paths.shape
-    best = [select_best_mode(modes, g) for modes, g in zip(paths.data, gt)]
+    # minFDE's own rule, so the loss trains the mode the metrics score
+    best = [min_fde(modes, g)[1] for modes, g in zip(paths.data, gt)]
     chosen = gather_rows(reshape(paths, (n_t * k, t_f, 2)), np.arange(n_t) * k + best)
     errors = subtract(chosen, Tensor(gt))
     reg = regression_loss(errors, cfg.huber_delta)

@@ -123,9 +123,9 @@ def test_captured_softmax_rows_sum_to_one():
     rng = np.random.default_rng(9)
     w = init_attention_weights(rng, 8, 2)
     x = Tensor(rng.normal(size=(6, 8)))
-    sc = _row_scene()
+    # the micro lane graph: every relation and both reachability matrices are non-zero
     bw = init_bias_weights(2, 4)
-    biases = compose_bias_matrices(bw, build_topology(sc))
+    biases = compose_bias_matrices(bw, build_topology(micro_scenario()))
     y = Tensor(rng.normal(size=(3, 8)))
     with capture_softmax() as trace:
         attention(x, x, x, w, 2)
@@ -282,10 +282,9 @@ def _per_head_reference(q, k, v, w, n_heads, mask=None, biases=None):
 
 
 def test_fused_heads_match_per_head_reference():
-    sc = _row_scene()
-    topo = build_topology(sc)
     # three lanes with a successor chain and a lateral pair: every relation and
-    # both reachability matrices are non-zero, so D_outer keeps some of each row
+    # both reachability matrices are non-zero, so B, D_inter and D_outer all
+    # reshape the logits, and D_outer keeps some of each row
     chain = build_topology(micro_scenario())
     for seed in range(10):
         rng = np.random.default_rng(seed)
@@ -305,13 +304,12 @@ def test_fused_heads_match_per_head_reference():
         bw = init_bias_weights(heads, 4)
         for group in (bw.wp, bw.wl, bw.wpre_inter, bw.wsuc_outer):
             group.data = rng.normal(size=group.data.shape)
-        biases = compose_bias_matrices(bw, topo)
+        biases = compose_bias_matrices(bw, chain)
         got = attention(Tensor(x), Tensor(x), Tensor(x), w, heads, biases=biases).data
         assert np.abs(got - _per_head_reference(x, x, x, w, heads, biases=biases)).max() < 1e-12
 
         # key mask and bias set together, as a padded batch of lane graphs needs
         mask = nearest_neighbor_mask(pos_x, pos_x, 2)
-        biases = compose_bias_matrices(bw, chain)
         got = attention(Tensor(x), Tensor(x), Tensor(x), w, heads, mask=mask, biases=biases).data
         expected = _per_head_reference(x, x, x, w, heads, mask=mask, biases=biases)
         assert np.abs(got - expected).max() < 1e-12

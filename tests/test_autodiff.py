@@ -239,50 +239,92 @@ def _weighted_sum_check(fn, arrays):
     return grad_check(f, [Tensor(a.copy()) for a in arrays], h=1e-6, tol=1e-6)
 
 
+def _batched_op_specs(seed):
+    """The ops the fused attention core uses, on 3-d and 4-d inputs, with
+    broadcast operands and broadcast masks: (name, op, input arrays)."""
+    rng = np.random.default_rng(seed)
+    a234 = rng.normal(size=(2, 3, 4))
+    rng.normal(size=(2, 3, 4))   # unused draw: keeps the inputs drawn after it fixed
+    a2234 = rng.normal(size=(2, 2, 3, 4))
+    mask34 = rng.random((3, 4)) < 0.6
+    mask34[:, 1] = True
+    mask2134 = rng.random((2, 1, 3, 4)) < 0.6
+    mask2134[..., 2] = True
+    return [
+        ("matmul_3d_2d", lambda a, b: matmul(a, b), [a234, rng.normal(size=(4, 5))]),
+        ("matmul_3d_3d", lambda a, b: matmul(a, b), [a234, rng.normal(size=(2, 4, 5))]),
+        ("matmul_2d_3d", lambda a, b: matmul(a, b),
+         [rng.normal(size=(3, 4)), rng.normal(size=(2, 4, 5))]),
+        ("matmul_4d_bcast", lambda a, b: matmul(a, b),
+         [a2234, rng.normal(size=(2, 1, 4, 3))]),
+        ("matmul_t_3d_2d", lambda a, b: matmul(a, b, transpose_b=True),
+         [a234, rng.normal(size=(5, 4))]),
+        ("matmul_t_4d", lambda a, b: matmul(a, b, transpose_b=True),
+         [a2234, rng.normal(size=(2, 2, 5, 4))]),
+        ("matmul_t_4d_bcast", lambda a, b: matmul(a, b, transpose_b=True),
+         [a2234, rng.normal(size=(2, 1, 5, 4))]),
+        ("split_heads_3d", lambda a: split_heads(a, 2), [a234]),
+        ("split_heads_4d", lambda a: split_heads(a, 4), [a2234]),
+        ("merge_heads_4d", lambda a: merge_heads(a), [a2234]),
+        ("softmax_3d", lambda a: row_softmax(a), [a234]),
+        ("softmax_3d_mask_bcast", lambda a: row_softmax(a, mask=mask34), [a234]),
+        ("softmax_4d_mask_bcast", lambda a: row_softmax(a, mask=mask2134), [a2234]),
+        ("layer_norm_3d", lambda x, g, b: layer_norm(x, g, b),
+         [a234, rng.normal(size=4), rng.normal(size=4)]),
+        ("layer_norm_4d", lambda x, g, b: layer_norm(x, g, b),
+         [a2234, rng.normal(size=(1, 4)), rng.normal(size=(1, 4))]),
+        ("subtract_3d_bcast", lambda a, b: subtract(a, b), [a234, rng.normal(size=(1, 4))]),
+        ("subtract_bcast_3d", lambda a, b: subtract(a, b), [rng.normal(size=(3, 1)), a234]),
+        ("add_4d_bcast", lambda a, b: add(a, b), [a2234, rng.normal(size=(2, 1, 4))]),
+        ("multiply_4d_bcast", lambda a, b: multiply(a, b),
+         [a2234, rng.normal(size=(2, 1, 3, 4))]),
+    ]
+
+
+def _central_differences(f, t, step):
+    flat = t.data.reshape(-1)
+    diffs = np.empty(flat.size)
+    for i in range(flat.size):
+        orig = flat[i]
+        flat[i] = orig + step
+        fp = f().item()
+        flat[i] = orig - step
+        fm = f().item()
+        flat[i] = orig
+        diffs[i] = (fp - fm) / (2.0 * step)
+    return diffs.reshape(t.data.shape)
+
+
+def _richardson_errors(fn, arrays, h=1e-3, floor=1e-3):
+    """grad_check's per-input max relative error for a weighted sum of fn's
+    output, against Richardson-extrapolated central differences.
+
+    (4 D(h/2) - D(h)) / 3 cancels the h^2 term of the central difference D,
+    so its truncation error is O(h^4) even at a step whose roundoff,
+    about 1e-16 |f| / h, stays far below the tolerance.
+    """
+    inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+
+    def f():
+        out = fn(*inputs)
+        w = np.random.default_rng(1234).normal(size=out.data.shape)
+        return reduce_sum(multiply(out, Tensor(w)))
+
+    backpropagate(f())
+    errors = []
+    with no_grad():
+        for t in inputs:
+            num = (4.0 * _central_differences(f, t, h / 2) - _central_differences(f, t, h)) / 3.0
+            rel = np.abs(t.grad - num) / (np.maximum(np.abs(t.grad), np.abs(num)) + floor)
+            errors.append(float(rel.max()))
+    return errors
+
+
 def test_batched_op_gradients_match_finite_differences():
-    # the ops the fused attention core uses, on 3-d and 4-d inputs,
-    # with broadcast operands and broadcast masks
     for seed in range(10):
-        rng = np.random.default_rng(seed)
-        a234 = rng.normal(size=(2, 3, 4))
-        rng.normal(size=(2, 3, 4))   # unused draw: keeps the inputs drawn after it fixed
-        a2234 = rng.normal(size=(2, 2, 3, 4))
-        mask34 = rng.random((3, 4)) < 0.6
-        mask34[:, 1] = True
-        mask2134 = rng.random((2, 1, 3, 4)) < 0.6
-        mask2134[..., 2] = True
-        specs = [
-            ("matmul_3d_2d", lambda a, b: matmul(a, b), [a234, rng.normal(size=(4, 5))]),
-            ("matmul_3d_3d", lambda a, b: matmul(a, b), [a234, rng.normal(size=(2, 4, 5))]),
-            ("matmul_2d_3d", lambda a, b: matmul(a, b),
-             [rng.normal(size=(3, 4)), rng.normal(size=(2, 4, 5))]),
-            ("matmul_4d_bcast", lambda a, b: matmul(a, b),
-             [a2234, rng.normal(size=(2, 1, 4, 3))]),
-            ("matmul_t_3d_2d", lambda a, b: matmul(a, b, transpose_b=True),
-             [a234, rng.normal(size=(5, 4))]),
-            ("matmul_t_4d", lambda a, b: matmul(a, b, transpose_b=True),
-             [a2234, rng.normal(size=(2, 2, 5, 4))]),
-            ("matmul_t_4d_bcast", lambda a, b: matmul(a, b, transpose_b=True),
-             [a2234, rng.normal(size=(2, 1, 5, 4))]),
-            ("split_heads_3d", lambda a: split_heads(a, 2), [a234]),
-            ("split_heads_4d", lambda a: split_heads(a, 4), [a2234]),
-            ("merge_heads_4d", lambda a: merge_heads(a), [a2234]),
-            ("softmax_3d", lambda a: row_softmax(a), [a234]),
-            ("softmax_3d_mask_bcast", lambda a: row_softmax(a, mask=mask34), [a234]),
-            ("softmax_4d_mask_bcast", lambda a: row_softmax(a, mask=mask2134), [a2234]),
-            ("layer_norm_3d", lambda x, g, b: layer_norm(x, g, b),
-             [a234, rng.normal(size=4), rng.normal(size=4)]),
-            ("layer_norm_4d", lambda x, g, b: layer_norm(x, g, b),
-             [a2234, rng.normal(size=(1, 4)), rng.normal(size=(1, 4))]),
-            ("subtract_3d_bcast", lambda a, b: subtract(a, b), [a234, rng.normal(size=(1, 4))]),
-            ("subtract_bcast_3d", lambda a, b: subtract(a, b), [rng.normal(size=(3, 1)), a234]),
-            ("add_4d_bcast", lambda a, b: add(a, b), [a2234, rng.normal(size=(2, 1, 4))]),
-            ("multiply_4d_bcast", lambda a, b: multiply(a, b),
-             [a2234, rng.normal(size=(2, 1, 3, 4))]),
-        ]
-        for name, fn, arrays in specs:
-            report = _weighted_sum_check(fn, arrays)
-            assert report.passed, f"seed {seed}: {name} max rel error {report.max_error:.2e}"
+        for name, fn, arrays in _batched_op_specs(seed):
+            worst = max(_richardson_errors(fn, arrays))
+            assert worst <= 1e-6, f"seed {seed}: {name} max rel error {worst:.2e}"
 
 
 def test_batched_matmul_matches_per_item_products():
@@ -406,25 +448,31 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# no_grad
+# the tape's edges and no_grad
 
-def _op_calls(x, y, w, g):
-    """One call of every differentiable op on grad-requiring inputs."""
+def _op_inputs():
+    rng = np.random.default_rng(0)
+    return [Tensor(rng.normal(size=shape), requires_grad=True)
+            for shape in ((3, 4), (3, 4), (4, 2), 4, 4)]
+
+
+def _op_calls(x, y, w, g, b):
+    """One call of every differentiable op: name -> (op, arguments)."""
     return {
-        "matmul": lambda: matmul(x, w),
-        "reshape": lambda: reshape(x, (4, 3)),
-        "split_heads": lambda: split_heads(x, 2),
-        "merge_heads": lambda: merge_heads(reshape(x, (1, 3, 4))),
-        "gather_rows": lambda: gather_rows(x, [2, 0]),
-        "add": lambda: add(x, y),
-        "subtract": lambda: subtract(x, y),
-        "multiply": lambda: multiply(x, y),
-        "scale": lambda: scale(x, 2.0),
-        "relu": lambda: relu(x),
-        "row_softmax": lambda: row_softmax(x),
-        "layer_norm": lambda: layer_norm(x, g, g),
-        "smooth_l1": lambda: smooth_l1(x),
-        "reduce_sum": lambda: reduce_sum(x),
+        "matmul": (matmul, (x, w)),
+        "reshape": (reshape, (x, (4, 3))),
+        "split_heads": (split_heads, (x, 2)),
+        "merge_heads": (merge_heads, (reshape(x, (1, 3, 4)),)),
+        "gather_rows": (gather_rows, (x, [2, 0])),
+        "add": (add, (x, y)),
+        "subtract": (subtract, (x, y)),
+        "multiply": (multiply, (x, y)),
+        "scale": (scale, (x, 2.0)),
+        "relu": (relu, (x,)),
+        "row_softmax": (row_softmax, (x,)),
+        "layer_norm": (layer_norm, (x, g, b)),
+        "smooth_l1": (smooth_l1, (x,)),
+        "reduce_sum": (reduce_sum, (x,)),
     }
 
 
@@ -435,21 +483,70 @@ _NOT_OPS = {"Tensor", "ParameterRegistry", "ShapeError", "NondeterministicFuncti
 
 
 def test_no_grad_ops_record_no_tape():
-    rng = np.random.default_rng(0)
-    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    y = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
-    w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
-    g = Tensor(rng.normal(size=4), requires_grad=True)
-    ops = _op_calls(x, y, w, g)
+    ops = _op_calls(*_op_inputs())
     assert set(ops) == set(autodiff.__all__) - _NOT_OPS
-    for name, call in ops.items():
-        taped = call()
+    for name, (op, args) in ops.items():
+        taped = op(*args)
         assert taped._parents and taped._backward is not None, name
         with no_grad():
-            out = call()
+            out = op(*args)
         assert out._parents == () and out._backward is None, name
         assert not out.requires_grad, name
         assert np.array_equal(out.data, taped.data), name
+
+
+def _taped_grads(op, args):
+    """op(*args) and the gradient of a fixed weighted sum of it per tensor argument."""
+    for a in args:
+        if isinstance(a, Tensor):
+            a.grad = None
+    out = op(*args)
+    if out.requires_grad:
+        w = np.random.default_rng(1234).normal(size=out.shape)
+        backpropagate(reduce_sum(multiply(out, Tensor(w))))
+    return out, [a.grad if isinstance(a, Tensor) else None for a in args]
+
+
+def test_ops_tape_one_vjp_per_differentiable_operand():
+    # with any one operand constant, the output's parents are the other
+    # differentiable operands, each with its own vjp, and each gets the
+    # gradient it gets when every operand is differentiable
+    ops = _op_calls(*_op_inputs())
+    assert set(ops) == set(autodiff.__all__) - _NOT_OPS
+    for name, (op, args) in ops.items():
+        _, reference = _taped_grads(op, args)
+        for i, a in enumerate(args):
+            if not isinstance(a, Tensor):
+                continue
+            call = args[:i] + (Tensor(a.data),) + args[i + 1:]
+            out, grads = _taped_grads(op, call)
+            differentiable = tuple(t for t in call if isinstance(t, Tensor) and t.requires_grad)
+            assert out._parents == differentiable, (name, i)
+            if differentiable:
+                assert len(out._backward) == len(out._parents), (name, i)
+            else:
+                assert out._backward is None and not out.requires_grad, (name, i)
+            assert grads[i] is None, (name, i)
+            for j, t in enumerate(call):
+                if t in differentiable:
+                    assert np.array_equal(grads[j], reference[j]), (name, i, j)
+
+
+def test_shared_gradient_array_stays_exact():
+    # add hands one gradient array to both operands; a second gradient for
+    # `a` on another path must leave the one `b` holds as it was, whichever
+    # of the two reaches `a` first
+    rng = np.random.default_rng(2)
+    w_sum, w_a = rng.normal(size=(2, 3)), rng.normal(size=(2, 3))
+    for sum_first in (True, False):
+        a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        b = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+        through_sum = multiply(add(a, b), Tensor(w_sum))
+        through_a = multiply(a, Tensor(w_a))
+        parts = (through_sum, through_a) if sum_first else (through_a, through_sum)
+        backpropagate(reduce_sum(add(*parts)))
+        assert np.array_equal(b.grad, w_sum), sum_first
+        assert np.array_equal(a.grad, w_sum + w_a), sum_first
 
 
 def test_no_grad_nests_and_restores_after_exception():
@@ -513,8 +610,8 @@ def _taped_grad_check_errors(f, inputs, h, tol, floor=1e-3):
 
 
 def test_grad_check_matches_taped_reference_loop(monkeypatch):
-    # the two finite-difference tests above, replayed with every grad_check
-    # call compared against the taped loop on the same draws
+    # the primitive finite-difference test and grad_check on the batched op
+    # draws, with every grad_check call compared against the taped loop
     audited = [0]
 
     def compared(f, inputs, h=1e-6, tol=1e-6):
@@ -536,7 +633,9 @@ def test_grad_check_matches_taped_reference_loop(monkeypatch):
 
     monkeypatch.setattr(sys.modules[__name__], "grad_check", compared)
     test_primitive_gradients_match_finite_differences()
-    test_batched_op_gradients_match_finite_differences()
+    for seed in range(10):
+        for _, fn, arrays in _batched_op_specs(seed):
+            _weighted_sum_check(fn, arrays)
     assert audited[0] == 100 * 17 + 10 * 19
 
 

@@ -6,7 +6,6 @@ import pytest
 from laneformer.scenario import AgentHistory, Lane, LaneConnectivity, Scenario
 from laneformer.topology import (
     EPS_DISTANCE,
-    build_connection_type_tensor,
     build_spd_matrix,
     build_topology,
     distance_to_bias,
@@ -136,7 +135,7 @@ def test_connection_tensor_one_hot_only_at_lateral_pairs():
          Lane(2, "vehicle", [[10.0, 0.0], [20.0, 0.0]])],
         successors=[(0, 2)],
         left=[(0, 1, "double_solid")], right=[(1, 0, "double_solid")])
-    m_c = build_connection_type_tensor(sc)
+    m_c = build_topology(sc).m_c
     assert m_c.shape == (3, 3, 4)
     assert m_c[0, 1].tolist() == [0.0, 0.0, 1.0, 0.0]
     assert m_c[1, 0].tolist() == [0.0, 0.0, 1.0, 0.0]
@@ -150,7 +149,7 @@ def test_connection_tensor_rejects_unknown_marking():
          Lane(1, "vehicle", [[0.0, 3.5], [10.0, 3.5]])],
         left=[(0, 1, "chevron")], right=[(1, 0, "chevron")])
     with pytest.raises(ValueError, match="unknown connection type 'chevron'"):
-        build_connection_type_tensor(sc)
+        build_topology(sc)
 
 
 def test_build_topology_handles_noncontiguous_lane_ids():

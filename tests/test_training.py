@@ -12,6 +12,7 @@ from laneformer.autodiff import (
     multiply,
     reduce_sum,
 )
+from laneformer.metrics import min_fde
 from laneformer.model import ModelConfig, ModelOutput, init_model, model_forward, prepare_sample
 from laneformer.training import (
     AdamOptimizer,
@@ -27,7 +28,6 @@ from laneformer.training import (
     run_manifest,
     save_curves,
     scenario_loss,
-    select_best_mode,
     train,
     train_epoch,
 )
@@ -36,17 +36,18 @@ from test_model import _cfg, _scene
 
 
 def test_select_best_mode_endpoint_and_ties():
+    # scenario_loss trains the mode minFDE scores: min_fde's index
     gt = np.zeros((3, 2))
     modes = np.zeros((3, 3, 2))
     modes[0, -1] = (2.0, 0.0)
     modes[1, -1] = (1.0, 0.0)
     modes[2, -1] = (3.0, 0.0)
-    assert select_best_mode(modes, gt) == 1
+    assert min_fde(modes, gt)[1] == 1
     modes[2, -1] = (1.0, 0.0)     # tie with mode 1: lower index wins
-    assert select_best_mode(modes, gt) == 1
+    assert min_fde(modes, gt)[1] == 1
     modes[0, -1] = (0.0, 1.0)
     modes[1, -1] = (1.0, 0.0)     # tie with mode 0 at distance 1
-    assert select_best_mode(modes, gt) == 0
+    assert min_fde(modes, gt)[1] == 0
 
 
 def test_classification_hinge_oracle():
