@@ -10,6 +10,12 @@ coefficient group is one learnable tensor with a leading head axis: a
 scalar per head, or a length-C vector per head for the boundary-marking
 gate. The two-layer perceptron here serves both the transformer block's
 feed-forward and the model's embedding and aggregation layers.
+
+Attention, the perceptron and each composed bias matrix are fused ops: one
+tape node per call, whose forward is plain numpy and whose backward is
+written by hand. That backward computes every operand's gradient at once,
+and `autodiff._joint` serves it as one vjp per operand, memoized on the
+incoming gradient.
 """
 
 from __future__ import annotations
@@ -20,17 +26,15 @@ from dataclasses import dataclass
 import numpy as np
 
 from .autodiff import (
+    ShapeError,
     Tensor,
+    _joint,
+    _result,
+    _softmax,
+    _softmax_vjp,
+    _unbroadcast,
     add,
     layer_norm,
-    matmul,
-    merge_heads,
-    multiply,
-    relu,
-    reshape,
-    row_softmax,
-    scale,
-    split_heads,
     uniform_init,
 )
 from .topology import TopologyMatrices
@@ -182,18 +186,45 @@ def compose_bias_matrices(bw: BiasWeights, topo: TopologyMatrices,
     n = topo.n_lanes
     c = len(topo.categories)
     if use_relations:
-        gate = reshape(matmul(topo.m_c.reshape(n * n, c), bw.wc), (heads, n, n))
-        lateral = multiply(gate, add(multiply(bw.wl, topo.m_l), multiply(bw.wr, topo.m_r)))
-        b = add(add(multiply(bw.wp, topo.m_p), multiply(bw.ws, topo.m_s)), lateral)
+        b = _structure_bias(bw, topo, heads, n, c)
     else:
         b = Tensor(np.ones((heads, n, n)))
     if use_reachability:
-        m_pre, m_suc = topo.m_pre_spd, topo.m_suc_spd
-        d_inter = add(multiply(bw.wpre_inter, m_pre), multiply(bw.wsuc_inter, m_suc))
-        d_outer = add(multiply(bw.wpre_outer, m_pre), multiply(bw.wsuc_outer, m_suc))
+        d_inter = _reachability_bias(bw.wpre_inter, bw.wsuc_inter, topo)
+        d_outer = _reachability_bias(bw.wpre_outer, bw.wsuc_outer, topo)
     else:
         d_inter, d_outer = Tensor(np.zeros((heads, n, n))), Tensor(np.ones((heads, n, n)))
     return BiasSet(b=b, d_inter=d_inter, d_outer=d_outer)
+
+
+def _structure_bias(bw: BiasWeights, topo: TopologyMatrices, heads: int, n: int,
+                    c: int) -> Tensor:
+    """B = w_p M_p + w_s M_s + gate * (w_l M_l + w_r M_r) as one tape node,
+    where gate = M_c w_c weighs each lane pair by its boundary category."""
+    m_c = topo.m_c.reshape(n * n, c)
+    wp, ws, wl, wr, wc = (t.data for t in (bw.wp, bw.ws, bw.wl, bw.wr, bw.wc))
+    gate = (m_c @ wc).reshape((heads, n, n))
+    sides = wl * topo.m_l + wr * topo.m_r
+
+    def backward(g):
+        g_sides = _unbroadcast(g * gate, sides.shape)
+        g_gate = _unbroadcast(g * sides, gate.shape).reshape((heads, n * n, 1))
+        return (_unbroadcast(g * topo.m_p, wp.shape),
+                _unbroadcast(g * topo.m_s, ws.shape),
+                _unbroadcast(g_sides * topo.m_l, wl.shape),
+                _unbroadcast(g_sides * topo.m_r, wr.shape),
+                _unbroadcast(np.swapaxes(m_c, -1, -2) @ g_gate, wc.shape))
+
+    return _result(wp * topo.m_p + ws * topo.m_s + gate * sides,
+                   *_joint(backward, bw.wp, bw.ws, bw.wl, bw.wr, bw.wc))
+
+
+def _reachability_bias(w_pre: Tensor, w_suc: Tensor, topo: TopologyMatrices) -> Tensor:
+    """w_pre M_pre_spd + w_suc M_suc_spd as one tape node."""
+    m_pre, m_suc = topo.m_pre_spd, topo.m_suc_spd
+    return _result(w_pre.data * m_pre + w_suc.data * m_suc,
+                   (w_pre, lambda g: _unbroadcast(g * m_pre, w_pre.shape)),
+                   (w_suc, lambda g: _unbroadcast(g * m_suc, w_suc.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -216,9 +247,9 @@ def capture_softmax():
         _SOFTMAX_TRACE = prev
 
 
-def _record_softmax(p: Tensor) -> None:
+def _record_softmax(p: np.ndarray) -> None:
     if _SOFTMAX_TRACE is not None:
-        _SOFTMAX_TRACE.extend(m.copy() for m in p.data.reshape((-1,) + p.data.shape[-2:]))
+        _SOFTMAX_TRACE.extend(m.copy() for m in p.reshape((-1,) + p.shape[-2:]))
 
 
 # ---------------------------------------------------------------------------
@@ -231,20 +262,70 @@ def attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights, heads: int,
     Per head: softmax(QK^T / sqrt(d_k) * B + D_inter) * D_outer, applied to
     V, where the bias set supplies B, D_inter and D_outer; without one the
     logits pass unchanged. d_k is the projected width over the head count.
+    One tape node, with edges to q, k, v, the four projections and the bias
+    matrices; its backward computes them all once per incoming gradient.
     """
     if biases is not None and biases.b.shape[0] != heads:
         raise ValueError(f"bias set has {biases.b.shape[0]} heads, attention {heads}")
-    qh = split_heads(matmul(q, w.wq), heads)
-    kh = split_heads(matmul(k, w.wk), heads)
-    vh = split_heads(matmul(v, w.wv), heads)
-    logits = scale(matmul(qh, kh, transpose_b=True), 1.0 / np.sqrt(qh.shape[-1]))
+    if w.wq.shape[-1] % heads:
+        raise ShapeError(f"attention: cannot split {w.wq.shape[-1]} columns into {heads} heads")
+    operands = (q, k, v, w.wq, w.wk, w.wv, w.wo)
     if biases is not None:
-        logits = add(multiply(logits, biases.b), biases.d_inter)
-    p = row_softmax(logits, mask=None if mask is None else np.asarray(mask)[..., None, :, :])
+        operands += (biases.b, biases.d_inter, biases.d_outer)
+    need = [t.requires_grad for t in operands]
+    x_q, x_k, x_v, wq, wk, wv, wo = (t.data for t in operands[:7])
+
+    def split(x):   # (..., N, H d_k) -> (..., H, N, d_k): head h owns column block h
+        return np.swapaxes(x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads)), -3, -2)
+
+    qh, kh, vh = split(x_q @ wq), split(x_k @ wk), split(x_v @ wv)
+    c = float(1.0 / np.sqrt(qh.shape[-1]))
+    scaled = (qh @ np.swapaxes(kh, -1, -2)) * c
+    logits = scaled
+    if biases is not None:
+        b, d_inter, d_outer = (t.data for t in operands[7:])
+        logits = scaled * b + d_inter
+    scaled_shape, logits_shape = scaled.shape, logits.shape
+    if biases is None or not need[7]:
+        scaled = None   # only B's gradient reads the unbiased logits
+    p = _softmax(logits, mask=None if mask is None else np.asarray(mask)[..., None, :, :])
+    logits = None   # no vjp reads it: free it before the next buffers are made
     _record_softmax(p)
-    if biases is not None:
-        p = multiply(p, biases.d_outer)
-    return matmul(merge_heads(matmul(p, vh)), w.wo)
+    weights = p if biases is None else p * d_outer
+    per_head = np.swapaxes(weights @ vh, -3, -2)
+    per_head_shape = per_head.shape
+    merged = per_head.reshape(per_head_shape[:-2] + (-1,))
+    per_head = None   # likewise; `merged` is its copy
+
+    def projected(g_h, x, w_in, i):
+        """Gradients of input i and of its projection, from its heads' gradient."""
+        g_proj = np.swapaxes(g_h, -3, -2).reshape(g_h.shape[:-3] + (g_h.shape[-2], -1))
+        return (_unbroadcast(g_proj @ np.swapaxes(w_in, -1, -2), x.shape) if need[i] else None,
+                _unbroadcast(np.swapaxes(x, -1, -2) @ g_proj, w_in.shape) if need[i + 3] else None)
+
+    def backward(g):
+        g_wo = _unbroadcast(np.swapaxes(merged, -1, -2) @ g, wo.shape) if need[6] else None
+        g_merged = _unbroadcast(g @ np.swapaxes(wo, -1, -2), merged.shape)
+        g_heads = np.swapaxes(g_merged.reshape(per_head_shape), -3, -2)
+        g_weights = _unbroadcast(g_heads @ np.swapaxes(vh, -1, -2), weights.shape)
+        g_vh = _unbroadcast(np.swapaxes(weights, -1, -2) @ g_heads, vh.shape)
+        if biases is None:
+            g_scaled, biased = _softmax_vjp(p, g_weights), ()
+        else:
+            g_logits = _softmax_vjp(p, _unbroadcast(g_weights * d_outer, p.shape))
+            g_product = _unbroadcast(g_logits, logits_shape)
+            g_scaled = _unbroadcast(g_product * b, scaled_shape)
+            biased = (_unbroadcast(g_product * scaled, b.shape) if need[7] else None,
+                      _unbroadcast(g_logits, d_inter.shape) if need[8] else None,
+                      _unbroadcast(g_weights * p, d_outer.shape) if need[9] else None)
+        g_scaled = g_scaled * c
+        (g_q, g_wq), (g_k, g_wk), (g_v, g_wv) = (
+            projected(_unbroadcast(g_scaled @ kh, qh.shape), x_q, wq, 0),
+            projected(_unbroadcast(np.swapaxes(g_scaled, -1, -2) @ qh, kh.shape), x_k, wk, 1),
+            projected(g_vh, x_v, wv, 2))
+        return (g_q, g_k, g_v, g_wq, g_wk, g_wv, g_wo) + biased
+
+    return _result(merged @ wo, *_joint(backward, *operands))
 
 
 def nearest_neighbor_mask(q_pos: np.ndarray, k_pos: np.ndarray, e: int) -> np.ndarray:
@@ -268,7 +349,28 @@ def nearest_neighbor_mask(q_pos: np.ndarray, k_pos: np.ndarray, e: int) -> np.nd
 
 
 def mlp(x: Tensor, w: MLPWeights) -> Tensor:
-    return add(matmul(relu(add(matmul(x, w.w1), w.b1)), w.w2), w.b2)
+    """relu(x w1 + b1) w2 + b2 as one tape node, with edges to x and the four weights."""
+    operands = (x, w.w1, w.b1, w.w2, w.b2)
+    need = [t.requires_grad for t in operands]
+    x_in, w1, b1, w2, b2 = (t.data for t in operands)
+    pre = x_in @ w1
+    hidden = np.maximum(pre + b1, 0.0)
+    out = hidden @ w2
+    pre_shape, out_shape = pre.shape, out.shape
+
+    def backward(g):
+        g_out = _unbroadcast(g, out_shape)
+        g_hidden = _unbroadcast(g_out @ np.swapaxes(w2, -1, -2), hidden.shape)
+        g_biased = g_hidden * (hidden > 0.0)   # hidden > 0 exactly where pre + b1 > 0
+        g_pre = _unbroadcast(g_biased, pre_shape)
+        return (
+            _unbroadcast(g_pre @ np.swapaxes(w1, -1, -2), x_in.shape) if need[0] else None,
+            _unbroadcast(np.swapaxes(x_in, -1, -2) @ g_pre, w1.shape) if need[1] else None,
+            _unbroadcast(g_biased, b1.shape) if need[2] else None,
+            _unbroadcast(np.swapaxes(hidden, -1, -2) @ g_out, w2.shape) if need[3] else None,
+            _unbroadcast(g, b2.shape) if need[4] else None)
+
+    return _result(out + b2, *_joint(backward, *operands))
 
 
 def transformer_layer(x_q: Tensor, x_kv: Tensor, w: LayerWeights, heads: int,

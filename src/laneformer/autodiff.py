@@ -6,6 +6,11 @@ product (vjp) mapping the output's gradient to the operand's. Constant
 operands get no edge. `backpropagate` alone stores and sums what the vjps
 return. It adds out of place, so `.grad` arrays may share memory with each
 other and are never written once stored: treat them as read-only.
+A fused op (attention, the MLP and the bias composition in `attention`)
+is one tape node for a whole expression. Its hand-written backward
+computes every operand's gradient at once, and `_joint` turns it into one
+vjp per operand that memoizes that result on the identity of the incoming
+gradient, so the engine keeps a single per-operand path.
 Inside `no_grad()` nothing is recorded, so inference builds no tape.
 Everything runs in float64 so analytic gradients can be compared against
 central finite differences at tight tolerances.
@@ -29,8 +34,6 @@ __all__ = [
     "no_grad",
     "matmul",
     "reshape",
-    "split_heads",
-    "merge_heads",
     "gather_rows",
     "add",
     "subtract",
@@ -126,6 +129,34 @@ def _result(data, *edges) -> Tensor:
     return Tensor(data)
 
 
+def _joint(backward, *operands) -> list:
+    """Edges for a fused op: one vjp per operand, all served by one joint backward.
+
+    backward(g) returns one gradient per operand, in operand order, and may
+    return None for an operand that needs none. backpropagate calls a node's
+    vjps one after another with the same gradient array, so they memoize
+    backward's result on the identity of g: it runs once per incoming
+    gradient, and a new one (a second backpropagate) runs it again. Gradient
+    arrays are never written in place, so one identity means one value. The
+    memo is dropped once every operand that needs a gradient has had it.
+    """
+    taped = sum(t.requires_grad for t in operands)
+    memo = [None, None, 0]   # incoming gradient, backward's result, vjps yet to call
+
+    def vjp(i):
+        def get(g):
+            if memo[0] is not g:
+                memo[:] = g, backward(g), taped
+            grads = memo[1]
+            memo[2] -= 1
+            if not memo[2]:
+                memo[:] = None, None, 0
+            return grads[i]
+        return get
+
+    return [(t, vjp(i)) for i, t in enumerate(operands)]
+
+
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
     """Sum a broadcast gradient back down to `shape`."""
     extra = g.ndim - len(shape)
@@ -180,27 +211,6 @@ def reshape(a, shape) -> Tensor:
     return _result(a.data.reshape(shape), (a, lambda g: g.reshape(original)))
 
 
-def split_heads(a, heads: int) -> Tensor:
-    """(..., N, H * d) -> (..., H, N, d): head h is the h-th block of d columns."""
-    a = as_tensor(a)
-    shape = a.data.shape
-    if a.data.ndim < 2 or shape[-1] % heads:
-        raise ShapeError(f"split_heads: cannot split {shape} into {heads} heads")
-    out = np.swapaxes(a.data.reshape(shape[:-1] + (heads, shape[-1] // heads)), -3, -2)
-    return _result(out, (a, lambda g: np.swapaxes(g, -3, -2).reshape(shape)))
-
-
-def merge_heads(a) -> Tensor:
-    """(..., H, N, d) -> (..., N, H * d), the inverse of split_heads."""
-    a = as_tensor(a)
-    shape = a.data.shape
-    if a.data.ndim < 3:
-        raise ShapeError(f"merge_heads: expected at least 3-d tensor, got shape {shape}")
-    swapped = np.swapaxes(a.data, -3, -2)
-    out = swapped.reshape(swapped.shape[:-2] + (shape[-3] * shape[-1],))
-    return _result(out, (a, lambda g: np.swapaxes(g.reshape(swapped.shape), -3, -2)))
-
-
 def gather_rows(a, indices) -> Tensor:
     """Select rows (axis 0) by index; duplicate indices accumulate gradient."""
     a = as_tensor(a)
@@ -250,14 +260,8 @@ def relu(a) -> Tensor:
     return _result(np.maximum(a.data, 0.0), (a, lambda g: g * (a.data > 0.0)))
 
 
-def row_softmax(a, mask=None) -> Tensor:
-    """Numerically stable softmax over the last axis; masked entries are exactly 0.
-
-    `mask` is a boolean array broadcastable to the input, True = entry
-    participates. A row with no unmasked entry is an error.
-    """
-    a = as_tensor(a)
-    x = a.data
+def _softmax(x: np.ndarray, mask=None) -> np.ndarray:
+    """row_softmax's forward on an array."""
     if x.ndim < 2:
         raise ShapeError(f"row_softmax: expected at least 2-d tensor, got shape {x.shape}")
     if mask is None:
@@ -278,13 +282,25 @@ def row_softmax(a, mask=None) -> Tensor:
         p -= p.max(axis=-1, keepdims=True)   # masked -> exp(-inf) = 0
     np.exp(p, out=p)
     p /= p.sum(axis=-1, keepdims=True)
+    return p
 
-    def vjp(g):
-        gp = g * p
-        gp -= p * gp.sum(axis=-1, keepdims=True)
-        return gp
 
-    return _result(p, (a, vjp))
+def _softmax_vjp(p: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """The input's gradient for softmax output p and output gradient g."""
+    gp = g * p
+    gp -= p * gp.sum(axis=-1, keepdims=True)
+    return gp
+
+
+def row_softmax(a, mask=None) -> Tensor:
+    """Numerically stable softmax over the last axis; masked entries are exactly 0.
+
+    `mask` is a boolean array broadcastable to the input, True = entry
+    participates. A row with no unmasked entry is an error.
+    """
+    a = as_tensor(a)
+    p = _softmax(a.data, mask)
+    return _result(p, (a, lambda g: _softmax_vjp(p, g)))
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -364,7 +380,10 @@ def backpropagate(loss: Tensor) -> None:
 
     A tensor's first gradient is stored as its vjp returned it, and later
     ones are added out of place, so no stored array is ever written: one
-    array may serve as the gradient of several tensors.
+    array may serve as the gradient of several tensors. Leaves keep
+    accumulating across calls; every op output on the graph starts from
+    no gradient, so a second call on one graph adds the same leaf
+    gradients again.
     """
     if not _recording:
         raise RuntimeError("backpropagate: called inside no_grad(), where no tape is "
@@ -374,6 +393,9 @@ def backpropagate(loss: Tensor) -> None:
     if not loss.requires_grad:
         return
     order = _topological_order(loss)
+    for node in order:
+        if node._backward is not None:
+            node.grad = None
     loss.grad = np.ones_like(loss.data)
     for node in reversed(order):
         if node._backward is None:

@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from laneformer.attention import (
+    AttentionWeights,
     BiasSet,
+    BiasWeights,
+    MLPWeights,
     attention,
     capture_softmax,
     compose_bias_matrices,
@@ -16,12 +19,21 @@ from laneformer.attention import (
     nearest_neighbor_mask,
     transformer_layer,
 )
-from laneformer.autodiff import Tensor, uniform_init
+from laneformer.autodiff import (
+    ShapeError,
+    Tensor,
+    backpropagate,
+    multiply,
+    reduce_sum,
+    row_softmax,
+    uniform_init,
+)
 from laneformer.cli import micro_scenario
 from laneformer.model import ModelConfig
 from laneformer.scenario import AgentHistory, Lane, LaneConnectivity, Scenario
 from laneformer.synth import GeneratorConfig, generate_scenario
 from laneformer.topology import build_topology
+from test_autodiff import _richardson_errors, _taped_grads
 
 
 def _row_scene():
@@ -364,3 +376,219 @@ def test_fused_composition_matches_per_head_reference():
             assert np.abs(biases.b.data[h] - b).max() < 1e-12
             assert np.abs(biases.d_inter.data[h] - d_inter).max() < 1e-12
             assert np.abs(biases.d_outer.data[h] - d_outer).max() < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the fused ops: head layout, finite differences, tape contract, memoized backward
+
+def test_attention_heads_are_column_blocks():
+    # head h reads column block h of wq, wk and wv and writes column block h
+    # ahead of the output projection: with wo = I, changing head 1's wq block
+    # changes head 1's probabilities and output columns and nothing else
+    rng = np.random.default_rng(17)
+    w = init_attention_weights(rng, 6, 3)
+    w.wo.data = np.eye(6)
+    x = Tensor(rng.normal(size=(2, 4, 6)))
+    with capture_softmax() as before:
+        out = attention(x, x, x, w, 3).data
+    for h in range(3):
+        cols = slice(2 * h, 2 * h + 2)
+        qh, kh = x.data @ w.wq.data[:, cols], x.data @ w.wk.data[:, cols]
+        p = row_softmax(Tensor(qh @ np.swapaxes(kh, -1, -2) / np.sqrt(2.0))).data
+        assert all(np.abs(before[3 * i + h] - p[i]).max() < 1e-12 for i in range(2))
+        assert np.abs(out[..., cols] - p @ (x.data @ w.wv.data[:, cols])).max() < 1e-12
+    w.wq.data[:, 2:4] += 1.0
+    with capture_softmax() as after:
+        moved = attention(x, x, x, w, 3).data
+    changed = [not np.array_equal(a, b) for a, b in zip(before, after)]
+    assert changed == [False, True, False] * 2
+    assert np.array_equal(moved[..., [0, 1, 4, 5]], out[..., [0, 1, 4, 5]])
+    assert not np.array_equal(moved[..., 2:4], out[..., 2:4])
+    with pytest.raises(ShapeError, match="cannot split 6 columns into 4 heads"):
+        attention(x, x, x, w, 4)
+
+
+def _micro_bias_arrays(rng, heads):
+    """b, d_inter and d_outer on the micro lane graph, from random coefficients:
+    every one of the nine matrices the coefficients weigh is non-zero."""
+    bw = init_bias_weights(heads, 4)
+    for group in vars(bw).values():
+        group.data = rng.normal(size=group.data.shape)
+    biases = compose_bias_matrices(bw, build_topology(micro_scenario()))
+    return [biases.b.data, biases.d_inter.data, biases.d_outer.data]
+
+
+def _keep_mask(rng, shape):
+    keep = rng.random(shape) < 0.6
+    keep[..., 0] = True   # no empty rows
+    return keep
+
+
+def _attention_cases(seed):
+    """(name, op over arrays, input arrays) covering the fused attention op."""
+    rng = np.random.default_rng(seed)
+    heads, d = 2, 4
+    weights = [rng.normal(size=(d, d)) for _ in range(4)]
+    bias = _micro_bias_arrays(rng, heads)
+    n = bias[0].shape[-1]
+    cross = [rng.normal(size=(3, d)), rng.normal(size=(5, d)), rng.normal(size=(5, d))]
+    lanes = [rng.normal(size=(n, d)) for _ in range(3)]
+    batch = [rng.normal(size=(2, n, d)) for _ in range(3)]
+    cross_mask, lane_mask, batch_mask = (
+        _keep_mask(rng, (3, 5)), _keep_mask(rng, (n, n)), _keep_mask(rng, (2, n, n)))
+
+    def op(mask=None, biased=False, shared=False):
+        def run(*ts):
+            if shared:
+                ts = ts[:1] * 3 + ts[1:]
+            w = AttentionWeights(*ts[3:7])
+            biases = BiasSet(*ts[7:]) if biased else None
+            return attention(*ts[:3], w, heads, mask=mask, biases=biases)
+        return run
+
+    return [
+        ("k != q", op(), cross + weights),
+        ("k != q, masked", op(cross_mask), cross + weights),
+        ("biased", op(biased=True), lanes + weights + bias),
+        ("biased, masked", op(lane_mask, biased=True), lanes + weights + bias),
+        ("q = k = v, biased, masked", op(lane_mask, biased=True, shared=True),
+         lanes[:1] + weights + bias),
+        ("batched, biased, masked", op(batch_mask, biased=True), batch + weights + bias),
+    ]
+
+
+def test_attention_gradients_match_finite_differences():
+    for seed in range(3):
+        for name, fn, arrays in _attention_cases(seed):
+            worst = max(_richardson_errors(fn, arrays))
+            assert worst <= 1e-6, f"seed {seed}: {name} max rel error {worst:.2e}"
+
+
+def test_mlp_gradients_match_finite_differences():
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=(2, 4, 5))
+        w1, w2 = rng.normal(size=(5, 6)), rng.normal(size=(6, 3))
+        b1, b2 = rng.normal(size=(1, 6)), rng.normal(size=(1, 3))
+        pre = x @ w1 + b1
+        # kink inputs moved away from 0, so no difference steps across one
+        b1 = b1 + 0.2 * (np.abs(pre) < 0.1).any(axis=(0, 1))
+        assert np.abs(x @ w1 + b1).min() > 0.01, seed
+        run = lambda x, *ws: mlp(x, MLPWeights(*ws))
+        taped = _richardson_errors(run, [x, w1, b1, w2, b2])
+        constant_x = _richardson_errors(lambda *ws: run(Tensor(x), *ws), [w1, b1, w2, b2])
+        assert max(taped + constant_x) <= 1e-6, (seed, taped, constant_x)
+
+
+def _fork_topology():
+    # the fork map has every relation, reachability and two marking categories
+    return build_topology(generate_scenario(GeneratorConfig(seed=1, template="fork"), 0))
+
+
+_STRUCTURE = ("wp", "ws", "wl", "wr", "wc")
+_REACH = {"d_inter": ("wpre_inter", "wsuc_inter"), "d_outer": ("wpre_outer", "wsuc_outer")}
+
+
+def _compose_one(topo, name, groups, bw, **flags):
+    """compose_bias_matrices' `name` output as a function of the tensors `groups`,
+    every other coefficient group held constant at bw's values."""
+    def run(*ts):
+        coef = {g: Tensor(t.data) for g, t in vars(bw).items()}
+        coef.update(zip(groups, ts))
+        return getattr(compose_bias_matrices(BiasWeights(**coef), topo, **flags), name)
+    return run
+
+
+def test_compose_bias_matrices_gradients_match_finite_differences():
+    topo = _fork_topology()
+    rng = np.random.default_rng(5)
+    bw = init_bias_weights(2, len(topo.categories))
+    for group in vars(bw).values():
+        group.data = rng.normal(size=group.data.shape)
+    for relations in (True, False):
+        for reachability in (True, False):
+            flags = dict(use_relations=relations, use_reachability=reachability)
+            outputs = [("b", _STRUCTURE, relations)] + [
+                (name, groups, reachability) for name, groups in _REACH.items()]
+            for name, groups, on in outputs:
+                run = _compose_one(topo, name, groups, bw, **flags)
+                arrays = [getattr(bw, g).data for g in groups]
+                if on:
+                    worst = max(_richardson_errors(run, arrays))
+                    assert worst <= 1e-6, (flags, name, worst)
+                else:
+                    # a disabled group is a constant neutral element
+                    out = run(*[Tensor(a, requires_grad=True) for a in arrays])
+                    assert not out.requires_grad and out._parents == (), (flags, name)
+
+
+def _fused_nodes(rng):
+    """name -> (op over tensors, operand arrays): the tape nodes the fused ops record."""
+    topo = build_topology(micro_scenario())
+    bw = init_bias_weights(2, len(topo.categories))
+    for group in vars(bw).values():
+        group.data = rng.normal(size=group.data.shape)
+    _, fn, arrays = _attention_cases(0)[3]   # biased and masked
+    nodes = {
+        "attention": (fn, arrays),
+        "mlp": (lambda x, *ws: mlp(x, MLPWeights(*ws)),
+                [rng.normal(size=(3, 4)), rng.normal(size=(4, 5)), rng.normal(size=(1, 5)),
+                 rng.normal(size=(5, 2)), rng.normal(size=(1, 2))]),
+        "compose b": (_compose_one(topo, "b", _STRUCTURE, bw),
+                      [getattr(bw, g).data for g in _STRUCTURE]),
+    }
+    for out, groups in _REACH.items():
+        nodes[f"compose {out}"] = (_compose_one(topo, out, groups, bw),
+                                   [getattr(bw, g).data for g in groups])
+    return nodes
+
+
+def test_fused_ops_tape_one_vjp_per_differentiable_operand():
+    # with any one operand constant, the node's parents are the other operands,
+    # each with its own vjp, and each gets the gradient it gets when every
+    # operand is differentiable
+    for name, (op, arrays) in _fused_nodes(np.random.default_rng(3)).items():
+        args = tuple(Tensor(a.copy(), requires_grad=True) for a in arrays)
+        out, reference = _taped_grads(op, args)
+        assert out._parents == args and len(out._backward) == len(args), name
+        for i in range(len(args)):
+            call = args[:i] + (Tensor(args[i].data),) + args[i + 1:]
+            out, grads = _taped_grads(op, call)
+            differentiable = tuple(t for t in call if t.requires_grad)
+            assert out._parents == differentiable, (name, i)
+            assert len(out._backward) == len(out._parents), (name, i)
+            assert grads[i] is None, (name, i)
+            for j, t in enumerate(call):
+                if t.requires_grad:
+                    assert np.array_equal(grads[j], reference[j]), (name, i, j)
+
+
+def test_fused_vjps_memoize_per_incoming_gradient():
+    # the vjps of one node share one backward; alternating two incoming
+    # gradients gives each vjp the result a fresh node gives for that gradient
+    rng = np.random.default_rng(8)
+    for name, (op, arrays) in _fused_nodes(rng).items():
+        make = lambda: op(*[Tensor(a, requires_grad=True) for a in arrays])
+        out = make()
+        g1, g2 = rng.normal(size=out.shape), rng.normal(size=out.shape)
+        fresh = {id(g): [vjp(g) for vjp in make()._backward] for g in (g1, g2)}
+        for i, vjp in enumerate(out._backward):
+            for g in (g1, g2, g1):
+                assert np.array_equal(vjp(g), fresh[id(g)][i]), (name, i)
+
+
+def test_second_backpropagate_through_fused_ops_repeats_the_first():
+    rng = np.random.default_rng(4)
+    lw = init_layer_weights(rng, 8, 2)
+    bw = init_bias_weights(2, 4)
+    x = Tensor(rng.normal(size=(3, 8)), requires_grad=True)
+    leaves = [x, *vars(lw.attn).values(), *vars(lw.ffn).values(), *vars(bw).values()]
+    biases = compose_bias_matrices(bw, build_topology(micro_scenario()))
+    loss = reduce_sum(multiply(transformer_layer(x, x, lw, 2, biases=biases),
+                               Tensor(rng.normal(size=(3, 8)))))
+    backpropagate(loss)
+    first = [t.grad for t in leaves]
+    for t in leaves:
+        t.grad = None
+    backpropagate(loss)
+    assert all(np.array_equal(t.grad, g) for t, g in zip(leaves, first))

@@ -37,6 +37,7 @@ from laneformer.scenario import (
     Scenario,
 )
 from laneformer.synth import TEMPLATES, GeneratorConfig, generate_scenario
+from laneformer.training import batch_loss
 
 T_H, T_F = 6, 5
 
@@ -291,6 +292,30 @@ def test_attention_projections_register_as_one_matrix_each():
             assert params.registry[f"{prefix}.{proj}"].data.shape == (cfg.d_model, cfg.d_model)
     assert not [n for n in names if re.search(r"\.w[qkv]\d+$", n)]   # no per-head copies
     assert "interaction.ffn.w1" in names
+
+
+def _tape_nodes(*roots) -> int:
+    """Tensors holding parents reachable from roots (benchmarks/workloads.py tape_nodes)."""
+    seen, stack, count = set(), list(roots), 0
+    while stack:
+        t = stack.pop()
+        if id(t) in seen:
+            continue
+        seen.add(id(t))
+        if t._parents:
+            count += 1
+            stack.extend(t._parents)
+    return count
+
+
+def test_toy_batch_loss_tape_node_budget():
+    # the benchmark's train_toy batch: attention, every MLP and each composed
+    # bias matrix record one node each, so unfusing one of them fails here
+    cfg = _toy_cfg()
+    params = init_model(cfg, seed=1)
+    gen = GeneratorConfig(seed=1, template="straight", agent_count=3)
+    samples = [prepare_sample(generate_scenario(gen, i), cfg) for i in range(8)]
+    assert _tape_nodes(batch_loss(params, samples).total) == 744
 
 
 def test_bias_groups_and_decoder_register_as_one_tensor_each():
