@@ -213,7 +213,7 @@ def _structure_bias(bw: BiasWeights, topo: TopologyMatrices, heads: int, n: int,
                 _unbroadcast(g * topo.m_s, ws.shape),
                 _unbroadcast(g_sides * topo.m_l, wl.shape),
                 _unbroadcast(g_sides * topo.m_r, wr.shape),
-                _unbroadcast(np.swapaxes(m_c, -1, -2) @ g_gate, wc.shape))
+                _unbroadcast(m_c.swapaxes(-1, -2) @ g_gate, wc.shape))
 
     return _result(wp * topo.m_p + ws * topo.m_s + gate * sides,
                    *_joint(backward, bw.wp, bw.ws, bw.wl, bw.wr, bw.wc))
@@ -276,11 +276,11 @@ def attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights, heads: int,
     x_q, x_k, x_v, wq, wk, wv, wo = (t.data for t in operands[:7])
 
     def split(x):   # (..., N, H d_k) -> (..., H, N, d_k): head h owns column block h
-        return np.swapaxes(x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads)), -3, -2)
+        return x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads)).swapaxes(-3, -2)
 
     qh, kh, vh = split(x_q @ wq), split(x_k @ wk), split(x_v @ wv)
     c = float(1.0 / np.sqrt(qh.shape[-1]))
-    scaled = (qh @ np.swapaxes(kh, -1, -2)) * c
+    scaled = (qh @ kh.swapaxes(-1, -2)) * c
     logits = scaled
     if biases is not None:
         b, d_inter, d_outer = (t.data for t in operands[7:])
@@ -292,23 +292,23 @@ def attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights, heads: int,
     logits = None   # no vjp reads it: free it before the next buffers are made
     _record_softmax(p)
     weights = p if biases is None else p * d_outer
-    per_head = np.swapaxes(weights @ vh, -3, -2)
+    per_head = (weights @ vh).swapaxes(-3, -2)
     per_head_shape = per_head.shape
     merged = per_head.reshape(per_head_shape[:-2] + (-1,))
     per_head = None   # likewise; `merged` is its copy
 
     def projected(g_h, x, w_in, i):
         """Gradients of input i and of its projection, from its heads' gradient."""
-        g_proj = np.swapaxes(g_h, -3, -2).reshape(g_h.shape[:-3] + (g_h.shape[-2], -1))
-        return (_unbroadcast(g_proj @ np.swapaxes(w_in, -1, -2), x.shape) if need[i] else None,
-                _unbroadcast(np.swapaxes(x, -1, -2) @ g_proj, w_in.shape) if need[i + 3] else None)
+        g_proj = g_h.swapaxes(-3, -2).reshape(g_h.shape[:-3] + (g_h.shape[-2], -1))
+        return (_unbroadcast(g_proj @ w_in.swapaxes(-1, -2), x.shape) if need[i] else None,
+                _unbroadcast(x.swapaxes(-1, -2) @ g_proj, w_in.shape) if need[i + 3] else None)
 
     def backward(g):
-        g_wo = _unbroadcast(np.swapaxes(merged, -1, -2) @ g, wo.shape) if need[6] else None
-        g_merged = _unbroadcast(g @ np.swapaxes(wo, -1, -2), merged.shape)
-        g_heads = np.swapaxes(g_merged.reshape(per_head_shape), -3, -2)
-        g_weights = _unbroadcast(g_heads @ np.swapaxes(vh, -1, -2), weights.shape)
-        g_vh = _unbroadcast(np.swapaxes(weights, -1, -2) @ g_heads, vh.shape)
+        g_wo = _unbroadcast(merged.swapaxes(-1, -2) @ g, wo.shape) if need[6] else None
+        g_merged = _unbroadcast(g @ wo.swapaxes(-1, -2), merged.shape)
+        g_heads = g_merged.reshape(per_head_shape).swapaxes(-3, -2)
+        g_weights = _unbroadcast(g_heads @ vh.swapaxes(-1, -2), weights.shape)
+        g_vh = _unbroadcast(weights.swapaxes(-1, -2) @ g_heads, vh.shape)
         if biases is None:
             g_scaled, biased = _softmax_vjp(p, g_weights), ()
         else:
@@ -321,7 +321,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights, heads: int,
         g_scaled = g_scaled * c
         (g_q, g_wq), (g_k, g_wk), (g_v, g_wv) = (
             projected(_unbroadcast(g_scaled @ kh, qh.shape), x_q, wq, 0),
-            projected(_unbroadcast(np.swapaxes(g_scaled, -1, -2) @ qh, kh.shape), x_k, wk, 1),
+            projected(_unbroadcast(g_scaled.swapaxes(-1, -2) @ qh, kh.shape), x_k, wk, 1),
             projected(g_vh, x_v, wv, 2))
         return (g_q, g_k, g_v, g_wq, g_wk, g_wv, g_wo) + biased
 
@@ -360,14 +360,14 @@ def mlp(x: Tensor, w: MLPWeights) -> Tensor:
 
     def backward(g):
         g_out = _unbroadcast(g, out_shape)
-        g_hidden = _unbroadcast(g_out @ np.swapaxes(w2, -1, -2), hidden.shape)
+        g_hidden = _unbroadcast(g_out @ w2.swapaxes(-1, -2), hidden.shape)
         g_biased = g_hidden * (hidden > 0.0)   # hidden > 0 exactly where pre + b1 > 0
         g_pre = _unbroadcast(g_biased, pre_shape)
         return (
-            _unbroadcast(g_pre @ np.swapaxes(w1, -1, -2), x_in.shape) if need[0] else None,
-            _unbroadcast(np.swapaxes(x_in, -1, -2) @ g_pre, w1.shape) if need[1] else None,
+            _unbroadcast(g_pre @ w1.swapaxes(-1, -2), x_in.shape) if need[0] else None,
+            _unbroadcast(x_in.swapaxes(-1, -2) @ g_pre, w1.shape) if need[1] else None,
             _unbroadcast(g_biased, b1.shape) if need[2] else None,
-            _unbroadcast(np.swapaxes(hidden, -1, -2) @ g_out, w2.shape) if need[3] else None,
+            _unbroadcast(hidden.swapaxes(-1, -2) @ g_out, w2.shape) if need[3] else None,
             _unbroadcast(g, b2.shape) if need[4] else None)
 
     return _result(out + b2, *_joint(backward, *operands))

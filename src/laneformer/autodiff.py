@@ -67,8 +67,10 @@ class Tensor:
     A taped op output holds its differentiable operands in `_parents` and,
     in `_backward`, one vjp per parent in the same order; a constant has
     `_parents == ()` and `_backward is None`. After `backpropagate`, `grad`
-    holds the summed gradient. It may be a view of, or the same array as,
-    another tensor's gradient, so read it and never write it in place.
+    holds the summed gradient on leaves and on the loss only: an op output
+    drops its gradient once its vjps have used it. A gradient may be a view
+    of, or the same array as, another tensor's gradient, so read it and
+    never write it in place.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
@@ -158,7 +160,9 @@ def _joint(backward, *operands) -> list:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a broadcast gradient back down to `shape`."""
+    """Sum a broadcast gradient back down to `shape`; g itself when it already fits."""
+    if g.shape == shape:
+        return g
     extra = g.ndim - len(shape)
     if extra > 0:
         g = g.sum(axis=tuple(range(extra)))
@@ -187,25 +191,25 @@ def matmul(a, b, transpose_b: bool = False) -> Tensor:
     if ad.ndim < 2 or bd.ndim < 2:
         raise ShapeError(f"matmul: need at least 2-d operands, got {ad.shape} x {bd.shape}")
     if transpose_b:
-        bd = np.swapaxes(bd, -1, -2)
+        bd = bd.swapaxes(-1, -2)
     try:
         out = ad @ bd
     except ValueError:
         raise ShapeError(f"matmul: incompatible shapes {ad.shape} x {bd.shape}") from None
 
     def vjp_b(g):
-        gb = (np.swapaxes(g, -1, -2) @ ad) if transpose_b else (np.swapaxes(ad, -1, -2) @ g)
+        gb = (g.swapaxes(-1, -2) @ ad) if transpose_b else (ad.swapaxes(-1, -2) @ g)
         return _unbroadcast(gb, b.data.shape)
 
     return _result(out,
-                   (a, lambda g: _unbroadcast(g @ np.swapaxes(bd, -1, -2), ad.shape)),
+                   (a, lambda g: _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape)),
                    (b, vjp_b))
 
 
 def reshape(a, shape) -> Tensor:
     a = as_tensor(a)
     shape = tuple(shape)
-    if int(np.prod(shape)) != a.data.size:
+    if math.prod(shape) != a.data.size:
         raise ShapeError(f"reshape: cannot view {a.data.shape} as {shape}")
     original = a.data.shape
     return _result(a.data.reshape(shape), (a, lambda g: g.reshape(original)))
@@ -312,17 +316,18 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     if gain.data.size != d or bias.data.size != d:
         raise ShapeError(f"layer_norm: gain/bias must have {d} values")
     gvec, bvec = gain.data.reshape(d), bias.data.reshape(d)
-    mu = x.data.mean(axis=-1, keepdims=True)
+    # sum / d is what ndarray.mean computes, without its Python wrapper
+    mu = x.data.sum(axis=-1, keepdims=True) / d
     xc = x.data - mu
-    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + eps)
     xhat = xc * inv
     out = xhat * gvec + bvec
 
     def vjp_x(g):
         gh = g * gvec
         # d xhat / d x folded into one expression (standard layer-norm backward)
-        return inv * (gh - gh.mean(axis=-1, keepdims=True)
-                      - xhat * (gh * xhat).mean(axis=-1, keepdims=True))
+        return inv * (gh - gh.sum(axis=-1, keepdims=True) / d
+                      - xhat * (gh * xhat).sum(axis=-1, keepdims=True) / d)
 
     return _result(
         out,
@@ -365,25 +370,28 @@ def _topological_order(root: Tensor) -> list:
         if expanded:
             order.append(node)
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
+        visited.add(node)
         stack.append((node, True))
         for p in node._parents:
-            if id(p) not in visited:
+            if p not in visited:
                 stack.append((p, False))
     return order
 
 
 def backpropagate(loss: Tensor) -> None:
-    """Accumulate d loss / d t into t.grad for every tensor reachable from loss.
+    """Accumulate d loss / d t into t.grad for every leaf reachable from loss.
 
     A tensor's first gradient is stored as its vjp returned it, and later
     ones are added out of place, so no stored array is ever written: one
-    array may serve as the gradient of several tensors. Leaves keep
-    accumulating across calls; every op output on the graph starts from
-    no gradient, so a second call on one graph adds the same leaf
-    gradients again.
+    array may serve as the gradient of several tensors. An op output's
+    gradient is released once all its vjps have run, so after the pass
+    only the leaves and the loss hold `.grad`; to read the gradient of an
+    intermediate value, make it a leaf. Leaves keep accumulating across
+    calls; every op output on the graph starts from no gradient, also after
+    a pass that raised partway, so a second call on one graph adds the same
+    leaf gradients again.
     """
     if not _recording:
         raise RuntimeError("backpropagate: called inside no_grad(), where no tape is "
@@ -403,6 +411,8 @@ def backpropagate(loss: Tensor) -> None:
         for parent, vjp in zip(node._parents, node._backward):
             g = vjp(node.grad)
             parent.grad = g if parent.grad is None else parent.grad + g
+        if node is not loss:
+            node.grad = None
 
 
 # ---------------------------------------------------------------------------

@@ -203,13 +203,23 @@ def _write_manifest(out_dir, doc: dict) -> None:
 
 
 def _load_scenarios(path) -> list:
+    """A scenario file or a dataset directory; a malformed file is a DataError naming it."""
     if not os.path.exists(path):
         raise DataError(f"no such data path: {path}")
-    if os.path.isdir(path):
-        if not os.path.exists(os.path.join(path, "manifest.json")):
-            raise DataError(f"{path}: no manifest.json; not a dataset directory")
-        return load_dataset(path)
-    return [sc.parse_scenario(path)]
+    if os.path.isdir(path) and not os.path.exists(os.path.join(path, "manifest.json")):
+        raise DataError(f"{path}: no manifest.json; not a dataset directory")
+    try:
+        return load_dataset(path) if os.path.isdir(path) else [sc.parse_scenario(path)]
+    except ValueError as e:
+        raise DataError(str(e)) from e
+
+
+def _load_checkpoint(path, registry) -> int:
+    """load_checkpoint, with a malformed file as a DataError naming it."""
+    try:
+        return load_checkpoint(path, registry)
+    except ValueError as e:
+        raise DataError(str(e)) from e
 
 
 def _restore_model(model_path, values: dict, consumed: set, seed_flag):
@@ -218,8 +228,12 @@ def _restore_model(model_path, values: dict, consumed: set, seed_flag):
     manifest_path = os.path.join(os.path.dirname(model_path) or ".", "manifest.json")
     base = ModelConfig()
     if os.path.exists(manifest_path):
-        with open(manifest_path) as fh:
-            doc = json.load(fh)
+        try:
+            doc = sc.read_json(manifest_path)
+        except ValueError as e:
+            raise DataError(str(e)) from e
+        if not isinstance(doc, dict) or not isinstance(doc.get("ModelConfig", {}), dict):
+            raise DataError(f"{manifest_path}: expected a JSON object with a ModelConfig object")
         if "ModelConfig" in doc:
             raw = dict(doc["ModelConfig"])
             _reject_unknown(raw, {f.name for f in dataclasses.fields(ModelConfig)},
@@ -232,11 +246,7 @@ def _restore_model(model_path, values: dict, consumed: set, seed_flag):
                 raise ConfigError(f"{manifest_path}: {e}") from e
     cfg = _overlay(base, values, consumed)
     params = init_model(cfg, seed=seed_flag or 0)
-    try:
-        stored_seed = load_checkpoint(model_path, params.registry)
-    except ValueError as e:
-        raise DataError(str(e)) from e
-    return params, stored_seed
+    return params, _load_checkpoint(model_path, params.registry)
 
 
 # ---------------------------------------------------------------------------
@@ -314,7 +324,11 @@ def cmd_matrices(args) -> int:
     _reject_unknown(values, consumed, args.config or "<defaults>")
     os.makedirs(args.out, exist_ok=True)
     for scn in scenarios:
-        topo = build_topology(sc.resample_lanes(scn, cfg.n_lane_nodes), cfg.connection_types)
+        try:
+            topo = build_topology(sc.resample_lanes(scn, cfg.n_lane_nodes),
+                                  cfg.connection_types)
+        except ValueError as e:
+            raise DataError(f"{args.data}: scenario {scn.name!r}: {e}") from e
         out = os.path.join(args.out, f"{scn.name}_matrices.npz")
         np.savez(out, lane_ids=np.asarray(topo.lane_ids), m_p=topo.m_p, m_s=topo.m_s,
                  m_l=topo.m_l, m_r=topo.m_r, pre_hops=topo.pre_hops,
@@ -385,16 +399,16 @@ def cmd_train(args) -> int:
     for s in samples:
         if s.ground_truth is None:
             raise DataError(f"scenario {s.scenario.name!r} has no ground truth")
-    if args.resume and not os.path.exists(args.resume):
-        raise DataError(f"no such checkpoint: {args.resume}")
 
-    os.makedirs(args.out, exist_ok=True)
     params = init_model(model_cfg, seed=train_cfg.seed)
     extra = {"command": "train", "scenarios": len(samples)}
     if args.resume:
-        load_checkpoint(args.resume, params.registry)
+        if not os.path.exists(args.resume):
+            raise DataError(f"no such checkpoint: {args.resume}")
+        _load_checkpoint(args.resume, params.registry)
         extra["parent_checkpoint"] = os.path.abspath(args.resume)
         extra["parent_checksum"] = sha256_file(args.resume)
+    os.makedirs(args.out, exist_ok=True)
 
     def progress(report):
         print(f"epoch {report.epoch:3d}  loss {report.mean_loss:.4f}  "
@@ -567,9 +581,6 @@ def main(argv=None) -> int:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA_ERROR
     except FileNotFoundError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA_ERROR
-    except ValueError as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA_ERROR
 

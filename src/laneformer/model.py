@@ -13,6 +13,7 @@ sequences plus a score that becomes the mode confidence. The output is one
 from __future__ import annotations
 
 from dataclasses import dataclass, field, is_dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -427,6 +428,17 @@ def fusion_forward(params: ModelParams, agent_feats: Tensor, lane_feats: Tensor,
                              mask=_local_mask(cfg, a_pos, a_pos, cfg.e_a2a))
 
 
+@lru_cache(maxsize=None)
+def _cumulative_sum_matrix(t_f: int) -> np.ndarray:
+    """Lower-triangular ones: left-multiplying offsets by it gives their running sums.
+
+    One read-only array per horizon, shared by every forward and its tape.
+    """
+    m = np.tril(np.ones((t_f, t_f)))
+    m.flags.writeable = False
+    return m
+
+
 def decode_trajectories(params: ModelParams, target_feats: Tensor,
                         target_ids: list) -> ModelOutput:
     """K offset-sequence heads per target; offsets accumulate from the origin.
@@ -440,7 +452,7 @@ def decode_trajectories(params: ModelParams, target_feats: Tensor,
     n_t = target_feats.shape[0]
     hidden = reshape(relu(add(matmul(target_feats, dec.w1), dec.b1)), (n_t, k, 1, h))
     offsets = reshape(add(matmul(hidden, dec.w_offsets), dec.b_offsets), (n_t, k, t_f, 2))
-    paths = matmul(np.tril(np.ones((t_f, t_f))), offsets)
+    paths = matmul(_cumulative_sum_matrix(t_f), offsets)
     scores = reshape(add(matmul(hidden, dec.w_score), dec.b_score), (n_t, k))
     return ModelOutput(paths=paths, scores=scores, confidences=row_softmax(scores),
                        target_ids=list(target_ids))

@@ -26,6 +26,7 @@ __all__ = [
     "Scenario",
     "validate_scenario",
     "parse_scenario",
+    "read_json",
     "save_scenario",
     "scenario_to_dict",
     "scenario_from_dict",
@@ -281,15 +282,22 @@ def scenario_from_dict(doc: dict, name: str = "") -> Scenario:
     )
 
 
+def read_json(path):
+    """A JSON file's document; text that is not UTF-8 JSON is a ValueError naming the file."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except json.JSONDecodeError as e:
+            raise ValueError(f"{path}:{e.lineno}: parse error: {e.msg}") from None
+        except UnicodeDecodeError as e:
+            raise ValueError(f"{path}: not UTF-8 text ({e.reason})") from None
+
+
 def parse_scenario(path) -> Scenario:
     """Load and fully validate one scenario file."""
     import os
 
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as e:
-            raise ValueError(f"{path}:{e.lineno}: parse error: {e.msg}") from None
+    doc = read_json(path)
     try:
         sc = scenario_from_dict(doc, name=os.path.splitext(os.path.basename(path))[0])
         validate_scenario(sc)

@@ -25,6 +25,7 @@ from .scenario import (
     Scenario,
     finite_difference_velocities,
     parse_scenario,
+    read_json,
     save_scenario,
     validate_scenario,
 )
@@ -430,8 +431,7 @@ def emit_dataset(cfg: GeneratorConfig, n: int, out_dir) -> dict:
 def load_dataset(data_dir) -> list:
     """Read scenarios listed in the manifest, verifying checksums."""
     manifest_path = os.path.join(data_dir, "manifest.json")
-    with open(manifest_path) as fh:
-        manifest = json.load(fh)
+    manifest = read_json(manifest_path)
     files = manifest.get("files") if isinstance(manifest, dict) else None
     if not isinstance(files, list):
         raise ValueError(f"{manifest_path}: 'files' is missing or not a list")
@@ -442,6 +442,6 @@ def load_dataset(data_dir) -> list:
                 raise ValueError(f"{manifest_path}: files[{i}].{key} is missing or not a string")
         path = os.path.join(data_dir, entry["name"])
         if sha256_file(path) != entry["sha256"]:
-            raise ValueError(f"checksum mismatch for {entry['name']}")
+            raise ValueError(f"{manifest_path}: checksum mismatch for {entry['name']}")
         out.append(parse_scenario(path))
     return out

@@ -6,6 +6,8 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laneformer import autodiff
 from laneformer.autodiff import (
@@ -389,6 +391,29 @@ def test_subtract_is_one_tape_node():
     backpropagate(reduce_sum(out))
     assert np.array_equal(a.grad, np.ones((2, 3)))
     assert np.array_equal(b.grad, np.full((1, 3), -2.0))
+
+
+@st.composite
+def _broadcast_pair(draw):
+    """(shape, broadcast shape, leading axes): extra leading axes, size-1 axes widened."""
+    shape = tuple(draw(st.lists(st.integers(1, 3), max_size=4)))
+    lead = tuple(draw(st.lists(st.integers(1, 3), max_size=2)))
+    wide = tuple(draw(st.integers(1, 3)) if s == 1 else s for s in shape)
+    return shape, lead + wide, len(lead)
+
+
+@settings(max_examples=200, deadline=None)
+@given(pair=_broadcast_pair(), seed=st.integers(0, 2**32 - 1))
+def test_unbroadcast_sums_over_broadcast_axes(pair, seed):
+    shape, g_shape, n_lead = pair
+    # integer values make every summation order exact
+    g = np.random.default_rng(seed).integers(-9, 10, size=g_shape).astype(np.float64)
+    axes = tuple(range(n_lead)) + tuple(n_lead + i for i, s in enumerate(shape) if s == 1)
+    got = autodiff._unbroadcast(g, shape)
+    assert got.shape == shape
+    assert np.array_equal(got, np.sum(g, axis=axes, keepdims=True).reshape(shape))
+    if g_shape == shape:
+        assert got is g
 
 
 def _two_record_checkpoint(tmp_path):

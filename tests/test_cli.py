@@ -330,6 +330,57 @@ def test_train_resume_missing_checkpoint_is_data_error_before_any_work(workspace
     assert not out.exists()
 
 
+def test_train_resume_corrupt_checkpoint_is_data_error_before_any_work(workspace, tmp_path,
+                                                                      capsys):
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(b"LFCK\x03\x00" + bytes(5))   # 11 bytes: the header is cut short
+    out = tmp_path / "run1"
+    assert main(["train", "--config", workspace["train_cfg"], "--data", workspace["data"],
+                 "--out", str(out), "--resume", str(bad)]) == EXIT_DATA_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and f"{bad}: truncated checkpoint" in err
+    assert not out.exists()
+
+
+def test_unparsable_manifests_are_data_errors_naming_the_file(workspace, tmp_path, capsys):
+    run = shutil.copytree(workspace["run"], tmp_path / "run")
+    (run / "manifest.json").write_text("{")
+    assert main(["eval", "--data", workspace["data"], "--model", str(run / "model.ckpt"),
+                 "--out", str(tmp_path / "e")]) == EXIT_DATA_ERROR
+    assert str(run / "manifest.json") in capsys.readouterr().err
+    (run / "manifest.json").write_text('{"ModelConfig": "d_model=8"}')
+    assert main(["eval", "--data", workspace["data"], "--model", str(run / "model.ckpt"),
+                 "--out", str(tmp_path / "e")]) == EXIT_DATA_ERROR
+    assert str(run / "manifest.json") in capsys.readouterr().err
+
+    data = shutil.copytree(workspace["data"], tmp_path / "data")
+    (data / "manifest.json").write_text("not json")
+    assert main(["matrices", "--data", str(data), "--out", str(tmp_path / "m")]) == EXIT_DATA_ERROR
+    assert f"{data / 'manifest.json'}:1: parse error" in capsys.readouterr().err
+
+
+def test_matrices_scene_error_is_data_error_naming_the_data(workspace, tmp_path, capsys,
+                                                            monkeypatch):
+    def broken(*_args):
+        raise ValueError("lane 3 has no points")
+    monkeypatch.setattr(cli, "build_topology", broken)
+    assert main(["matrices", "--data", workspace["data"],
+                 "--out", str(tmp_path / "m")]) == EXIT_DATA_ERROR
+    err = capsys.readouterr().err
+    assert f"{workspace['data']}: scenario 'scenario_0000': lane 3 has no points" in err
+
+
+def test_value_error_outside_data_loading_propagates(workspace, tmp_path, monkeypatch):
+    # a programming error is not a data error: no exit 4 hides its traceback
+    def broken(*_args):
+        raise ValueError("bug in the forward")
+    monkeypatch.setattr(cli, "model_forward", broken)
+    with pytest.raises(ValueError, match="bug in the forward"):
+        main(["predict", "--data", os.path.join(workspace["data"], "scenario_0000.json"),
+              "--model", os.path.join(workspace["run"], "model.ckpt"),
+              "--out", str(tmp_path / "pred")])
+
+
 def test_train_with_empty_neighborhood_is_config_error_before_any_work(workspace, tmp_path,
                                                                        capsys):
     cfg = _write(tmp_path / "t.cfg", SMALL_MODEL.replace("e_a2a=2", "e_a2a=0"))

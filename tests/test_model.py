@@ -2,6 +2,7 @@
 
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from laneformer.autodiff import (
 )
 from laneformer.model import (
     ModelConfig,
+    ModelOutput,
     PredictionSet,
     _init_decoder,
     decode_trajectories,
@@ -37,7 +39,7 @@ from laneformer.scenario import (
     Scenario,
 )
 from laneformer.synth import TEMPLATES, GeneratorConfig, generate_scenario
-from laneformer.training import batch_loss
+from laneformer.training import AdamOptimizer, batch_loss
 
 T_H, T_F = 6, 5
 
@@ -308,14 +310,59 @@ def _tape_nodes(*roots) -> int:
     return count
 
 
-def test_toy_batch_loss_tape_node_budget():
-    # the benchmark's train_toy batch: attention, every MLP and each composed
-    # bias matrix record one node each, so unfusing one of them fails here
+def _toy_batch():
+    """The benchmark's train_toy batch: 8 `straight` scenes, 3 agents, seed 1."""
     cfg = _toy_cfg()
     params = init_model(cfg, seed=1)
     gen = GeneratorConfig(seed=1, template="straight", agent_count=3)
-    samples = [prepare_sample(generate_scenario(gen, i), cfg) for i in range(8)]
+    return params, [prepare_sample(generate_scenario(gen, i), cfg) for i in range(8)]
+
+
+def test_toy_batch_loss_tape_node_budget():
+    # attention, every MLP and each composed bias matrix record one node
+    # each, so unfusing one of them fails here
+    params, samples = _toy_batch()
     assert _tape_nodes(batch_loss(params, samples).total) == 744
+
+
+def test_backpropagate_leaves_gradients_on_leaves_and_root_only():
+    params, samples = _toy_batch()
+    loss = batch_loss(params, samples).total
+    backpropagate(loss)
+    seen, stack, ops = set(), [loss], []
+    while stack:
+        t = stack.pop()
+        if t in seen:
+            continue
+        seen.add(t)
+        if t._parents:
+            ops.append(t)
+            stack.extend(t._parents)
+    assert len(ops) == 744 and ops[0] is loss
+    assert loss.grad is not None
+    assert [t for t in ops[1:] if t.grad is not None] == []
+    assert all(t.grad is not None for _, t in params.registry.items())
+
+
+def test_toy_backward_memory_budget():
+    # an op output drops its gradient once its vjps have run; keeping every
+    # intermediate gradient to the end of the pass peaks at about 7.9 MB
+    params, samples = _toy_batch()
+    opt = AdamOptimizer(params.registry, lr=2e-3)
+    for _ in range(5):
+        params.registry.zero_grad()
+        backpropagate(batch_loss(params, samples).total)
+        opt.step()
+    params.registry.zero_grad()
+    tracemalloc.start()
+    try:
+        loss = batch_loss(params, samples).total
+        tracemalloc.reset_peak()
+        backpropagate(loss)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 7.0e6, f"backward peak {peak / 1e6:.2f} MB"
 
 
 def test_bias_groups_and_decoder_register_as_one_tensor_each():
@@ -378,7 +425,11 @@ def test_trajectories_view_reads_paths_and_is_taped():
     params = init_model(cfg, seed=0)
     raw = _scene(n_extra_agents=2)
     raw.target_ids = [0, 2]
-    out = model_forward(params, prepare_sample(raw, cfg))
+    taped = model_forward(params, prepare_sample(raw, cfg))
+    # op outputs drop their gradient after the backward, so read it on a leaf
+    out = ModelOutput(paths=Tensor(taped.paths.data, requires_grad=True),
+                      scores=taped.scores, confidences=taped.confidences,
+                      target_ids=taped.target_ids)
     view = out.trajectories
     assert [len(modes) for modes in view] == [3, 3]
     for i, modes in enumerate(view):

@@ -151,6 +151,10 @@ def test_parse_reports_json_position(tmp_path):
         fh.write('{\n  "lanes": [,]\n}\n')
     with pytest.raises(ValueError, match=r"broken\.json:2: parse error"):
         parse_scenario(path)
+    with open(path, "wb") as fh:
+        fh.write(b'{"lanes": "\xff"}')
+    with pytest.raises(ValueError, match=r"broken\.json: not UTF-8 text \(invalid start byte\)"):
+        parse_scenario(path)
 
 
 def test_parse_rejects_bad_state_rows(tmp_path):
