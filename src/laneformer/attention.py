@@ -12,10 +12,8 @@ gate. The two-layer perceptron here serves both the transformer block's
 feed-forward and the model's embedding and aggregation layers.
 
 Attention, the perceptron and each composed bias matrix are fused ops: one
-tape node per call, whose forward is plain numpy and whose backward is
-written by hand. That backward computes every operand's gradient at once,
-and `autodiff._joint` serves it as one vjp per operand, memoized on the
-incoming gradient.
+tape node per call, with a plain numpy forward and a hand-written backward
+that returns every operand's gradient, as each autodiff primitive's does.
 """
 
 from __future__ import annotations
@@ -28,7 +26,6 @@ import numpy as np
 from .autodiff import (
     ShapeError,
     Tensor,
-    _joint,
     _result,
     _softmax,
     _softmax_vjp,
@@ -182,13 +179,8 @@ def compose_bias_matrices(bw: BiasWeights, topo: TopologyMatrices,
     d_outer, all-zero d_inter), which reduces biased attention to the
     standard form.
     """
-    heads = bw.wp.shape[0]
-    n = topo.n_lanes
-    c = len(topo.categories)
-    if use_relations:
-        b = _structure_bias(bw, topo, heads, n, c)
-    else:
-        b = Tensor(np.ones((heads, n, n)))
+    heads, n = bw.wp.shape[0], topo.n_lanes
+    b = _structure_bias(bw, topo) if use_relations else Tensor(np.ones((heads, n, n)))
     if use_reachability:
         d_inter = _reachability_bias(bw.wpre_inter, bw.wsuc_inter, topo)
         d_outer = _reachability_bias(bw.wpre_outer, bw.wsuc_outer, topo)
@@ -197,12 +189,13 @@ def compose_bias_matrices(bw: BiasWeights, topo: TopologyMatrices,
     return BiasSet(b=b, d_inter=d_inter, d_outer=d_outer)
 
 
-def _structure_bias(bw: BiasWeights, topo: TopologyMatrices, heads: int, n: int,
-                    c: int) -> Tensor:
+def _structure_bias(bw: BiasWeights, topo: TopologyMatrices) -> Tensor:
     """B = w_p M_p + w_s M_s + gate * (w_l M_l + w_r M_r) as one tape node,
     where gate = M_c w_c weighs each lane pair by its boundary category."""
+    operands = (bw.wp, bw.ws, bw.wl, bw.wr, bw.wc)
+    wp, ws, wl, wr, wc = (t.data for t in operands)
+    heads, (n, _, c) = wp.shape[0], topo.m_c.shape
     m_c = topo.m_c.reshape(n * n, c)
-    wp, ws, wl, wr, wc = (t.data for t in (bw.wp, bw.ws, bw.wl, bw.wr, bw.wc))
     gate = (m_c @ wc).reshape((heads, n, n))
     sides = wl * topo.m_l + wr * topo.m_r
 
@@ -215,16 +208,15 @@ def _structure_bias(bw: BiasWeights, topo: TopologyMatrices, heads: int, n: int,
                 _unbroadcast(g_sides * topo.m_r, wr.shape),
                 _unbroadcast(m_c.swapaxes(-1, -2) @ g_gate, wc.shape))
 
-    return _result(wp * topo.m_p + ws * topo.m_s + gate * sides,
-                   *_joint(backward, bw.wp, bw.ws, bw.wl, bw.wr, bw.wc))
+    return _result(wp * topo.m_p + ws * topo.m_s + gate * sides, operands, backward)
 
 
 def _reachability_bias(w_pre: Tensor, w_suc: Tensor, topo: TopologyMatrices) -> Tensor:
     """w_pre M_pre_spd + w_suc M_suc_spd as one tape node."""
     m_pre, m_suc = topo.m_pre_spd, topo.m_suc_spd
-    return _result(w_pre.data * m_pre + w_suc.data * m_suc,
-                   (w_pre, lambda g: _unbroadcast(g * m_pre, w_pre.shape)),
-                   (w_suc, lambda g: _unbroadcast(g * m_suc, w_suc.shape)))
+    return _result(w_pre.data * m_pre + w_suc.data * m_suc, (w_pre, w_suc),
+                   lambda g: (_unbroadcast(g * m_pre, w_pre.shape),
+                              _unbroadcast(g * m_suc, w_suc.shape)))
 
 
 # ---------------------------------------------------------------------------
@@ -262,8 +254,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights, heads: int,
     Per head: softmax(QK^T / sqrt(d_k) * B + D_inter) * D_outer, applied to
     V, where the bias set supplies B, D_inter and D_outer; without one the
     logits pass unchanged. d_k is the projected width over the head count.
-    One tape node, with edges to q, k, v, the four projections and the bias
-    matrices; its backward computes them all once per incoming gradient.
+    One tape node whose parents are q, k, v, the four projections and the
+    bias matrices, those that need a gradient; its backward computes theirs.
     """
     if biases is not None and biases.b.shape[0] != heads:
         raise ValueError(f"bias set has {biases.b.shape[0]} heads, attention {heads}")
@@ -289,7 +281,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights, heads: int,
     if biases is None or not need[7]:
         scaled = None   # only B's gradient reads the unbiased logits
     p = _softmax(logits, mask=None if mask is None else np.asarray(mask)[..., None, :, :])
-    logits = None   # no vjp reads it: free it before the next buffers are made
+    logits = None   # the backward never reads it: free it before the next buffers
     _record_softmax(p)
     weights = p if biases is None else p * d_outer
     per_head = (weights @ vh).swapaxes(-3, -2)
@@ -325,7 +317,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights, heads: int,
             projected(g_vh, x_v, wv, 2))
         return (g_q, g_k, g_v, g_wq, g_wk, g_wv, g_wo) + biased
 
-    return _result(merged @ wo, *_joint(backward, *operands))
+    return _result(merged @ wo, operands, backward)
 
 
 def nearest_neighbor_mask(q_pos: np.ndarray, k_pos: np.ndarray, e: int) -> np.ndarray:
@@ -349,7 +341,7 @@ def nearest_neighbor_mask(q_pos: np.ndarray, k_pos: np.ndarray, e: int) -> np.nd
 
 
 def mlp(x: Tensor, w: MLPWeights) -> Tensor:
-    """relu(x w1 + b1) w2 + b2 as one tape node, with edges to x and the four weights."""
+    """relu(x w1 + b1) w2 + b2 as one tape node over x and the four weights."""
     operands = (x, w.w1, w.b1, w.w2, w.b2)
     need = [t.requires_grad for t in operands]
     x_in, w1, b1, w2, b2 = (t.data for t in operands)
@@ -370,7 +362,7 @@ def mlp(x: Tensor, w: MLPWeights) -> Tensor:
             _unbroadcast(hidden.swapaxes(-1, -2) @ g_out, w2.shape) if need[3] else None,
             _unbroadcast(g, b2.shape) if need[4] else None)
 
-    return _result(out + b2, *_joint(backward, *operands))
+    return _result(out + b2, operands, backward)
 
 
 def transformer_layer(x_q: Tensor, x_kv: Tensor, w: LayerWeights, heads: int,

@@ -1,17 +1,13 @@
 """Reverse-mode automatic differentiation over dense float64 numpy arrays.
 
-The tape is implicit: every tensor produced by an operation keeps one edge
-per operand that needs a gradient, that operand and a vector-Jacobian
-product (vjp) mapping the output's gradient to the operand's. Constant
-operands get no edge. `backpropagate` alone stores and sums what the vjps
-return. It adds out of place, so `.grad` arrays may share memory with each
-other and are never written once stored: treat them as read-only.
-A fused op (attention, the MLP and the bias composition in `attention`)
-is one tape node for a whole expression. Its hand-written backward
-computes every operand's gradient at once, and `_joint` turns it into one
-vjp per operand that memoizes that result on the identity of the incoming
-gradient, so the engine keeps a single per-operand path.
-Inside `no_grad()` nothing is recorded, so inference builds no tape.
+The tape is implicit: every op output keeps as parents the operands that
+need a gradient, decided when the op runs, and one backward mapping its
+gradient to one gradient per parent. Primitives and fused ops (attention,
+the MLP and the bias composition in `attention`) share this contract.
+`backpropagate` calls each backward once and alone stores and sums what
+it returns, out of place, so `.grad` arrays may share memory and are never
+written once stored: treat them as read-only. Inside `no_grad()` nothing
+is recorded, so inference builds no tape.
 Everything runs in float64 so analytic gradients can be compared against
 central finite differences at tight tolerances.
 """
@@ -22,6 +18,7 @@ import contextlib
 import math
 import struct
 from dataclasses import dataclass
+from itertools import compress
 
 import numpy as np
 
@@ -64,13 +61,12 @@ class NondeterministicFunctionError(RuntimeError):
 class Tensor:
     """Dense n-d float64 array with optional gradient tracking.
 
-    A taped op output holds its differentiable operands in `_parents` and,
-    in `_backward`, one vjp per parent in the same order; a constant has
-    `_parents == ()` and `_backward is None`. After `backpropagate`, `grad`
-    holds the summed gradient on leaves and on the loss only: an op output
-    drops its gradient once its vjps have used it. A gradient may be a view
-    of, or the same array as, another tensor's gradient, so read it and
-    never write it in place.
+    A taped op output holds its differentiable operands in `_parents` and a
+    `_backward` mapping its gradient to one gradient per parent, in order;
+    a constant has `_parents == ()` and `_backward is None`. After
+    `backpropagate`, `grad` holds the summed gradient on leaves and on the
+    loss only. A gradient may be a view of, or the same array as, another
+    tensor's gradient, so read it and never write it in place.
     """
 
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
@@ -116,47 +112,21 @@ def no_grad():
         _recording = previous
 
 
-def _result(data, *edges) -> Tensor:
-    """The op's output tensor, taped with the edges to operands that need a gradient.
+def _result(data, operands: tuple, backward) -> Tensor:
+    """The op's output tensor, taped with the operands that need a gradient.
 
-    Each edge is an (operand, vjp) pair; the vjp maps the output's gradient to
-    that operand's gradient. Edges to constants are dropped here, so their
-    vjps never run, and inside no_grad() nothing is recorded at all.
+    backward(g) returns one gradient per operand, None where none is
+    needed; with a constant operand it is narrowed to the parents. Inside
+    no_grad() nothing is recorded at all.
     """
     if _recording:
-        kept = [e for e in edges if e[0].requires_grad]
-        if kept:
-            parents, vjps = zip(*kept)
-            return Tensor(data, requires_grad=True, _parents=parents, _backward=vjps)
+        need = [t.requires_grad for t in operands]
+        if all(need):
+            return Tensor(data, requires_grad=True, _parents=operands, _backward=backward)
+        if any(need):
+            return Tensor(data, requires_grad=True, _parents=tuple(compress(operands, need)),
+                          _backward=lambda g: tuple(compress(backward(g), need)))
     return Tensor(data)
-
-
-def _joint(backward, *operands) -> list:
-    """Edges for a fused op: one vjp per operand, all served by one joint backward.
-
-    backward(g) returns one gradient per operand, in operand order, and may
-    return None for an operand that needs none. backpropagate calls a node's
-    vjps one after another with the same gradient array, so they memoize
-    backward's result on the identity of g: it runs once per incoming
-    gradient, and a new one (a second backpropagate) runs it again. Gradient
-    arrays are never written in place, so one identity means one value. The
-    memo is dropped once every operand that needs a gradient has had it.
-    """
-    taped = sum(t.requires_grad for t in operands)
-    memo = [None, None, 0]   # incoming gradient, backward's result, vjps yet to call
-
-    def vjp(i):
-        def get(g):
-            if memo[0] is not g:
-                memo[:] = g, backward(g), taped
-            grads = memo[1]
-            memo[2] -= 1
-            if not memo[2]:
-                memo[:] = None, None, 0
-            return grads[i]
-        return get
-
-    return [(t, vjp(i)) for i, t in enumerate(operands)]
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
@@ -175,8 +145,9 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # ---------------------------------------------------------------------------
 # primitives
 #
-# A vjp returns a new array or a view of the output gradient and never
-# writes either, because backpropagate stores what it returns as is.
+# A backward returns new arrays or views of the output gradient and never
+# writes them: backpropagate stores what it returns as is. An op whose
+# operand is often a constant computes only the gradients needed at its run.
 
 
 def matmul(a, b, transpose_b: bool = False) -> Tensor:
@@ -188,6 +159,7 @@ def matmul(a, b, transpose_b: bool = False) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     ad = a.data
     bd = b.data
+    need_a, need_b = a.requires_grad, b.requires_grad
     if ad.ndim < 2 or bd.ndim < 2:
         raise ShapeError(f"matmul: need at least 2-d operands, got {ad.shape} x {bd.shape}")
     if transpose_b:
@@ -197,13 +169,14 @@ def matmul(a, b, transpose_b: bool = False) -> Tensor:
     except ValueError:
         raise ShapeError(f"matmul: incompatible shapes {ad.shape} x {bd.shape}") from None
 
-    def vjp_b(g):
+    def backward(g):
+        ga = _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape) if need_a else None
+        if not need_b:
+            return ga, None
         gb = (g.swapaxes(-1, -2) @ ad) if transpose_b else (ad.swapaxes(-1, -2) @ g)
-        return _unbroadcast(gb, b.data.shape)
+        return ga, _unbroadcast(gb, b.data.shape)
 
-    return _result(out,
-                   (a, lambda g: _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape)),
-                   (b, vjp_b))
+    return _result(out, (a, b), backward)
 
 
 def reshape(a, shape) -> Tensor:
@@ -212,7 +185,7 @@ def reshape(a, shape) -> Tensor:
     if math.prod(shape) != a.data.size:
         raise ShapeError(f"reshape: cannot view {a.data.shape} as {shape}")
     original = a.data.shape
-    return _result(a.data.reshape(shape), (a, lambda g: g.reshape(original)))
+    return _result(a.data.reshape(shape), (a,), lambda g: (g.reshape(original),))
 
 
 def gather_rows(a, indices) -> Tensor:
@@ -224,44 +197,47 @@ def gather_rows(a, indices) -> Tensor:
     if a.data.shape[0] == 0 or (idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0])):
         raise ShapeError(f"gather_rows: index out of range for {a.data.shape[0]} rows")
 
-    def vjp(g):
+    def backward(g):
         buf = np.zeros_like(a.data)
         np.add.at(buf, idx, g)
-        return buf
+        return (buf,)
 
-    return _result(a.data[idx], (a, vjp))
+    return _result(a.data[idx], (a,), backward)
 
 
 def add(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _result(a.data + b.data,
-                   (a, lambda g: _unbroadcast(g, a.data.shape)),
-                   (b, lambda g: _unbroadcast(g, b.data.shape)))
+    need_a, need_b = a.requires_grad, b.requires_grad
+    return _result(a.data + b.data, (a, b), lambda g: (
+        _unbroadcast(g, a.data.shape) if need_a else None,
+        _unbroadcast(g, b.data.shape) if need_b else None))
 
 
 def subtract(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _result(a.data - b.data,
-                   (a, lambda g: _unbroadcast(g, a.data.shape)),
-                   (b, lambda g: -_unbroadcast(g, b.data.shape)))
+    need_a, need_b = a.requires_grad, b.requires_grad
+    return _result(a.data - b.data, (a, b), lambda g: (
+        _unbroadcast(g, a.data.shape) if need_a else None,
+        -_unbroadcast(g, b.data.shape) if need_b else None))
 
 
 def multiply(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
-    return _result(a.data * b.data,
-                   (a, lambda g: _unbroadcast(g * b.data, a.data.shape)),
-                   (b, lambda g: _unbroadcast(g * a.data, b.data.shape)))
+    need_a, need_b = a.requires_grad, b.requires_grad
+    return _result(a.data * b.data, (a, b), lambda g: (
+        _unbroadcast(g * b.data, a.data.shape) if need_a else None,
+        _unbroadcast(g * a.data, b.data.shape) if need_b else None))
 
 
 def scale(a, c: float) -> Tensor:
     a = as_tensor(a)
     c = float(c)
-    return _result(a.data * c, (a, lambda g: g * c))
+    return _result(a.data * c, (a,), lambda g: (g * c,))
 
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    return _result(np.maximum(a.data, 0.0), (a, lambda g: g * (a.data > 0.0)))
+    return _result(np.maximum(a.data, 0.0), (a,), lambda g: (g * (a.data > 0.0),))
 
 
 def _softmax(x: np.ndarray, mask=None) -> np.ndarray:
@@ -304,7 +280,7 @@ def row_softmax(a, mask=None) -> Tensor:
     """
     a = as_tensor(a)
     p = _softmax(a.data, mask)
-    return _result(p, (a, lambda g: _softmax_vjp(p, g)))
+    return _result(p, (a,), lambda g: (_softmax_vjp(p, g),))
 
 
 def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
@@ -323,17 +299,15 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     xhat = xc * inv
     out = xhat * gvec + bvec
 
-    def vjp_x(g):
+    def backward(g):
         gh = g * gvec
         # d xhat / d x folded into one expression (standard layer-norm backward)
-        return inv * (gh - gh.sum(axis=-1, keepdims=True) / d
-                      - xhat * (gh * xhat).sum(axis=-1, keepdims=True) / d)
+        return (inv * (gh - gh.sum(axis=-1, keepdims=True) / d
+                       - xhat * (gh * xhat).sum(axis=-1, keepdims=True) / d),
+                (g * xhat).reshape(-1, d).sum(axis=0).reshape(gain.data.shape),
+                g.reshape(-1, d).sum(axis=0).reshape(bias.data.shape))
 
-    return _result(
-        out,
-        (x, vjp_x),
-        (gain, lambda g: (g * xhat).reshape(-1, d).sum(axis=0).reshape(gain.data.shape)),
-        (bias, lambda g: g.reshape(-1, d).sum(axis=0).reshape(bias.data.shape)))
+    return _result(out, (x, gain, bias), backward)
 
 
 def smooth_l1(a, delta: float = 1.0) -> Tensor:
@@ -344,18 +318,18 @@ def smooth_l1(a, delta: float = 1.0) -> Tensor:
         raise ValueError(f"smooth_l1: delta must be positive, got {delta}")
     absx = np.abs(a.data)
     out = np.where(absx <= delta, 0.5 * a.data * a.data, delta * (absx - 0.5 * delta))
-    return _result(out, (a, lambda g: g * np.clip(a.data, -delta, delta)))
+    return _result(out, (a,), lambda g: (g * np.clip(a.data, -delta, delta),))
 
 
 def reduce_sum(a, axis=None, keepdims=False) -> Tensor:
     a = as_tensor(a)
 
-    def vjp(g):
+    def backward(g):
         if axis is not None and not keepdims:
             g = np.expand_dims(g, axis)
-        return np.broadcast_to(g, a.data.shape)
+        return (np.broadcast_to(g, a.data.shape),)
 
-    return _result(a.data.sum(axis=axis, keepdims=keepdims), (a, vjp))
+    return _result(a.data.sum(axis=axis, keepdims=keepdims), (a,), backward)
 
 
 # ---------------------------------------------------------------------------
@@ -383,15 +357,14 @@ def _topological_order(root: Tensor) -> list:
 def backpropagate(loss: Tensor) -> None:
     """Accumulate d loss / d t into t.grad for every leaf reachable from loss.
 
-    A tensor's first gradient is stored as its vjp returned it, and later
-    ones are added out of place, so no stored array is ever written: one
-    array may serve as the gradient of several tensors. An op output's
-    gradient is released once all its vjps have run, so after the pass
-    only the leaves and the loss hold `.grad`; to read the gradient of an
-    intermediate value, make it a leaf. Leaves keep accumulating across
-    calls; every op output on the graph starts from no gradient, also after
-    a pass that raised partway, so a second call on one graph adds the same
-    leaf gradients again.
+    Each node's backward runs once, on the node's summed gradient. A
+    tensor's first gradient is stored as returned and later ones are added
+    out of place, so no stored array is ever written. An op output drops
+    its gradient once its backward has run, so only the leaves and the loss
+    keep `.grad`; to read an intermediate gradient, make that value a leaf.
+    Leaves accumulate across calls; every op output starts from no
+    gradient, also after a pass that raised partway, so a second call on
+    one graph adds the same leaf gradients again.
     """
     if not _recording:
         raise RuntimeError("backpropagate: called inside no_grad(), where no tape is "
@@ -408,8 +381,7 @@ def backpropagate(loss: Tensor) -> None:
     for node in reversed(order):
         if node._backward is None:
             continue
-        for parent, vjp in zip(node._parents, node._backward):
-            g = vjp(node.grad)
+        for parent, g in zip(node._parents, node._backward(node.grad)):
             parent.grad = g if parent.grad is None else parent.grad + g
         if node is not loss:
             node.grad = None
@@ -588,7 +560,10 @@ class _CheckpointReader:
 
 
 def load_checkpoint(path, registry: ParameterRegistry) -> int:
-    """Load values into an already-built registry by name; returns the stored seed."""
+    """Load values into an already-built registry by name; returns the stored seed.
+
+    Nothing is assigned before every record has passed, so a rejected file
+    leaves the registry as it was."""
     rd = _CheckpointReader(path)
     if rd.buf[:4] != _CKPT_MAGIC:
         raise ValueError(f"{path}: not a checkpoint file")
@@ -601,7 +576,7 @@ def load_checkpoint(path, registry: ParameterRegistry) -> int:
             f"version {_CKPT_VERSION}, with one tensor per parameter group")
     if version != _CKPT_VERSION:
         raise ValueError(f"{path}: unsupported checkpoint version {version}")
-    seen = set()
+    loaded = {}
     for index in range(count):
         record = f"record {index}"
         (nlen,) = rd.unpack("<H", f"{record} name length")
@@ -619,12 +594,13 @@ def load_checkpoint(path, registry: ParameterRegistry) -> int:
         if tuple(shape) != target.data.shape:
             raise ValueError(
                 f"{path}: shape mismatch for {name!r}: {tuple(shape)} vs {target.data.shape}")
-        target.data = values.reshape(shape).astype(np.float64)
-        seen.add(name)
+        loaded[name] = values.reshape(shape)
     trailing = len(rd.buf) - rd.pos
     if trailing:
         raise ValueError(f"{path}: {trailing} trailing bytes after the last of {count} records")
-    missing = set(registry.names()) - seen
+    missing = set(registry.names()) - loaded.keys()
     if missing:
         raise ValueError(f"{path}: missing parameters {sorted(missing)}")
+    for name, values in loaded.items():
+        registry[name].data = values.astype(np.float64)
     return seed

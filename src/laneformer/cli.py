@@ -86,6 +86,8 @@ class CheckFailure(RuntimeError):
 def parse_config_file(path) -> dict:
     if not os.path.exists(path):
         raise ConfigError(f"config not found: {path}")
+    if os.path.isdir(path):
+        raise ConfigError(f"config {path} is a directory, not a file")
     values = {}
     with open(path) as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -197,6 +199,14 @@ def _sweep_grid(spec: str, cfg: ModelConfig) -> dict:
 # shared helpers
 
 
+def _make_out_dir(path) -> None:
+    """Create the --out directory; a file in its place is a ConfigError naming it."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except (FileExistsError, NotADirectoryError) as e:
+        raise ConfigError(f"--out {path}: {e.strerror}") from e
+
+
 def _write_manifest(out_dir, doc: dict) -> None:
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(doc, fh, indent=1, sort_keys=True)
@@ -215,10 +225,10 @@ def _load_scenarios(path) -> list:
 
 
 def _load_checkpoint(path, registry) -> int:
-    """load_checkpoint, with a malformed file as a DataError naming it."""
+    """load_checkpoint, with a malformed file or a directory as a DataError naming it."""
     try:
         return load_checkpoint(path, registry)
-    except ValueError as e:
+    except (ValueError, IsADirectoryError) as e:
         raise DataError(str(e)) from e
 
 
@@ -309,7 +319,7 @@ def cmd_generate(args) -> int:
     _reject_unknown(values, consumed, args.config or "<defaults>")
     if count < 0:
         raise ConfigError(f"count must be non-negative, got {count}")
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     manifest = emit_dataset(gen_cfg, count, args.out)
     print(f"wrote {manifest['count']} scenarios to {args.out} "
           f"(template={gen_cfg.template}, seed={gen_cfg.seed})")
@@ -322,7 +332,7 @@ def cmd_matrices(args) -> int:
     consumed: set = set()
     cfg = _overlay(ModelConfig(), values, consumed)
     _reject_unknown(values, consumed, args.config or "<defaults>")
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     for scn in scenarios:
         try:
             topo = build_topology(sc.resample_lanes(scn, cfg.n_lane_nodes),
@@ -357,7 +367,7 @@ def cmd_gradcheck(args) -> int:
     report = grad_check(loss_fn, tensors, h=1e-5, tol=tol)
 
     if args.out:
-        os.makedirs(args.out, exist_ok=True)
+        _make_out_dir(args.out)
         path = os.path.join(args.out, "gradcheck.csv")
         with open(path, "w") as fh:
             fh.write("parameter,max_rel_error,ok\n")
@@ -408,7 +418,7 @@ def cmd_train(args) -> int:
         _load_checkpoint(args.resume, params.registry)
         extra["parent_checkpoint"] = os.path.abspath(args.resume)
         extra["parent_checksum"] = sha256_file(args.resume)
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
 
     def progress(report):
         print(f"epoch {report.epoch:3d}  loss {report.mean_loss:.4f}  "
@@ -439,7 +449,7 @@ def cmd_eval(args) -> int:
     scenarios = _load_scenarios(args.data)
     if not scenarios:
         raise DataError(f"{args.data}: dataset is empty")
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     try:
         report = evaluate_model(params, scenarios, oracle=args.oracle)
     except ValueError as e:
@@ -474,7 +484,7 @@ def cmd_predict(args) -> int:
     scenarios = _load_scenarios(args.data)
     if not scenarios:
         raise DataError(f"{args.data}: dataset is empty")
-    os.makedirs(args.out, exist_ok=True)
+    _make_out_dir(args.out)
     written = []
     for scn in scenarios:
         try:
@@ -577,10 +587,7 @@ def main(argv=None) -> int:
     except TrainingDiverged as e:
         print(f"numerical abort: {e}", file=sys.stderr)
         return EXIT_NUMERICAL_ABORT
-    except DataError as e:
-        print(f"data error: {e}", file=sys.stderr)
-        return EXIT_DATA_ERROR
-    except FileNotFoundError as e:
+    except (DataError, FileNotFoundError) as e:
         print(f"data error: {e}", file=sys.stderr)
         return EXIT_DATA_ERROR
 

@@ -33,7 +33,7 @@ from laneformer.model import ModelConfig
 from laneformer.scenario import AgentHistory, Lane, LaneConnectivity, Scenario
 from laneformer.synth import GeneratorConfig, generate_scenario
 from laneformer.topology import build_topology
-from test_autodiff import _richardson_errors, _taped_grads
+from test_autodiff import _assert_one_backward_per_parent, _richardson_errors
 
 
 def _row_scene():
@@ -379,7 +379,7 @@ def test_fused_composition_matches_per_head_reference():
 
 
 # ---------------------------------------------------------------------------
-# the fused ops: head layout, finite differences, tape contract, memoized backward
+# the fused ops: head layout, finite differences, tape contract
 
 def test_attention_heads_are_column_blocks():
     # head h reads column block h of wq, wk and wv and writes column block h
@@ -544,37 +544,10 @@ def _fused_nodes(rng):
 
 
 def test_fused_ops_tape_one_vjp_per_differentiable_operand():
-    # with any one operand constant, the node's parents are the other operands,
-    # each with its own vjp, and each gets the gradient it gets when every
-    # operand is differentiable
-    for name, (op, arrays) in _fused_nodes(np.random.default_rng(3)).items():
-        args = tuple(Tensor(a.copy(), requires_grad=True) for a in arrays)
-        out, reference = _taped_grads(op, args)
-        assert out._parents == args and len(out._backward) == len(args), name
-        for i in range(len(args)):
-            call = args[:i] + (Tensor(args[i].data),) + args[i + 1:]
-            out, grads = _taped_grads(op, call)
-            differentiable = tuple(t for t in call if t.requires_grad)
-            assert out._parents == differentiable, (name, i)
-            assert len(out._backward) == len(out._parents), (name, i)
-            assert grads[i] is None, (name, i)
-            for j, t in enumerate(call):
-                if t.requires_grad:
-                    assert np.array_equal(grads[j], reference[j]), (name, i, j)
-
-
-def test_fused_vjps_memoize_per_incoming_gradient():
-    # the vjps of one node share one backward; alternating two incoming
-    # gradients gives each vjp the result a fresh node gives for that gradient
-    rng = np.random.default_rng(8)
-    for name, (op, arrays) in _fused_nodes(rng).items():
-        make = lambda: op(*[Tensor(a, requires_grad=True) for a in arrays])
-        out = make()
-        g1, g2 = rng.normal(size=out.shape), rng.normal(size=out.shape)
-        fresh = {id(g): [vjp(g) for vjp in make()._backward] for g in (g1, g2)}
-        for i, vjp in enumerate(out._backward):
-            for g in (g1, g2, g1):
-                assert np.array_equal(vjp(g), fresh[id(g)][i]), (name, i)
+    # every fused op: one backward, one gradient per differentiable operand
+    ops = {name: (op, tuple(Tensor(a.copy(), requires_grad=True) for a in arrays))
+           for name, (op, arrays) in _fused_nodes(np.random.default_rng(3)).items()}
+    _assert_one_backward_per_parent(ops)
 
 
 def test_second_backpropagate_through_fused_ops_repeats_the_first():

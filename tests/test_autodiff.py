@@ -475,6 +475,22 @@ def test_checkpoint_rejects_trailing_bytes(tmp_path):
         load_checkpoint(path, fresh)
 
 
+def test_rejected_checkpoint_leaves_registry_unchanged(tmp_path):
+    # both checks come after every record has been read
+    path, blob, fresh = _two_record_checkpoint(tmp_path)
+    fresh.add("layer.c", Tensor(np.zeros(2)))
+    before = {name: t.data for name, t in fresh.items()}
+    with pytest.raises(ValueError, match=r"missing parameters \['layer\.c'\]"):
+        load_checkpoint(path, fresh)
+    assert all(t.data is before[name] for name, t in fresh.items())
+    path, blob, fresh = _two_record_checkpoint(tmp_path)
+    before = {name: t.data for name, t in fresh.items()}
+    _rewrite(path, blob + b"\x00")
+    with pytest.raises(ValueError, match=r"m\.ckpt: 1 trailing bytes"):
+        load_checkpoint(path, fresh)
+    assert all(t.data is before[name] for name, t in fresh.items())
+
+
 # ---------------------------------------------------------------------------
 # the tape's edges and no_grad
 
@@ -533,14 +549,16 @@ def _taped_grads(op, args):
     return out, [a.grad if isinstance(a, Tensor) else None for a in args]
 
 
-def test_ops_tape_one_vjp_per_differentiable_operand():
-    # with any one operand constant, the output's parents are the other
-    # differentiable operands, each with its own vjp, and each gets the
-    # gradient it gets when every operand is differentiable
-    ops = _op_calls(*_op_inputs())
-    assert set(ops) == set(autodiff.__all__) - _NOT_OPS
+def _assert_one_backward_per_parent(ops):
+    """With all operands differentiable and with any one constant, the node's
+    parents are the differentiable operands, its one backward returns one
+    gradient per parent, and each parent gets the gradient it gets when every
+    operand is differentiable."""
     for name, (op, args) in ops.items():
-        _, reference = _taped_grads(op, args)
+        out, reference = _taped_grads(op, args)
+        g = np.ones(out.shape)
+        assert out._parents == tuple(a for a in args if isinstance(a, Tensor)), name
+        assert len(out._backward(g)) == len(out._parents), name
         for i, a in enumerate(args):
             if not isinstance(a, Tensor):
                 continue
@@ -549,13 +567,20 @@ def test_ops_tape_one_vjp_per_differentiable_operand():
             differentiable = tuple(t for t in call if isinstance(t, Tensor) and t.requires_grad)
             assert out._parents == differentiable, (name, i)
             if differentiable:
-                assert len(out._backward) == len(out._parents), (name, i)
+                assert len(out._backward(g)) == len(out._parents), (name, i)
             else:
                 assert out._backward is None and not out.requires_grad, (name, i)
             assert grads[i] is None, (name, i)
             for j, t in enumerate(call):
                 if t in differentiable:
                     assert np.array_equal(grads[j], reference[j]), (name, i, j)
+
+
+def test_ops_tape_one_vjp_per_differentiable_operand():
+    # every primitive: one backward, one gradient per differentiable operand
+    ops = _op_calls(*_op_inputs())
+    assert set(ops) == set(autodiff.__all__) - _NOT_OPS
+    _assert_one_backward_per_parent(ops)
 
 
 def test_shared_gradient_array_stays_exact():

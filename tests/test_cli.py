@@ -488,3 +488,41 @@ def test_unknown_config_keys_exit_2(workspace, tmp_path, capsys, command):
     assert main(argv) == EXIT_CONFIG_ERROR
     assert "unknown config keys ['wheelbase']" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "eval", "predict"])
+def test_directory_as_checkpoint_is_data_error_before_any_work(workspace, tmp_path, capsys,
+                                                               command):
+    folder = tmp_path / "ckpt"
+    folder.mkdir()
+    out = tmp_path / "o"
+    argv = [command, "--data", workspace["data"], "--out", str(out)]
+    if command == "train":
+        argv += ["--config", workspace["train_cfg"], "--resume", str(folder)]
+    else:
+        argv += ["--model", str(folder)]
+    assert main(argv) == EXIT_DATA_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("data error:") and "Is a directory" in err and str(folder) in err
+    assert not out.exists()
+
+
+def test_directory_as_config_is_config_error(tmp_path, capsys):
+    out = tmp_path / "d"
+    assert main(["generate", "--config", str(tmp_path), "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"config {tmp_path} is a directory" in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "eval"])
+def test_out_that_is_a_file_is_config_error(workspace, tmp_path, capsys, command):
+    out = _write(tmp_path / "taken", "kept")
+    argv = [command, "--out", out]
+    if command == "eval":
+        argv += ["--data", workspace["data"],
+                 "--model", os.path.join(workspace["run"], "model.ckpt")]
+    assert main(argv) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and f"--out {out}" in err
+    assert open(out).read() == "kept"

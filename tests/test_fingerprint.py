@@ -1,0 +1,34 @@
+"""tools/fingerprint.py: a dump compares equal to itself, and a one-ulp change shows."""
+
+import os
+import subprocess
+import sys
+
+import numpy as np
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _fingerprint(*args):
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    return subprocess.run([sys.executable, os.path.join(ROOT, "tools", "fingerprint.py"), *args],
+                          env=env, capture_output=True, text=True, timeout=300)
+
+
+def test_compare_reports_exactly_the_perturbed_array(tmp_path):
+    a, b = str(tmp_path / "a.npz"), str(tmp_path / "b.npz")
+    assert _fingerprint("dump", a).returncode == 0
+    with np.load(a) as f:
+        arrays = dict(f)
+    key = "toy/step1/grad/lane_bias.wc"
+    assert key in arrays and len(arrays) > 1000
+    arrays[key] = arrays[key].copy()
+    arrays[key].flat[0] = np.nextafter(arrays[key].flat[0], np.inf)
+    np.savez(b, **arrays)
+
+    same = _fingerprint("compare", a, a)
+    assert same.returncode == 0 and f"0 of {len(arrays)} arrays differ" in same.stdout
+    changed = _fingerprint("compare", a, b)
+    assert changed.returncode == 1
+    assert changed.stdout.splitlines() == [f"{key}: differs",
+                                           f"1 of {len(arrays)} arrays differ"]

@@ -325,10 +325,8 @@ def test_toy_batch_loss_tape_node_budget():
     assert _tape_nodes(batch_loss(params, samples).total) == 744
 
 
-def test_backpropagate_leaves_gradients_on_leaves_and_root_only():
-    params, samples = _toy_batch()
-    loss = batch_loss(params, samples).total
-    backpropagate(loss)
+def _op_outputs(loss) -> list:
+    """The taped op outputs reachable from loss, loss first."""
     seen, stack, ops = set(), [loss], []
     while stack:
         t = stack.pop()
@@ -338,14 +336,40 @@ def test_backpropagate_leaves_gradients_on_leaves_and_root_only():
         if t._parents:
             ops.append(t)
             stack.extend(t._parents)
+    return ops
+
+
+def test_backpropagate_leaves_gradients_on_leaves_and_root_only():
+    params, samples = _toy_batch()
+    loss = batch_loss(params, samples).total
+    backpropagate(loss)
+    ops = _op_outputs(loss)
     assert len(ops) == 744 and ops[0] is loss
     assert loss.grad is not None
     assert [t for t in ops[1:] if t.grad is not None] == []
     assert all(t.grad is not None for _, t in params.registry.items())
 
 
+def test_backpropagate_calls_each_backward_once():
+    params, samples = _toy_batch()
+    loss = batch_loss(params, samples).total
+    ops, calls = _op_outputs(loss), {}
+
+    def counted(t, backward):
+        def run(g):
+            calls[t] = calls.get(t, 0) + 1
+            return backward(g)
+        return run
+
+    for t in ops:
+        t._backward = counted(t, t._backward)
+    backpropagate(loss)
+    assert len(ops) == 744 and len(calls) == 744
+    assert set(calls.values()) == {1}
+
+
 def test_toy_backward_memory_budget():
-    # an op output drops its gradient once its vjps have run; keeping every
+    # an op output drops its gradient once its backward has run; keeping every
     # intermediate gradient to the end of the pass peaks at about 7.9 MB
     params, samples = _toy_batch()
     opt = AdamOptimizer(params.registry, lr=2e-3)

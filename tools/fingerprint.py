@@ -1,0 +1,113 @@
+"""Dump and compare the numbers a refactor must keep bit for bit.
+
+    python tools/fingerprint.py dump OUT.npz
+    python tools/fingerprint.py compare A.npz B.npz
+
+`dump` runs three cases: the toy batch (8 `straight` scenes, 3 agents,
+seed 1), the default config (5 scenes, one per template, 8 agents, seed 3)
+and the micro scene. For each of 3 Adam steps (lr 2e-3) it saves every
+model output, taped and under no_grad, every loss term, every parameter
+gradient and every parameter after the step. `compare` lists every key
+whose arrays differ, by shape or by value (NaN equals NaN), or that only
+one file holds, and exits 1 if there is any.
+
+Needs only numpy and laneformer; run it from a checkout with
+PYTHONPATH=src so that the dump measures that checkout's code.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+
+import numpy as np
+
+import laneformer as lf
+from laneformer.cli import micro_config, micro_scenario
+from laneformer.synth import TEMPLATES
+
+STEPS = 3
+LR = 2e-3
+
+
+def _cases():
+    """name -> (model config, init seed, prepared samples)."""
+    toy = lf.ModelConfig(d_model=16, heads=2, layers=1, modes=6, n_lane_nodes=6,
+                         decoder_hidden=32, e_a2a=8, e_a2l=16, e_l2a=4)
+    straight = lf.GeneratorConfig(seed=1, template="straight", agent_count=3)
+    default = lf.ModelConfig()
+    micro = micro_config()
+    return {
+        "toy": (toy, 1, [lf.prepare_sample(lf.generate_scenario(straight, i), toy)
+                         for i in range(8)]),
+        "default": (default, 3, [
+            lf.prepare_sample(lf.generate_scenario(
+                lf.GeneratorConfig(seed=3, template=tpl, agent_count=8), 0), default)
+            for tpl in TEMPLATES]),
+        "micro": (micro, 0, [lf.prepare_sample(micro_scenario(), micro)]),
+    }
+
+
+def _outputs(prefix: str, out, arrays: dict) -> None:
+    for field in ("scores", "confidences", "paths"):
+        arrays[f"{prefix}/{field}"] = getattr(out, field).data.copy()
+
+
+def fingerprint() -> dict:
+    """Key -> array for every number `dump` saves."""
+    arrays = {}
+    for case, (cfg, seed, samples) in _cases().items():
+        params = lf.init_model(cfg, seed=seed)
+        opt = lf.AdamOptimizer(params.registry, lr=LR)
+        for step in range(STEPS):
+            at = f"{case}/step{step}"
+            for i, s in enumerate(samples):
+                with lf.no_grad():
+                    _outputs(f"{at}/scene{i}/no_grad", lf.model_forward(params, s), arrays)
+                _outputs(f"{at}/scene{i}/taped", lf.model_forward(params, s), arrays)
+            params.registry.zero_grad()
+            loss = lf.batch_loss(params, samples)
+            for term in ("total", "reg", "cls", "goal"):
+                arrays[f"{at}/loss/{term}"] = getattr(loss, term).data.copy()
+            lf.backpropagate(loss.total)
+            opt.step()
+            for name, t in params.registry.items():
+                if t.grad is not None:
+                    arrays[f"{at}/grad/{name}"] = np.array(t.grad)
+                arrays[f"{at}/param/{name}"] = t.data.copy()
+    return arrays
+
+
+def differing(a: dict, b: dict) -> list:
+    """Sorted keys that only one side holds or whose arrays differ."""
+    return sorted(k for k in a.keys() | b.keys()
+                  if k not in a or k not in b
+                  or a[k].shape != b[k].shape
+                  or not np.array_equal(a[k], b[k], equal_nan=a[k].dtype.kind in "fc"))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    sub = parser.add_subparsers(dest="command", required=True)
+    sub.add_parser("dump", help="save the fingerprint arrays").add_argument("out")
+    cmp = sub.add_parser("compare", help="list the keys whose arrays differ")
+    cmp.add_argument("a")
+    cmp.add_argument("b")
+    args = parser.parse_args(argv)
+    if args.command == "dump":
+        arrays = fingerprint()
+        np.savez(args.out, **arrays)
+        print(f"saved {len(arrays)} arrays to {args.out}")
+        return 0
+    with np.load(args.a) as fa, np.load(args.b) as fb:
+        a, b = dict(fa), dict(fb)
+    keys = differing(a, b)
+    for k in keys:
+        where = "only in " + (args.a if k in a else args.b) if (k in a) != (k in b) else "differs"
+        print(f"{k}: {where}")
+    print(f"{len(keys)} of {len(a.keys() | b.keys())} arrays differ")
+    return 1 if keys else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
