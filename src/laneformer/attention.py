@@ -11,9 +11,13 @@ scalar per head, or a length-C vector per head for the boundary-marking
 gate. The two-layer perceptron here serves both the transformer block's
 feed-forward and the model's embedding and aggregation layers.
 
-Attention, the perceptron and each composed bias matrix are fused ops: one
-tape node per call, with a plain numpy forward and a hand-written backward
-that returns every operand's gradient, as each autodiff primitive's does.
+Attention, the perceptron, the transformer block and each composed bias
+matrix are fused ops: one tape node per call, with a plain numpy forward and
+a hand-written backward that returns every operand's gradient, as each
+autodiff primitive's does. Attention and the perceptron are each one numpy
+forward that also returns its backward; the public op tapes that pair, and
+the block chains both with autodiff's layer-norm pair, so the block's tape
+holds only what those backwards read.
 """
 
 from __future__ import annotations
@@ -23,15 +27,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import autodiff
 from .autodiff import (
     ShapeError,
     Tensor,
+    _layer_norm,
     _result,
     _softmax,
     _softmax_vjp,
     _unbroadcast,
-    add,
-    layer_norm,
     uniform_init,
 )
 from .topology import TopologyMatrices
@@ -193,6 +197,7 @@ def _structure_bias(bw: BiasWeights, topo: TopologyMatrices) -> Tensor:
     """B = w_p M_p + w_s M_s + gate * (w_l M_l + w_r M_r) as one tape node,
     where gate = M_c w_c weighs each lane pair by its boundary category."""
     operands = (bw.wp, bw.ws, bw.wl, bw.wr, bw.wc)
+    need_p, need_s, need_l, need_r, need_c = (t.requires_grad for t in operands)
     wp, ws, wl, wr, wc = (t.data for t in operands)
     heads, (n, _, c) = wp.shape[0], topo.m_c.shape
     m_c = topo.m_c.reshape(n * n, c)
@@ -200,13 +205,13 @@ def _structure_bias(bw: BiasWeights, topo: TopologyMatrices) -> Tensor:
     sides = wl * topo.m_l + wr * topo.m_r
 
     def backward(g):
-        g_sides = _unbroadcast(g * gate, sides.shape)
-        g_gate = _unbroadcast(g * sides, gate.shape).reshape((heads, n * n, 1))
-        return (_unbroadcast(g * topo.m_p, wp.shape),
-                _unbroadcast(g * topo.m_s, ws.shape),
-                _unbroadcast(g_sides * topo.m_l, wl.shape),
-                _unbroadcast(g_sides * topo.m_r, wr.shape),
-                _unbroadcast(m_c.swapaxes(-1, -2) @ g_gate, wc.shape))
+        g_sides = _unbroadcast(g * gate, sides.shape) if need_l or need_r else None
+        g_gate = _unbroadcast(g * sides, gate.shape).reshape((heads, n * n, 1)) if need_c else None
+        return (_unbroadcast(g * topo.m_p, wp.shape) if need_p else None,
+                _unbroadcast(g * topo.m_s, ws.shape) if need_s else None,
+                _unbroadcast(g_sides * topo.m_l, wl.shape) if need_l else None,
+                _unbroadcast(g_sides * topo.m_r, wr.shape) if need_r else None,
+                _unbroadcast(m_c.swapaxes(-1, -2) @ g_gate, wc.shape) if need_c else None)
 
     return _result(wp * topo.m_p + ws * topo.m_s + gate * sides, operands, backward)
 
@@ -214,9 +219,10 @@ def _structure_bias(bw: BiasWeights, topo: TopologyMatrices) -> Tensor:
 def _reachability_bias(w_pre: Tensor, w_suc: Tensor, topo: TopologyMatrices) -> Tensor:
     """w_pre M_pre_spd + w_suc M_suc_spd as one tape node."""
     m_pre, m_suc = topo.m_pre_spd, topo.m_suc_spd
+    need_pre, need_suc = w_pre.requires_grad, w_suc.requires_grad
     return _result(w_pre.data * m_pre + w_suc.data * m_suc, (w_pre, w_suc),
-                   lambda g: (_unbroadcast(g * m_pre, w_pre.shape),
-                              _unbroadcast(g * m_suc, w_suc.shape)))
+                   lambda g: (_unbroadcast(g * m_pre, w_pre.shape) if need_pre else None,
+                              _unbroadcast(g * m_suc, w_suc.shape) if need_suc else None))
 
 
 # ---------------------------------------------------------------------------
@@ -247,22 +253,17 @@ def _record_softmax(p: np.ndarray) -> None:
 # ---------------------------------------------------------------------------
 # attention ops
 
-def attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights, heads: int,
-              mask: np.ndarray | None = None, biases: BiasSet | None = None) -> Tensor:
-    """All heads at once over (..., N, D) inputs; mask is (..., N_q, N_k) keep flags.
-
-    Per head: softmax(QK^T / sqrt(d_k) * B + D_inter) * D_outer, applied to
-    V, where the bias set supplies B, D_inter and D_outer; without one the
-    logits pass unchanged. d_k is the projected width over the head count.
-    One tape node whose parents are q, k, v, the four projections and the
-    bias matrices, those that need a gradient; its backward computes theirs.
-    """
-    if biases is not None and biases.b.shape[0] != heads:
+def _attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights, heads: int,
+               mask, biases: BiasSet | None):
+    """attention's numpy forward: (operands, output, backward), where
+    backward(g) returns one gradient per operand, None for a constant."""
+    biased = biases is not None
+    if biased and biases.b.shape[0] != heads:
         raise ValueError(f"bias set has {biases.b.shape[0]} heads, attention {heads}")
     if w.wq.shape[-1] % heads:
         raise ShapeError(f"attention: cannot split {w.wq.shape[-1]} columns into {heads} heads")
     operands = (q, k, v, w.wq, w.wk, w.wv, w.wo)
-    if biases is not None:
+    if biased:
         operands += (biases.b, biases.d_inter, biases.d_outer)
     need = [t.requires_grad for t in operands]
     x_q, x_k, x_v, wq, wk, wv, wo = (t.data for t in operands[:7])
@@ -274,16 +275,16 @@ def attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights, heads: int,
     c = float(1.0 / np.sqrt(qh.shape[-1]))
     scaled = (qh @ kh.swapaxes(-1, -2)) * c
     logits = scaled
-    if biases is not None:
+    if biased:
         b, d_inter, d_outer = (t.data for t in operands[7:])
         logits = scaled * b + d_inter
     scaled_shape, logits_shape = scaled.shape, logits.shape
-    if biases is None or not need[7]:
+    if not biased or not need[7]:
         scaled = None   # only B's gradient reads the unbiased logits
     p = _softmax(logits, mask=None if mask is None else np.asarray(mask)[..., None, :, :])
     logits = None   # the backward never reads it: free it before the next buffers
     _record_softmax(p)
-    weights = p if biases is None else p * d_outer
+    weights = p * d_outer if biased else p
     per_head = (weights @ vh).swapaxes(-3, -2)
     per_head_shape = per_head.shape
     merged = per_head.reshape(per_head_shape[:-2] + (-1,))
@@ -301,23 +302,37 @@ def attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights, heads: int,
         g_heads = g_merged.reshape(per_head_shape).swapaxes(-3, -2)
         g_weights = _unbroadcast(g_heads @ vh.swapaxes(-1, -2), weights.shape)
         g_vh = _unbroadcast(weights.swapaxes(-1, -2) @ g_heads, vh.shape)
-        if biases is None:
-            g_scaled, biased = _softmax_vjp(p, g_weights), ()
+        if not biased:
+            g_scaled, g_biases = _softmax_vjp(p, g_weights), ()
         else:
             g_logits = _softmax_vjp(p, _unbroadcast(g_weights * d_outer, p.shape))
             g_product = _unbroadcast(g_logits, logits_shape)
             g_scaled = _unbroadcast(g_product * b, scaled_shape)
-            biased = (_unbroadcast(g_product * scaled, b.shape) if need[7] else None,
-                      _unbroadcast(g_logits, d_inter.shape) if need[8] else None,
-                      _unbroadcast(g_weights * p, d_outer.shape) if need[9] else None)
+            g_biases = (_unbroadcast(g_product * scaled, b.shape) if need[7] else None,
+                        _unbroadcast(g_logits, d_inter.shape) if need[8] else None,
+                        _unbroadcast(g_weights * p, d_outer.shape) if need[9] else None)
         g_scaled = g_scaled * c
         (g_q, g_wq), (g_k, g_wk), (g_v, g_wv) = (
             projected(_unbroadcast(g_scaled @ kh, qh.shape), x_q, wq, 0),
             projected(_unbroadcast(g_scaled.swapaxes(-1, -2) @ qh, kh.shape), x_k, wk, 1),
             projected(g_vh, x_v, wv, 2))
-        return (g_q, g_k, g_v, g_wq, g_wk, g_wv, g_wo) + biased
+        return (g_q, g_k, g_v, g_wq, g_wk, g_wv, g_wo) + g_biases
 
-    return _result(merged @ wo, operands, backward)
+    return operands, merged @ wo, backward
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights, heads: int,
+              mask: np.ndarray | None = None, biases: BiasSet | None = None) -> Tensor:
+    """All heads at once over (..., N, D) inputs; mask is (..., N_q, N_k) keep flags.
+
+    Per head: softmax(QK^T / sqrt(d_k) * B + D_inter) * D_outer, applied to
+    V, where the bias set supplies B, D_inter and D_outer; without one the
+    logits pass unchanged. d_k is the projected width over the head count.
+    One tape node whose parents are q, k, v, the four projections and the
+    bias matrices, those that need a gradient; its backward computes theirs.
+    """
+    operands, out, backward = _attention(q, k, v, w, heads, mask, biases)
+    return _result(out, operands, backward)
 
 
 def nearest_neighbor_mask(q_pos: np.ndarray, k_pos: np.ndarray, e: int) -> np.ndarray:
@@ -340,12 +355,10 @@ def nearest_neighbor_mask(q_pos: np.ndarray, k_pos: np.ndarray, e: int) -> np.nd
     return mask
 
 
-def mlp(x: Tensor, w: MLPWeights) -> Tensor:
-    """relu(x w1 + b1) w2 + b2 as one tape node over x and the four weights."""
-    operands = (x, w.w1, w.b1, w.w2, w.b2)
-    need = [t.requires_grad for t in operands]
-    x_in, w1, b1, w2, b2 = (t.data for t in operands)
-    pre = x_in @ w1
+def _mlp(x, w1, b1, w2, b2, need):
+    """mlp on arrays: (output, backward), where backward(g) returns the
+    gradients of x, w1, b1, w2 and b2, None for each that need flags False."""
+    pre = x @ w1
     hidden = np.maximum(pre + b1, 0.0)
     out = hidden @ w2
     pre_shape, out_shape = pre.shape, out.shape
@@ -356,19 +369,51 @@ def mlp(x: Tensor, w: MLPWeights) -> Tensor:
         g_biased = g_hidden * (hidden > 0.0)   # hidden > 0 exactly where pre + b1 > 0
         g_pre = _unbroadcast(g_biased, pre_shape)
         return (
-            _unbroadcast(g_pre @ w1.swapaxes(-1, -2), x_in.shape) if need[0] else None,
-            _unbroadcast(x_in.swapaxes(-1, -2) @ g_pre, w1.shape) if need[1] else None,
+            _unbroadcast(g_pre @ w1.swapaxes(-1, -2), x.shape) if need[0] else None,
+            _unbroadcast(x.swapaxes(-1, -2) @ g_pre, w1.shape) if need[1] else None,
             _unbroadcast(g_biased, b1.shape) if need[2] else None,
             _unbroadcast(hidden.swapaxes(-1, -2) @ g_out, w2.shape) if need[3] else None,
             _unbroadcast(g, b2.shape) if need[4] else None)
 
-    return _result(out + b2, operands, backward)
+    return out + b2, backward
+
+
+def mlp(x: Tensor, w: MLPWeights) -> Tensor:
+    """relu(x w1 + b1) w2 + b2 as one tape node over x and the four weights."""
+    operands = (x, w.w1, w.b1, w.w2, w.b2)
+    out, backward = _mlp(*(t.data for t in operands), [t.requires_grad for t in operands])
+    return _result(out, operands, backward)
 
 
 def transformer_layer(x_q: Tensor, x_kv: Tensor, w: LayerWeights, heads: int,
                       mask: np.ndarray | None = None,
                       biases: BiasSet | None = None) -> Tensor:
-    """Residual attention block with post-norm and a two-layer feed-forward."""
-    att = attention(x_q, x_kv, x_kv, w.attn, heads, mask, biases)
-    h1 = layer_norm(add(x_q, att), w.ln1_gain, w.ln1_bias)
-    return layer_norm(add(h1, mlp(h1, w.ffn)), w.ln2_gain, w.ln2_bias)
+    """Residual attention block with post-norm and a two-layer feed-forward:
+    h = LN1(x_q + attention(x_q, x_kv, x_kv)), out = LN2(h + mlp(h)).
+
+    One tape node whose parents are attention's operands (x_kv as both key
+    and value), the four feed-forward weights and the two layer norms' gains
+    and biases, those that need a gradient. Its backward chains the pieces'
+    backwards, so x_q's gradient is its residual path's plus attention's.
+    """
+    attn_operands, att, att_backward = _attention(x_q, x_kv, x_kv, w.attn, heads, mask, biases)
+    if not autodiff._recording:
+        att_backward = None   # nothing will read attention's saved arrays: free them now
+    own = (w.ffn.w1, w.ffn.b1, w.ffn.w2, w.ffn.b2, w.ln1_gain, w.ln1_bias, w.ln2_gain, w.ln2_bias)
+    arrays = [t.data for t in own]
+    need = [t.requires_grad for t in own]
+    x_shape, att_shape = x_q.shape, att.shape
+    # the residual stream's gradient is always computed, a weight's only if it trains
+    h1, ln1_backward = _layer_norm(x_q.data + att, *arrays[4:6], (True, *need[4:6]))
+    ffn, mlp_backward = _mlp(h1, *arrays[:4], (True, *need[:4]))
+    out, ln2_backward = _layer_norm(h1 + ffn, *arrays[6:], (True, *need[6:]))
+
+    def backward(g):
+        g_h2, *g_ln2 = ln2_backward(g)
+        g_ffn_in, *g_ffn = mlp_backward(g_h2)
+        g_h1, *g_ln1 = ln1_backward(g_h2 + g_ffn_in)
+        g_q, *g_attn = att_backward(_unbroadcast(g_h1, att_shape))
+        g_x = None if g_q is None else _unbroadcast(g_h1, x_shape) + g_q
+        return (g_x, *g_attn, *g_ffn, *g_ln1, *g_ln2)
+
+    return _result(out, attn_operands + own, backward)

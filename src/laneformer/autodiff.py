@@ -3,7 +3,8 @@
 The tape is implicit: every op output keeps as parents the operands that
 need a gradient, decided when the op runs, and one backward mapping its
 gradient to one gradient per parent. Primitives and fused ops (attention,
-the MLP and the bias composition in `attention`) share this contract.
+the MLP, the transformer block and the bias composition in `attention`)
+share this contract.
 `backpropagate` calls each backward once and alone stores and sums what
 it returns, out of place, so `.grad` arrays may share memory and are never
 written once stored: treat them as read-only. Inside `no_grad()` nothing
@@ -283,31 +284,43 @@ def row_softmax(a, mask=None) -> Tensor:
     return _result(p, (a,), lambda g: (_softmax_vjp(p, g),))
 
 
-def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean / unit variance, then scale and shift."""
-    x, gain, bias = as_tensor(x), as_tensor(gain), as_tensor(bias)
-    if x.data.ndim < 2:
-        raise ShapeError(f"layer_norm: expected at least 2-d tensor, got shape {x.data.shape}")
-    d = x.data.shape[-1]
-    if gain.data.size != d or bias.data.size != d:
+def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, need,
+                eps: float = 1e-5):
+    """layer_norm on arrays: (output, backward), where backward(g) returns the
+    gradients of x, gain and bias, None for each that need flags False."""
+    if x.ndim < 2:
+        raise ShapeError(f"layer_norm: expected at least 2-d tensor, got shape {x.shape}")
+    d = x.shape[-1]
+    if gain.size != d or bias.size != d:
         raise ShapeError(f"layer_norm: gain/bias must have {d} values")
-    gvec, bvec = gain.data.reshape(d), bias.data.reshape(d)
+    gvec, bvec = gain.reshape(d), bias.reshape(d)
+    need_x, need_gain, need_bias = need
     # sum / d is what ndarray.mean computes, without its Python wrapper
-    mu = x.data.sum(axis=-1, keepdims=True) / d
-    xc = x.data - mu
+    mu = x.sum(axis=-1, keepdims=True) / d
+    xc = x - mu
     inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + eps)
     xhat = xc * inv
-    out = xhat * gvec + bvec
 
     def backward(g):
-        gh = g * gvec
-        # d xhat / d x folded into one expression (standard layer-norm backward)
-        return (inv * (gh - gh.sum(axis=-1, keepdims=True) / d
-                       - xhat * (gh * xhat).sum(axis=-1, keepdims=True) / d),
-                (g * xhat).reshape(-1, d).sum(axis=0).reshape(gain.data.shape),
-                g.reshape(-1, d).sum(axis=0).reshape(bias.data.shape))
+        gx = None
+        if need_x:
+            gh = g * gvec
+            # d xhat / d x folded into one expression (standard layer-norm backward)
+            gx = inv * (gh - gh.sum(axis=-1, keepdims=True) / d
+                        - xhat * (gh * xhat).sum(axis=-1, keepdims=True) / d)
+        return (gx,
+                (g * xhat).reshape(-1, d).sum(axis=0).reshape(gain.shape) if need_gain else None,
+                g.reshape(-1, d).sum(axis=0).reshape(bias.shape) if need_bias else None)
 
-    return _result(out, (x, gain, bias), backward)
+    return xhat * gvec + bvec, backward
+
+
+def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
+    """Normalize the last axis to zero mean / unit variance, then scale and shift."""
+    operands = (as_tensor(x), as_tensor(gain), as_tensor(bias))
+    out, backward = _layer_norm(*(t.data for t in operands),
+                                [t.requires_grad for t in operands], eps)
+    return _result(out, operands, backward)
 
 
 def smooth_l1(a, delta: float = 1.0) -> Tensor:

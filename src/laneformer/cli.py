@@ -355,6 +355,8 @@ def cmd_gradcheck(args) -> int:
     _reject_unknown(values, consumed, args.config or "<defaults>")
     tol = args.tolerance if args.tolerance is not None else 1e-5
     seed = args.seed if args.seed is not None else 0
+    if args.out:
+        _make_out_dir(args.out)
 
     params = init_model(cfg, seed=seed)
     sample = prepare_sample(micro_scenario(cfg.t_history, cfg.t_future), cfg)
@@ -367,7 +369,6 @@ def cmd_gradcheck(args) -> int:
     report = grad_check(loss_fn, tensors, h=1e-5, tol=tol)
 
     if args.out:
-        _make_out_dir(args.out)
         path = os.path.join(args.out, "gradcheck.csv")
         with open(path, "w") as fh:
             fh.write("parameter,max_rel_error,ok\n")

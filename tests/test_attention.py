@@ -1,5 +1,7 @@
 """Attention tests: bias composition, neutral reduction, local windows."""
 
+import importlib
+
 import numpy as np
 import pytest
 
@@ -7,6 +9,7 @@ from laneformer.attention import (
     AttentionWeights,
     BiasSet,
     BiasWeights,
+    LayerWeights,
     MLPWeights,
     attention,
     capture_softmax,
@@ -22,7 +25,9 @@ from laneformer.attention import (
 from laneformer.autodiff import (
     ShapeError,
     Tensor,
+    add,
     backpropagate,
+    layer_norm,
     multiply,
     reduce_sum,
     row_softmax,
@@ -480,6 +485,113 @@ def test_mlp_gradients_match_finite_differences():
         assert max(taped + constant_x) <= 1e-6, (seed, taped, constant_x)
 
 
+def _first_norm(x_q, x_kv, w, heads, mask=None, biases=None):
+    """The block's first layer-norm output, the feed-forward's input."""
+    att = attention(x_q, x_kv, x_kv, w.attn, heads, mask, biases)
+    return layer_norm(add(x_q, att), w.ln1_gain, w.ln1_bias)
+
+
+def _composed_block(x_q, x_kv, w, heads, mask=None, biases=None):
+    """The transformer block as separate attention, add, layer_norm and mlp nodes."""
+    h1 = _first_norm(x_q, x_kv, w, heads, mask, biases)
+    return layer_norm(add(h1, mlp(h1, w.ffn)), w.ln2_gain, w.ln2_bias)
+
+
+def _ffn_and_norms(rng, d):
+    """Feed-forward w1, b1, w2, b2, then both layer norms' gains and biases."""
+    return ([rng.normal(size=(d, 2 * d)), rng.normal(size=(1, 2 * d)),
+             rng.normal(size=(2 * d, d)), rng.normal(size=(1, d))]
+            + [rng.normal(size=(1, d)) for _ in range(4)])
+
+
+def _block_op(layer, heads, kv, mask, biased):
+    """layer over the block's operands as tensors: x_q, x_kv when kv is
+    ("taped",), the four projections, the feed-forward weights, the layer
+    norms' gains and biases, then b, d_inter and d_outer when biased. kv
+    ("shared",) makes x_kv = x_q and ("constant", array) a constant."""
+    def run(x_q, *ts):
+        if kv[0] == "taped":
+            x_kv, ts = ts[0], ts[1:]
+        else:
+            x_kv = x_q if kv[0] == "shared" else Tensor(kv[1])
+        w = LayerWeights(AttentionWeights(*ts[:4]), MLPWeights(*ts[4:8]), *ts[8:12])
+        return layer(x_q, x_kv, w, heads, mask=mask,
+                     biases=BiasSet(*ts[12:]) if biased else None)
+    return run
+
+
+def _block_cases(seed, layer=transformer_layer):
+    """(name, op over arrays, input arrays) covering the fused transformer
+    block, with `layer` in its place. b1 keeps every ReLU input at least
+    0.05 from 0, so no difference step crosses a kink."""
+    rng = np.random.default_rng(seed)
+    heads, d = 2, 4
+    bias = _micro_bias_arrays(rng, heads)
+    n = bias[0].shape[-1]
+    observed = np.array([[1, 1, 1, 1, 1], [0, 0, 1, 1, 1], [0, 0, 0, 0, 1]], dtype=bool)
+    cross_q, cross_kv = rng.normal(size=(3, d)), rng.normal(size=(5, d))
+    cross_mask = _keep_mask(rng, (3, 5))
+    specs = [   # name, x_q, x_kv, key mask, bias arrays
+        ("cross, masked", cross_q, ("taped", cross_kv), cross_mask, []),
+        ("q = k = v, biased", rng.normal(size=(n, d)), ("shared",), None, bias),
+        ("batched, masked, history shape", rng.normal(size=(3, 5, d)), ("shared",),
+         np.broadcast_to(observed[:, None, :], (3, 5, 5)), []),
+        ("cross, masked, constant x_kv", cross_q, ("constant", cross_kv), cross_mask, []),
+    ]
+    cases = []
+    for name, x_q, kv, mask, biases in specs:
+        weights = [rng.normal(size=(d, d)) for _ in range(4)] + _ffn_and_norms(rng, d)
+        arrays = [x_q] + ([kv[1]] if kv[0] == "taped" else []) + weights + biases
+        w1, b1 = weights[4:6]
+        first_norm = _block_op(_first_norm, heads, kv, mask, bool(biases))
+        relu_inputs = lambda: first_norm(*map(Tensor, arrays)).data @ w1 + b1
+        for _ in range(10):
+            b1 += 0.2 * (np.abs(relu_inputs()) < 0.1).reshape(-1, 2 * d).any(axis=0)
+        assert np.abs(relu_inputs()).min() > 0.05, (seed, name)
+        cases.append((name, _block_op(layer, heads, kv, mask, bool(biases)), arrays))
+    return cases
+
+
+def test_transformer_layer_gradients_match_finite_differences():
+    for seed in range(3):
+        for name, fn, arrays in _block_cases(seed):
+            worst = max(_richardson_errors(fn, arrays))
+            assert worst <= 1e-6, f"seed {seed}: {name} max rel error {worst:.2e}"
+
+
+def test_transformer_layer_matches_composed_ops_bit_for_bit():
+    # the block's output and every gradient equal those of attention, add,
+    # layer_norm and mlp recorded as separate tape nodes
+    for (name, fused, arrays), (_, composed, _) in zip(
+            _block_cases(0), _block_cases(0, layer=_composed_block)):
+        results = []
+        for fn in (fused, composed):
+            inputs = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+            out = fn(*inputs)
+            w = np.random.default_rng(1234).normal(size=out.shape)
+            backpropagate(reduce_sum(multiply(out, Tensor(w))))
+            results.append([out.data] + [t.grad for t in inputs])
+        assert all(np.array_equal(a, b) for a, b in zip(*results)), name
+
+
+def test_transformer_layer_norms_read_constant_flags(monkeypatch):
+    # a constant gain or bias in the block gets no gradient computed for it
+    module, seen = importlib.import_module("laneformer.attention"), []
+    real = module._layer_norm
+
+    def spy(x, gain, bias, need):
+        seen.append(tuple(need))
+        return real(x, gain, bias, need)
+
+    monkeypatch.setattr(module, "_layer_norm", spy)
+    rng = np.random.default_rng(9)
+    lw = init_layer_weights(rng, 8, 2)
+    lw.ln1_gain, lw.ln2_bias = Tensor(lw.ln1_gain.data), Tensor(lw.ln2_bias.data)
+    x = Tensor(rng.normal(size=(3, 8)), requires_grad=True)
+    transformer_layer(x, x, lw, 2)
+    assert seen == [(True, False, True), (True, True, False)]
+
+
 def _fork_topology():
     # the fork map has every relation, reachability and two marking categories
     return build_topology(generate_scenario(GeneratorConfig(seed=1, template="fork"), 0))
@@ -540,13 +652,19 @@ def _fused_nodes(rng):
     for out, groups in _REACH.items():
         nodes[f"compose {out}"] = (_compose_one(topo, out, groups, bw),
                                    [getattr(bw, g).data for g in groups])
+    # the block's operand slots are attention's, with x_kv as key and value,
+    # then the feed-forward weights and the layer norms' gains and biases
+    nodes["transformer_layer"] = (
+        _block_op(transformer_layer, 2, ("taped",), None, True),
+        arrays[:2] + arrays[3:7] + _ffn_and_norms(rng, arrays[0].shape[-1]) + arrays[7:],
+        lambda a: a[:2] + a[1:2] + a[2:6] + a[14:] + a[6:14])
     return nodes
 
 
 def test_fused_ops_tape_one_vjp_per_differentiable_operand():
     # every fused op: one backward, one gradient per differentiable operand
-    ops = {name: (op, tuple(Tensor(a.copy(), requires_grad=True) for a in arrays))
-           for name, (op, arrays) in _fused_nodes(np.random.default_rng(3)).items()}
+    ops = {name: (op, tuple(Tensor(a.copy(), requires_grad=True) for a in arrays), *slots)
+           for name, (op, arrays, *slots) in _fused_nodes(np.random.default_rng(3)).items()}
     _assert_one_backward_per_parent(ops)
 
 

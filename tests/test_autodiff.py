@@ -553,18 +553,21 @@ def _assert_one_backward_per_parent(ops):
     """With all operands differentiable and with any one constant, the node's
     parents are the differentiable operands, its one backward returns one
     gradient per parent, and each parent gets the gradient it gets when every
-    operand is differentiable."""
-    for name, (op, args) in ops.items():
+    operand is differentiable. An entry (op, args, slots) names the operand
+    slots the op fills from its arguments, where one argument fills two."""
+    for name, (op, args, *layout) in ops.items():
+        slots = layout[0] if layout else (lambda a: a)
         out, reference = _taped_grads(op, args)
         g = np.ones(out.shape)
-        assert out._parents == tuple(a for a in args if isinstance(a, Tensor)), name
+        assert out._parents == tuple(a for a in slots(args) if isinstance(a, Tensor)), name
         assert len(out._backward(g)) == len(out._parents), name
         for i, a in enumerate(args):
             if not isinstance(a, Tensor):
                 continue
             call = args[:i] + (Tensor(a.data),) + args[i + 1:]
             out, grads = _taped_grads(op, call)
-            differentiable = tuple(t for t in call if isinstance(t, Tensor) and t.requires_grad)
+            differentiable = tuple(t for t in slots(call)
+                                   if isinstance(t, Tensor) and t.requires_grad)
             assert out._parents == differentiable, (name, i)
             if differentiable:
                 assert len(out._backward(g)) == len(out._parents), (name, i)
@@ -574,6 +577,23 @@ def _assert_one_backward_per_parent(ops):
             for j, t in enumerate(call):
                 if t in differentiable:
                     assert np.array_equal(grads[j], reference[j]), (name, i, j)
+
+
+def test_layer_norm_pair_computes_no_gradient_for_a_constant():
+    # layer_norm and the transformer block share this forward/backward pair;
+    # a slot flagged constant gets None from the raw backward, not a
+    # gradient for _result to drop
+    rng = np.random.default_rng(8)
+    x, gain, bias, g = (rng.normal(size=s) for s in ((2, 3, 4), (1, 4), (1, 4), (2, 3, 4)))
+    out, backward = autodiff._layer_norm(x, gain, bias, (True, True, True))
+    full = backward(g)
+    for i in range(3):
+        need = tuple(j != i for j in range(3))
+        out_i, backward_i = autodiff._layer_norm(x, gain, bias, need)
+        grads = backward_i(g)
+        assert np.array_equal(out_i, out) and grads[i] is None, i
+        assert all(np.array_equal(grads[j], full[j]) for j in range(3) if j != i), i
+    assert np.array_equal(out, layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data)
 
 
 def test_ops_tape_one_vjp_per_differentiable_operand():

@@ -515,8 +515,10 @@ def test_directory_as_config_is_config_error(tmp_path, capsys):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("command", ["generate", "eval"])
-def test_out_that_is_a_file_is_config_error(workspace, tmp_path, capsys, command):
+@pytest.mark.parametrize("command", ["generate", "eval", "gradcheck"])
+def test_out_that_is_a_file_is_config_error(workspace, tmp_path, capsys, monkeypatch, command):
+    # the check comes before the work: gradcheck exits before its audit
+    monkeypatch.setattr(cli, "grad_check", lambda *a, **k: pytest.fail("audited"))
     out = _write(tmp_path / "taken", "kept")
     argv = [command, "--out", out]
     if command == "eval":
