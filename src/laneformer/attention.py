@@ -17,7 +17,11 @@ a hand-written backward that returns every operand's gradient, as each
 autodiff primitive's does. Attention and the perceptron are each one numpy
 forward that also returns its backward; the public op tapes that pair, and
 the block chains both with autodiff's layer-norm pair, so the block's tape
-holds only what those backwards read.
+holds only what those backwards read. Attention allocates each score-sized
+(..., N_q, N_k) array once and then works in it: the scale, the key mask
+and the softmax overwrite the logits it computed, and in the backward the
+softmax's vjp and the scale overwrite the gradient array it computed.
+It never writes an operand's data, a saved array or its incoming gradient.
 """
 
 from __future__ import annotations
@@ -273,22 +277,24 @@ def _attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights, heads: int,
 
     qh, kh, vh = split(x_q @ wq), split(x_k @ wk), split(x_v @ wv)
     c = float(1.0 / np.sqrt(qh.shape[-1]))
-    scaled = (qh @ kh.swapaxes(-1, -2)) * c
+    scaled = qh @ kh.swapaxes(-1, -2)
+    scaled *= c
     logits = scaled
     if biased:
         b, d_inter, d_outer = (t.data for t in operands[7:])
-        logits = scaled * b + d_inter
+        logits = scaled * b
+        logits += d_inter
     scaled_shape, logits_shape = scaled.shape, logits.shape
     if not biased or not need[7]:
         scaled = None   # only B's gradient reads the unbiased logits
+    # logits is this call's own array, so the softmax turns it into p in place
     p = _softmax(logits, mask=None if mask is None else np.asarray(mask)[..., None, :, :])
-    logits = None   # the backward never reads it: free it before the next buffers
     _record_softmax(p)
     weights = p * d_outer if biased else p
     per_head = (weights @ vh).swapaxes(-3, -2)
     per_head_shape = per_head.shape
     merged = per_head.reshape(per_head_shape[:-2] + (-1,))
-    per_head = None   # likewise; `merged` is its copy
+    per_head = None   # the backward never reads it; `merged` is its copy
 
     def projected(g_h, x, w_in, i):
         """Gradients of input i and of its projection, from its heads' gradient."""
@@ -302,6 +308,7 @@ def _attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights, heads: int,
         g_heads = g_merged.reshape(per_head_shape).swapaxes(-3, -2)
         g_weights = _unbroadcast(g_heads @ vh.swapaxes(-1, -2), weights.shape)
         g_vh = _unbroadcast(weights.swapaxes(-1, -2) @ g_heads, vh.shape)
+        # the score-sized gradients are this backward's own: vjp and scale write into them
         if not biased:
             g_scaled, g_biases = _softmax_vjp(p, g_weights), ()
         else:
@@ -311,7 +318,7 @@ def _attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights, heads: int,
             g_biases = (_unbroadcast(g_product * scaled, b.shape) if need[7] else None,
                         _unbroadcast(g_logits, d_inter.shape) if need[8] else None,
                         _unbroadcast(g_weights * p, d_outer.shape) if need[9] else None)
-        g_scaled = g_scaled * c
+        g_scaled *= c
         (g_q, g_wq), (g_k, g_wk), (g_v, g_wv) = (
             projected(_unbroadcast(g_scaled @ kh, qh.shape), x_q, wq, 0),
             projected(_unbroadcast(g_scaled.swapaxes(-1, -2) @ qh, kh.shape), x_k, wk, 1),
@@ -323,7 +330,8 @@ def _attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights, heads: int,
 
 def attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights, heads: int,
               mask: np.ndarray | None = None, biases: BiasSet | None = None) -> Tensor:
-    """All heads at once over (..., N, D) inputs; mask is (..., N_q, N_k) keep flags.
+    """All heads at once over (..., N, D) inputs; mask is (..., N_q, N_k) keep
+    flags, or any shape that broadcasts to it, such as (..., 1, N_k).
 
     Per head: softmax(QK^T / sqrt(d_k) * B + D_inter) * D_outer, applied to
     V, where the bias set supplies B, D_inter and D_outer; without one the

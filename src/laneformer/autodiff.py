@@ -7,8 +7,9 @@ the MLP, the transformer block and the bias composition in `attention`)
 share this contract.
 `backpropagate` calls each backward once and alone stores and sums what
 it returns, out of place, so `.grad` arrays may share memory and are never
-written once stored: treat them as read-only. Inside `no_grad()` nothing
-is recorded, so inference builds no tape.
+written once stored: treat them as read-only. An op may overwrite arrays
+it allocated itself, never an operand's data or an incoming gradient.
+Inside `no_grad()` nothing is recorded, so inference builds no tape.
 Everything runs in float64 so analytic gradients can be compared against
 central finite differences at tight tolerances.
 """
@@ -242,12 +243,12 @@ def relu(a) -> Tensor:
 
 
 def _softmax(x: np.ndarray, mask=None) -> np.ndarray:
-    """row_softmax's forward on an array."""
+    """row_softmax's forward, computed in x itself and returned: the caller
+    owns x, a fresh array that nothing else reads, and gets it back as the
+    probabilities."""
     if x.ndim < 2:
         raise ShapeError(f"row_softmax: expected at least 2-d tensor, got shape {x.shape}")
-    if mask is None:
-        p = x - x.max(axis=-1, keepdims=True)
-    else:
+    if mask is not None:
         mask = np.asarray(mask, dtype=bool)
         try:
             fits = np.broadcast_shapes(mask.shape, x.shape) == x.shape
@@ -259,18 +260,19 @@ def _softmax(x: np.ndarray, mask=None) -> np.ndarray:
         if not rows_ok.all():
             row = np.argwhere(~rows_ok)[0].tolist()
             raise ValueError(f"empty attention row {row[0] if len(row) == 1 else tuple(row)}")
-        p = np.where(mask, x, -np.inf)
-        p -= p.max(axis=-1, keepdims=True)   # masked -> exp(-inf) = 0
-    np.exp(p, out=p)
-    p /= p.sum(axis=-1, keepdims=True)
-    return p
+        np.copyto(x, -np.inf, where=~mask)
+    x -= x.max(axis=-1, keepdims=True)   # masked -> exp(-inf) = 0
+    np.exp(x, out=x)
+    x /= x.sum(axis=-1, keepdims=True)
+    return x
 
 
 def _softmax_vjp(p: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """The input's gradient for softmax output p and output gradient g."""
-    gp = g * p
-    gp -= p * gp.sum(axis=-1, keepdims=True)
-    return gp
+    """The input's gradient for softmax output p and output gradient g,
+    computed in g itself and returned: the caller owns g and reads it no more."""
+    g *= p
+    g -= p * g.sum(axis=-1, keepdims=True)
+    return g
 
 
 def row_softmax(a, mask=None) -> Tensor:
@@ -280,8 +282,8 @@ def row_softmax(a, mask=None) -> Tensor:
     participates. A row with no unmasked entry is an error.
     """
     a = as_tensor(a)
-    p = _softmax(a.data, mask)
-    return _result(p, (a,), lambda g: (_softmax_vjp(p, g),))
+    p = _softmax(a.data.copy(), mask)
+    return _result(p, (a,), lambda g: (_softmax_vjp(p, g.copy()),))
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, need,

@@ -548,7 +548,8 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--epochs", type=int, help="epoch count override")
-    p.add_argument("--resume", help="checkpoint to continue from")
+    p.add_argument("--resume", help="warm start from this checkpoint's parameters; the "
+                   "optimizer state, epoch schedule and shuffling start afresh")
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="compute metrics for a trained model")

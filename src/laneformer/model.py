@@ -366,16 +366,17 @@ def hte_forward(params: ModelParams, agent_features: np.ndarray,
     Each agent is encoded independently, all agents in one batched pass:
     embed steps, run the temporal stack with each agent's padded steps
     masked out of its keys, mean-pool the observed rows, then a final
-    linear aggregation.
+    linear aggregation. The key mask stays (N_a, 1, T), the same keep flags
+    for every query step, so the softmax checks and inverts T flags per
+    agent, not T^2.
     """
-    n_a, t = observed.shape
+    n_a = observed.shape[0]
     counts = observed.sum(axis=1)
     if not counts.all():
         raise ValueError(f"empty history for agent {int(np.flatnonzero(counts == 0)[0])}")
     x = mlp(Tensor(agent_features), params.agent_embed)
-    mask = np.broadcast_to(observed[:, None, :], (n_a, t, t))
     for lw in params.temporal_layers:
-        x = transformer_layer(x, x, lw, params.cfg.heads, mask=mask)
+        x = transformer_layer(x, x, lw, params.cfg.heads, mask=observed[:, None, :])
     pool = (observed / counts[:, None])[:, None, :]
     pooled = reshape(matmul(Tensor(pool), x), (n_a, params.cfg.d_model))
     return mlp(pooled, params.temporal_agg)

@@ -683,3 +683,48 @@ def test_second_backpropagate_through_fused_ops_repeats_the_first():
         t.grad = None
     backpropagate(loss)
     assert all(np.array_equal(t.grad, g) for t, g in zip(leaves, first))
+
+
+def test_fused_attention_backward_writes_only_its_own_arrays():
+    # the softmax, its vjp and the scale compute in the score arrays that
+    # attention allocates; no operand, key mask, output, saved array or
+    # incoming gradient changes, so a second backward returns the same
+    rng = np.random.default_rng(6)
+    heads, d = 2, 4
+    bias = _micro_bias_arrays(rng, heads)
+    n = bias[0].shape[-1]
+    lanes = [rng.normal(size=(n, d)) for _ in range(2)]
+    history = [rng.normal(size=(3, 5, d)) for _ in range(2)]
+    observed = np.array([[1, 1, 1, 1, 1], [0, 0, 1, 1, 1], [0, 0, 0, 0, 1]], dtype=bool)
+    masks = {"lanes": _keep_mask(rng, (n, n)), "history": observed[:, None, :]}
+    weights = [rng.normal(size=(d, d)) for _ in range(4)] + _ffn_and_norms(rng, d)
+
+    def attend(mask, biased):
+        def run(q, kv, *ts):
+            return attention(q, kv, kv, AttentionWeights(*ts[:4]), heads, mask=mask,
+                             biases=BiasSet(*ts[4:]) if biased else None)
+        return run
+
+    cases = []
+    for x, key, biased in ((lanes, "lanes", False), (lanes, "lanes", True),
+                           (history, "history", False)):
+        for mask in (None, masks[key]):
+            name = f"{key}, {'biased' if biased else 'unbiased'}, mask {mask is not None}"
+            extra = bias if biased else []
+            cases += [(f"attention, {name}", attend(mask, biased), x + weights[:4] + extra, mask),
+                      (f"block, {name}", _block_op(transformer_layer, heads, ("taped",), mask,
+                                                   biased), x + weights + extra, mask)]
+    for name, fn, arrays, mask in cases:
+        mask_before = None if mask is None else mask.copy()
+        tensors = [Tensor(a.copy(), requires_grad=True) for a in arrays]
+        out = fn(*tensors)
+        out_before = out.data.copy()
+        g = rng.normal(size=out.shape)
+        g_before = g.copy()
+        first = out._backward(g)
+        assert np.array_equal(g, g_before), name
+        assert np.array_equal(out.data, out_before), name
+        assert all(np.array_equal(t.data, a) for t, a in zip(tensors, arrays)), name
+        assert mask is None or np.array_equal(mask, mask_before), name
+        again = out._backward(g)
+        assert all(np.array_equal(a, b) for a, b in zip(first, again)), name

@@ -114,6 +114,25 @@ def test_row_softmax_rows_sum_to_one():
         assert (p.data[~mask] == 0.0).all()
 
 
+def test_row_softmax_leaves_operand_and_incoming_gradient_unchanged():
+    # the softmax and its vjp compute in the arrays they are handed, so
+    # row_softmax must hand them copies of its operand and of its gradient
+    rng = np.random.default_rng(1)
+    mask = rng.random((4, 5)) < 0.6
+    mask[:, 0] = True
+    for m in (None, mask):
+        x = Tensor(rng.normal(size=(4, 5)), requires_grad=True)
+        x_before = x.data.copy()
+        p = row_softmax(x, mask=m)
+        g = rng.normal(size=p.shape)
+        g_before, p_before = g.copy(), p.data.copy()
+        (gx,) = p._backward(g)
+        assert np.array_equal(x.data, x_before)
+        assert np.array_equal(g, g_before)
+        assert np.array_equal(p.data, p_before)
+        assert not np.shares_memory(gx, g)
+
+
 def test_row_softmax_empty_row_raises():
     mask = np.ones((2, 3), dtype=bool)
     mask[1] = False

@@ -391,6 +391,26 @@ def test_toy_backward_memory_budget():
     assert peak <= 6.0e6, f"backward peak {peak / 1e6:.2f} MB"
 
 
+def test_default_forward_memory_budget():
+    # attention scales, masks and normalises its (N_a, H, T, T) history
+    # scores in the one array it allocates for them; a masked copy and a
+    # scaled copy beside it peak at about 1.77 MB per scene
+    cfg = ModelConfig()
+    params = init_model(cfg, seed=3)
+    for template in TEMPLATES:
+        sample = prepare_sample(generate_scenario(
+            GeneratorConfig(seed=3, template=template, agent_count=8), 0), cfg)
+        with no_grad():
+            model_forward(params, sample)
+            tracemalloc.start()
+            try:
+                model_forward(params, sample)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak <= 1.4e6, f"{template}: forward peak {peak / 1e6:.2f} MB"
+
+
 def test_bias_groups_and_decoder_register_as_one_tensor_each():
     cfg = _cfg(modes=3, heads=4, d_model=8, decoder_hidden=5)
     params = init_model(cfg, seed=0)

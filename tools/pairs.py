@@ -1,7 +1,7 @@
 """Interleaved benchmark pairs between two checkouts, summarised as a table.
 
     python tools/pairs.py PARENT CHANGE [--pairs 10] [--seconds 36] [--seed 1]
-                          [--workloads train_toy,eval_default]
+                          [--workloads train_toy,eval_default] [--json PATH]
 
 For each workload that BENCHMARK.json in CHANGE names, runs
 `benchmarks/bench.py --workload W --seed S --seconds T --trace 0` once in
@@ -13,9 +13,12 @@ change won, a tie counting for neither side. Runs that were not correct or
 had failed operations are listed after the table, and the exit status is 1
 if there were any.
 
-Progress goes to stderr, the table to stdout. Nothing is written inside
-either checkout: the runs write no bytecode and the bench's single-workload
-mode writes no file.
+Progress goes to stderr, the table to stdout. `--json PATH` also writes
+the table to PATH as JSON: per workload and metric, both sides' quartiles,
+the ratio and the wins, with the seed, the run length and the host as the
+bench reports it. Without it nothing is written. The runs themselves
+write nothing inside either checkout: no bytecode, and the bench's
+single-workload mode writes no file.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import platform
 import statistics
 import subprocess
 import sys
@@ -34,6 +38,13 @@ def result_of(stdout: str) -> dict:
     if not lines:
         raise ValueError("bench printed nothing")
     return json.loads(lines[-1])
+
+
+def host_of(stdout: str) -> dict:
+    """The bench's environment, from the detail line before its result, and the machine."""
+    lines = stdout.strip().splitlines()
+    env = json.loads(lines[-2]).get("env", {}) if len(lines) > 1 else {}
+    return dict(env, machine=platform.machine(), system=platform.system())
 
 
 def quartiles(values) -> tuple:
@@ -74,11 +85,24 @@ def table(rows: list) -> str:
     return "\n".join(out)
 
 
+def report(rows: list, seed: int, seconds: float, host: dict) -> dict:
+    """The table as the JSON object --json writes: workload -> metric -> row."""
+    workloads = {}
+    for r in rows:
+        workloads.setdefault(r["workload"], {})[r["metric"]] = {
+            "pairs": r["pairs"],
+            "parent": dict(zip(("q1", "median", "q3"), r["parent"])),
+            "change": dict(zip(("q1", "median", "q3"), r["change"])),
+            "ratio": r["ratio"], "wins": r["wins"]}
+    return {"seed": seed, "seconds": seconds, "host": host, "workloads": workloads}
+
+
 def broken(result: dict) -> bool:
     return result.get("correct") is not True or result.get("failed", 1) != 0
 
 
-def run_bench(checkout: str, workload: str, seed: int, seconds: float) -> dict:
+def run_bench(checkout: str, workload: str, seed: int, seconds: float) -> str:
+    """One bench run's stdout."""
     cmd = [sys.executable, os.path.join("benchmarks", "bench.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
@@ -87,7 +111,7 @@ def run_bench(checkout: str, workload: str, seed: int, seconds: float) -> dict:
     if proc.returncode != 0:
         raise RuntimeError(f"{checkout}: {workload} exited {proc.returncode}: "
                            f"{proc.stderr.strip()[-500:]}")
-    return result_of(proc.stdout)
+    return proc.stdout
 
 
 def main(argv=None) -> int:
@@ -100,20 +124,24 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=1)
     parser.add_argument("--workloads", default=None,
                         help="comma-separated workloads (default: all)")
+    parser.add_argument("--json", metavar="PATH", default=None,
+                        help="also write the table to PATH as JSON")
     args = parser.parse_args(argv)
     with open(os.path.join(args.change, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     seconds = args.seconds or spec["run_seconds"]
     names = (args.workloads.split(",") if args.workloads
              else [w["name"] for w in spec["workloads"]])
-    rows, faults = [], []
+    rows, faults, host = [], [], {}
     for name in names:
         pairs = []
         for i in range(args.pairs):
             sides = [("parent", args.parent), ("change", args.change)]
             got = {}
             for side, checkout in (sides if i % 2 == 0 else sides[::-1]):
-                got[side] = run_bench(checkout, name, args.seed, seconds)
+                stdout = run_bench(checkout, name, args.seed, seconds)
+                got[side] = result_of(stdout)
+                host = host or host_of(stdout)
                 if broken(got[side]):
                     faults.append(f"{name} pair {i + 1} {side}: correct="
                                   f"{got[side].get('correct')} failed={got[side].get('failed')}")
@@ -125,6 +153,10 @@ def main(argv=None) -> int:
                   file=sys.stderr)
         rows += summarize(name, pairs, spec["end_to_end"])
     print(table(rows))
+    if args.json:
+        with open(args.json, "w") as fh:
+            json.dump(report(rows, args.seed, seconds, host), fh, indent=1)
+            fh.write("\n")
     for fault in faults:
         print(fault)
     return 1 if faults else 0
