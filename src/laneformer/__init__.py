@@ -80,9 +80,6 @@ from .training import (
     TrainingConfig,
     TrainingDiverged,
     batch_loss,
-    classification_loss,
-    goal_loss,
-    regression_loss,
     scenario_loss,
     train,
 )

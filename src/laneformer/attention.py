@@ -291,10 +291,12 @@ def _attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights, heads: int,
     p = _softmax(logits, mask=None if mask is None else np.asarray(mask)[..., None, :, :])
     _record_softmax(p)
     weights = p * d_outer if biased else p
-    per_head = (weights @ vh).swapaxes(-3, -2)
-    per_head_shape = per_head.shape
+    # the heads' outputs go straight into the merged (..., N_q, H, d_k) layout
+    lead = np.broadcast_shapes(weights.shape[:-2], vh.shape[:-2])
+    per_head_shape = lead[:-1] + (weights.shape[-2], heads, vh.shape[-1])
+    per_head = np.empty(per_head_shape)
+    np.matmul(weights, vh, out=per_head.swapaxes(-3, -2))
     merged = per_head.reshape(per_head_shape[:-2] + (-1,))
-    per_head = None   # the backward never reads it; `merged` is its copy
 
     def projected(g_h, x, w_in, i):
         """Gradients of input i and of its projection, from its heads' gradient."""

@@ -3,8 +3,8 @@
 The tape is implicit: every op output keeps as parents the operands that
 need a gradient, decided when the op runs, and one backward mapping its
 gradient to one gradient per parent. Primitives and fused ops (attention,
-the MLP, the transformer block and the bias composition in `attention`)
-share this contract.
+the MLP, the transformer block and the bias composition in `attention`,
+the objective in `training`) share this contract.
 `backpropagate` calls each backward once and alone stores and sums what
 it returns, out of place, so `.grad` arrays may share memory and are never
 written once stored: treat them as read-only. An op may overwrite arrays
@@ -35,13 +35,11 @@ __all__ = [
     "reshape",
     "gather_rows",
     "add",
-    "subtract",
     "multiply",
     "scale",
     "relu",
     "row_softmax",
     "layer_norm",
-    "smooth_l1",
     "reduce_sum",
     "backpropagate",
     "grad_check",
@@ -152,33 +150,24 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # operand is often a constant computes only the gradients needed at its run.
 
 
-def matmul(a, b, transpose_b: bool = False) -> Tensor:
+def matmul(a, b) -> Tensor:
     """a @ b over the last two axes, broadcasting any leading axes.
 
-    transpose_b swaps b's last two axes first. A batch multiplies item by
-    item, so each BLAS call stays small enough to run on one thread.
+    A batch multiplies item by item, so each BLAS call stays small enough
+    to run on one thread.
     """
     a, b = as_tensor(a), as_tensor(b)
-    ad = a.data
-    bd = b.data
+    ad, bd = a.data, b.data
     need_a, need_b = a.requires_grad, b.requires_grad
     if ad.ndim < 2 or bd.ndim < 2:
         raise ShapeError(f"matmul: need at least 2-d operands, got {ad.shape} x {bd.shape}")
-    if transpose_b:
-        bd = bd.swapaxes(-1, -2)
     try:
         out = ad @ bd
     except ValueError:
         raise ShapeError(f"matmul: incompatible shapes {ad.shape} x {bd.shape}") from None
-
-    def backward(g):
-        ga = _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape) if need_a else None
-        if not need_b:
-            return ga, None
-        gb = (g.swapaxes(-1, -2) @ ad) if transpose_b else (ad.swapaxes(-1, -2) @ g)
-        return ga, _unbroadcast(gb, b.data.shape)
-
-    return _result(out, (a, b), backward)
+    return _result(out, (a, b), lambda g: (
+        _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape) if need_a else None,
+        _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape) if need_b else None))
 
 
 def reshape(a, shape) -> Tensor:
@@ -213,14 +202,6 @@ def add(a, b) -> Tensor:
     return _result(a.data + b.data, (a, b), lambda g: (
         _unbroadcast(g, a.data.shape) if need_a else None,
         _unbroadcast(g, b.data.shape) if need_b else None))
-
-
-def subtract(a, b) -> Tensor:
-    a, b = as_tensor(a), as_tensor(b)
-    need_a, need_b = a.requires_grad, b.requires_grad
-    return _result(a.data - b.data, (a, b), lambda g: (
-        _unbroadcast(g, a.data.shape) if need_a else None,
-        -_unbroadcast(g, b.data.shape) if need_b else None))
 
 
 def multiply(a, b) -> Tensor:
@@ -323,17 +304,6 @@ def layer_norm(x, gain, bias, eps: float = 1e-5) -> Tensor:
     out, backward = _layer_norm(*(t.data for t in operands),
                                 [t.requires_grad for t in operands], eps)
     return _result(out, operands, backward)
-
-
-def smooth_l1(a, delta: float = 1.0) -> Tensor:
-    """Elementwise Huber penalty: quadratic inside +-delta, linear outside."""
-    a = as_tensor(a)
-    delta = float(delta)
-    if delta <= 0:
-        raise ValueError(f"smooth_l1: delta must be positive, got {delta}")
-    absx = np.abs(a.data)
-    out = np.where(absx <= delta, 0.5 * a.data * a.data, delta * (absx - 0.5 * delta))
-    return _result(out, (a,), lambda g: (g * np.clip(a.data, -delta, delta),))
 
 
 def reduce_sum(a, axis=None, keepdims=False) -> Tensor:

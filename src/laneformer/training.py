@@ -5,9 +5,11 @@ a batch: a Huber regression penalty on the best mode's full trajectory
 (normalized by N * T_future), a hinge penalty pushing the best mode's
 confidence a margin above every other mode's, and a Huber penalty on the
 best mode's endpoint. Best mode means smallest endpoint error, ties going
-to the lower index; the selection itself is not differentiated. Each term
-is a few tensor ops over all targets at once: the best modes' (N, T_f, 2)
-errors for the two Huber terms, an (N, K) one-hot mask for the hinge.
+to the lower index; the selection itself is not differentiated. The
+objective is one tape node over the paths and the confidences: a numpy
+forward over all targets at once, from the best modes' (N, T_f, 2) errors
+for the two Huber terms and an (N, K) one-hot mask for the hinge, and one
+hand-written backward.
 """
 
 from __future__ import annotations
@@ -22,18 +24,11 @@ import numpy as np
 from .autodiff import (
     ParameterRegistry,
     Tensor,
+    _result,
     add,
     backpropagate,
-    gather_rows,
-    matmul,
-    multiply,
-    reduce_sum,
-    relu,
-    reshape,
     save_checkpoint,
     scale,
-    smooth_l1,
-    subtract,
 )
 from .metrics import min_fde
 from .model import ModelOutput, ModelParams, Sample, model_forward
@@ -41,9 +36,6 @@ from .model import ModelOutput, ModelParams, Sample, model_forward
 __all__ = [
     "LossConfig",
     "LossBreakdown",
-    "classification_loss",
-    "regression_loss",
-    "goal_loss",
     "scenario_loss",
     "batch_loss",
     "AdamOptimizer",
@@ -83,56 +75,63 @@ class LossBreakdown:
                 "cls": self.cls.item(), "goal": self.goal.item()}
 
 
-def classification_loss(confidences: Tensor, best_modes, epsilon: float) -> Tensor:
-    """Hinge margin over non-best modes, averaged over N * (K - 1) terms."""
-    n, k = confidences.shape
-    if k == 1:
-        raise ValueError("classification loss undefined for a single mode")
-    onehot = np.zeros((n, k))
-    onehot[np.arange(n), best_modes] = 1.0
-    c_hat = reduce_sum(multiply(confidences, Tensor(onehot)), axis=1, keepdims=True)
-    margins = relu(subtract(add(confidences, epsilon), c_hat))
-    return scale(reduce_sum(multiply(margins, Tensor(1.0 - onehot))), 1.0 / (n * (k - 1)))
-
-
-def regression_loss(errors: Tensor, delta: float) -> Tensor:
-    """Per-coordinate Huber on the (N, T_future, 2) best-mode errors, / (N * T_future)."""
-    n, t_f = errors.shape[:2]
-    return scale(reduce_sum(smooth_l1(errors, delta=delta)), 1.0 / (n * t_f))
-
-
-def goal_loss(errors: Tensor, delta: float) -> Tensor:
-    """Per-coordinate Huber on the (N, T_future, 2) best-mode errors' last step, / N."""
-    n, t_f = errors.shape[:2]
-    last = np.zeros((1, t_f))
-    last[0, -1] = 1.0
-    endpoints = matmul(Tensor(last), errors)  # (N, 1, 2)
-    return scale(reduce_sum(smooth_l1(endpoints, delta=delta)), 1.0 / n)
+def _huber(x: np.ndarray, delta: float) -> np.ndarray:
+    """Elementwise Huber penalty: quadratic inside +-delta, linear outside."""
+    absx = np.abs(x)
+    return np.where(absx <= delta, 0.5 * x * x, delta * (absx - 0.5 * delta))
 
 
 def scenario_loss(output: ModelOutput, sample: Sample,
                   loss_cfg: LossConfig | None = None) -> LossBreakdown:
     """Objective over one scenario's targets; needs ground truth on the sample.
 
-    The best modes are picked on the numpy paths, then gathered in one
-    step; every term then covers all targets at once.
+    One tape node over the paths and the confidences, those that need a
+    gradient: the best modes are picked on the numpy paths, the three terms
+    computed over all targets at once, and one backward returns both
+    gradients. Only `total` is taped; `reg`, `cls` and `goal` are constants.
     """
     cfg = loss_cfg or LossConfig()
     if sample.ground_truth is None:
         raise ValueError(f"scenario {sample.scenario.name!r} has no ground truth")
+    paths, confidences = output.paths, output.confidences
+    n, k, t_f, _ = paths.shape
+    if k == 1:
+        raise ValueError("classification loss undefined for a single mode")
+    delta = float(cfg.huber_delta)
+    if delta <= 0:
+        raise ValueError(f"huber_delta must be positive, got {delta}")
     gt = np.stack([sample.ground_truth[i] for i in output.target_ids])
-    paths = output.paths
-    n_t, k, t_f, _ = paths.shape
     # minFDE's own rule, so the loss trains the mode the metrics score
     best = [min_fde(modes, g)[1] for modes, g in zip(paths.data, gt)]
-    chosen = gather_rows(reshape(paths, (n_t * k, t_f, 2)), np.arange(n_t) * k + best)
-    errors = subtract(chosen, Tensor(gt))
-    reg = regression_loss(errors, cfg.huber_delta)
-    cls = classification_loss(output.confidences, best, cfg.epsilon)
-    goal = goal_loss(errors, cfg.huber_delta)
-    total = add(add(scale(reg, cfg.weight_reg), scale(cls, cfg.weight_cls)),
-                scale(goal, cfg.weight_goal))
-    return LossBreakdown(total=total, reg=reg, cls=cls, goal=goal)
+    rows = np.arange(n)
+    errors = paths.data[rows, best] - gt     # (N, T_f, 2)
+    onehot = np.zeros((n, k))
+    onehot[rows, best] = 1.0
+    others = 1.0 - onehot
+    conf = confidences.data
+    pre = (conf + cfg.epsilon) - (conf * onehot).sum(axis=1, keepdims=True)
+    c_reg, c_cls, c_goal = 1.0 / (n * t_f), 1.0 / (n * (k - 1)), 1.0 / n
+    w_reg, w_cls, w_goal = cfg.weight_reg, cfg.weight_cls, cfg.weight_goal
+    reg = _huber(errors, delta).sum() * c_reg
+    cls = (np.maximum(pre, 0.0) * others).sum() * c_cls
+    goal = _huber(errors[:, -1:], delta).sum() * c_goal
+    total = (reg * w_reg + cls * w_cls) + goal * w_goal
+    need_paths, need_conf = paths.requires_grad, confidences.requires_grad
+
+    def backward(g):
+        g_paths = g_conf = None
+        if need_paths:
+            g_errors = ((g * w_reg) * c_reg) * np.clip(errors, -delta, delta)
+            g_errors[:, -1:] += ((g * w_goal) * c_goal) * np.clip(errors[:, -1:], -delta, delta)
+            g_paths = np.zeros(paths.shape)
+            g_paths[rows, best] += g_errors
+        if need_conf:
+            g_pre = (((g * w_cls) * c_cls) * others) * (pre > 0.0)
+            g_conf = g_pre + (-g_pre.sum(axis=1, keepdims=True)) * onehot
+        return g_paths, g_conf
+
+    return LossBreakdown(total=_result(total, (paths, confidences), backward),
+                         reg=Tensor(reg), cls=Tensor(cls), goal=Tensor(goal))
 
 
 def batch_loss(params: ModelParams, samples, loss_cfg: LossConfig | None = None) -> LossBreakdown:

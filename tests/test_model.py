@@ -1,7 +1,9 @@
 """Pipeline tests: sample preparation, forward stages, invariances."""
 
+import functools
 import os
 import re
+import tempfile
 import tracemalloc
 
 import numpy as np
@@ -19,6 +21,7 @@ from laneformer.autodiff import (
     save_checkpoint,
     uniform_init,
 )
+from laneformer.cli import micro_config, micro_scenario
 from laneformer.model import (
     ModelConfig,
     ModelOutput,
@@ -232,7 +235,6 @@ def test_checkpoint_round_trip_preserves_forward():
     raw = _scene()
     base = predict(params, raw)
 
-    import tempfile
     with tempfile.TemporaryDirectory() as d:
         path = os.path.join(d, "model.ckpt")
         save_checkpoint(path, params.registry, seed=5)
@@ -242,6 +244,32 @@ def test_checkpoint_round_trip_preserves_forward():
         again = predict(other, raw)
     assert np.array_equal(base.trajectories, again.trajectories)
     assert np.array_equal(base.confidences, again.confidences)
+
+
+@functools.cache
+def _micro_checkpoint() -> bytes:
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "micro.ckpt")
+        save_checkpoint(path, init_model(micro_config(), seed=2).registry, seed=2)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_checkpoint_cut_anywhere_names_the_file_and_loads_nothing(data):
+    blob = _micro_checkpoint()
+    cut = data.draw(st.integers(0, len(blob) - 1), label="cut")
+    registry = init_model(micro_config(), seed=7).registry
+    before = {n: (t.data, t.data.copy()) for n, t in registry.items()}
+    with tempfile.TemporaryDirectory() as d:
+        path = os.path.join(d, "cut.ckpt")
+        with open(path, "wb") as fh:
+            fh.write(blob[:cut])
+        with pytest.raises(ValueError, match=re.escape(path)):
+            load_checkpoint(path, registry)
+    for n, t in registry.items():
+        assert t.data is before[n][0] and np.array_equal(t.data, before[n][1]), n
 
 
 def test_to_world_round_trip():
@@ -322,7 +350,14 @@ def test_toy_batch_loss_tape_node_budget():
     # each transformer block, every MLP and each composed bias matrix record
     # one node each, so unfusing one of them fails here
     params, samples = _toy_batch()
-    assert _tape_nodes(batch_loss(params, samples).total) == 464
+    assert _tape_nodes(batch_loss(params, samples).total) == 288
+
+
+def test_micro_batch_loss_tape_node_budget():
+    # the graph the gradient audit records: the objective is one node
+    params = init_model(micro_config(), seed=1)
+    sample = prepare_sample(micro_scenario(), micro_config())
+    assert _tape_nodes(batch_loss(params, [sample]).total) == 36
 
 
 def _op_outputs(loss) -> list:
@@ -344,7 +379,7 @@ def test_backpropagate_leaves_gradients_on_leaves_and_root_only():
     loss = batch_loss(params, samples).total
     backpropagate(loss)
     ops = _op_outputs(loss)
-    assert len(ops) == 464 and ops[0] is loss
+    assert len(ops) == 288 and ops[0] is loss
     assert loss.grad is not None
     assert [t for t in ops[1:] if t.grad is not None] == []
     assert all(t.grad is not None for _, t in params.registry.items())
@@ -364,7 +399,7 @@ def test_backpropagate_calls_each_backward_once():
     for t in ops:
         t._backward = counted(t, t._backward)
     backpropagate(loss)
-    assert len(ops) == 464 and len(calls) == 464
+    assert len(ops) == 288 and len(calls) == 288
     assert set(calls.values()) == {1}
 
 

@@ -1,5 +1,7 @@
 """Loss, optimizer, and training-loop tests with hand-worked oracles."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,7 @@ from laneformer.autodiff import (
     backpropagate,
     grad_check,
     multiply,
+    no_grad,
     reduce_sum,
 )
 from laneformer.metrics import min_fde
@@ -20,11 +23,8 @@ from laneformer.training import (
     TrainingConfig,
     TrainingDiverged,
     batch_loss,
-    classification_loss,
     config_hash,
-    goal_loss,
     learning_rate,
-    regression_loss,
     run_manifest,
     save_curves,
     scenario_loss,
@@ -32,6 +32,7 @@ from laneformer.training import (
     train_epoch,
 )
 
+from test_autodiff import _assert_one_backward_per_parent
 from test_model import _cfg, _scene
 
 
@@ -50,43 +51,71 @@ def test_select_best_mode_endpoint_and_ties():
     assert min_fde(modes, gt)[1] == 0
 
 
+def _hand_loss(best_errors, confidences, best, **cfg):
+    """scenario_loss on hand-built outputs: per target, mode `best` misses the
+    ground truth by `best_errors` (N, T_f, 2) and every other mode by 10 m
+    more in x, so the best mode is `best`."""
+    best_errors = np.asarray(best_errors, dtype=float)
+    confidences = np.asarray(confidences, dtype=float)
+    n, k = confidences.shape
+    gt = np.random.default_rng(0).normal(size=best_errors.shape)
+    paths = np.repeat((gt + best_errors + (10.0, 0.0))[:, None], k, axis=1)
+    paths[np.arange(n), best] = gt + best_errors
+    out = ModelOutput(paths=Tensor(paths, requires_grad=True), scores=Tensor(confidences),
+                      confidences=Tensor(confidences, requires_grad=True),
+                      target_ids=list(range(n)))
+    sample = SimpleNamespace(ground_truth=gt, scenario=SimpleNamespace(name="hand"))
+    return scenario_loss(out, sample, LossConfig(**cfg))
+
+
 def test_classification_hinge_oracle():
-    conf = Tensor(np.array([[0.8, 0.7]]))
+    exact = np.zeros((1, 3, 2))
     # one non-best mode: max(0, 0.7 + 0.2 - 0.8) = 0.1, / (1 * 1)
-    loss = classification_loss(conf, [0], epsilon=0.2)
-    assert abs(loss.item() - 0.1) < 1e-12
+    loss = _hand_loss(exact, [[0.8, 0.7]], [0], epsilon=0.2)
+    assert abs(loss.cls.item() - 0.1) < 1e-12
+    assert loss.reg.item() == 0.0 and loss.goal.item() == 0.0
+    assert loss.total.item() == loss.cls.item()
     # margin satisfied: exactly zero
-    assert classification_loss(Tensor([[0.9, 0.1]]), [0], 0.2).item() == 0.0
+    assert _hand_loss(exact, [[0.9, 0.1]], [0], epsilon=0.2).cls.item() == 0.0
     # three modes, best in the middle: (max(0,.4+.2-.5) + max(0,.1+.2-.5)) / 2
-    loss3 = classification_loss(Tensor([[0.4, 0.5, 0.1]]), [1], 0.2)
-    assert abs(loss3.item() - 0.05) < 1e-12
+    loss3 = _hand_loss(exact, [[0.4, 0.5, 0.1]], [1], epsilon=0.2)
+    assert abs(loss3.cls.item() - 0.05) < 1e-12
 
 
 def test_classification_needs_two_modes():
     with pytest.raises(ValueError, match="single mode"):
-        classification_loss(Tensor([[1.0]]), [0], 0.2)
+        _hand_loss(np.zeros((1, 3, 2)), [[1.0]], [0])
 
 
 def test_huber_values_inside_and_outside_delta():
     # residual 0.5 -> 0.5 * 0.25 = 0.125; residual 2 -> 1 * (2 - 0.5) = 1.5
-    errors = Tensor(np.array([[[0.5, 0.0], [2.0, 0.0]]]))
-    loss = regression_loss(errors, 1.0)
+    loss = _hand_loss([[[0.5, 0.0], [2.0, 0.0]]], [[0.6, 0.4]], [0], huber_delta=1.0)
     # sum = 0.125 + 1.5, normalized by N * T = 1 * 2
-    assert abs(loss.item() - (0.125 + 1.5) / 2.0) < 1e-12
+    assert abs(loss.reg.item() - (0.125 + 1.5) / 2.0) < 1e-12
+    assert abs(loss.goal.item() - 1.5) < 1e-12
 
 
 def test_goal_loss_uses_only_the_endpoint():
-    errors = Tensor(np.array([[[9.0, 9.0], [5.0, 5.0], [0.3, 0.4]]]))
-    loss = goal_loss(errors, 1.0)
+    loss = _hand_loss([[[9.0, 9.0], [5.0, 5.0], [0.3, 0.4]]], [[0.2, 0.8]], [1],
+                      huber_delta=1.0)
     # per-coordinate Huber of (0.3, 0.4): 0.5*0.09 + 0.5*0.16 = 0.125
-    assert abs(loss.item() - 0.125) < 1e-12
+    assert abs(loss.goal.item() - 0.125) < 1e-12
 
 
 def test_regression_normalizes_by_agents_and_steps():
-    errors = Tensor(np.full((2, 4, 2), 0.5))
-    loss = regression_loss(errors, 1.0)
+    loss = _hand_loss(np.full((2, 4, 2), 0.5), [[0.6, 0.4], [0.3, 0.7]], [0, 1],
+                      huber_delta=1.0)
     # every coordinate contributes 0.125; 16 coords over N*T = 8
-    assert abs(loss.item() - 16 * 0.125 / 8.0) < 1e-12
+    assert abs(loss.reg.item() - 16 * 0.125 / 8.0) < 1e-12
+
+
+def test_scenario_loss_is_one_node_over_paths_and_confidences():
+    loss = _hand_loss(np.full((2, 3, 2), 0.5), [[0.6, 0.4], [0.3, 0.7]], [0, 1])
+    assert len(loss.total._parents) == 2
+    for term in (loss.reg, loss.cls, loss.goal):
+        assert term._parents == () and not term.requires_grad
+    with pytest.raises(ValueError, match="huber_delta must be positive"):
+        _hand_loss(np.zeros((1, 3, 2)), [[0.6, 0.4]], [0], huber_delta=0.0)
 
 
 def test_scenario_loss_composes_weighted_terms():
@@ -152,6 +181,30 @@ def test_multi_target_scenario_loss_gradients_match_finite_differences():
 
     report = grad_check(loss, [paths, conf])
     assert report.passed, report.errors
+
+
+def _loss_of(out, sample, cfg):
+    """scenario_loss's total as an op over (paths, confidences)."""
+    return lambda p, c: scenario_loss(ModelOutput(paths=p, scores=out.scores, confidences=c,
+                                                  target_ids=out.target_ids), sample, cfg).total
+
+
+def test_scenario_loss_tapes_one_vjp_per_differentiable_operand():
+    # with constant paths or constant confidences, the other operand gets
+    # the gradient it gets when both are differentiable
+    out, sample, cfg = _multi_target_case()
+    args = tuple(Tensor(a.data.copy(), requires_grad=True) for a in (out.paths, out.confidences))
+    _assert_one_backward_per_parent({"scenario_loss": (_loss_of(out, sample, cfg), args)})
+
+
+def test_scenario_loss_records_no_tape_under_no_grad():
+    out, sample, cfg = _multi_target_case()
+    taped = scenario_loss(out, sample, cfg)
+    with no_grad():
+        plain = scenario_loss(out, sample, cfg)
+    assert plain.total._parents == () and plain.total._backward is None
+    assert not plain.total.requires_grad
+    assert plain.values() == taped.values()
 
 
 def test_scenario_loss_requires_ground_truth():
