@@ -148,37 +148,32 @@ def prepare_sample(raw: sc.Scenario, cfg: ModelConfig) -> Sample:
     heading = float(ref.headings[t - 1])
     norm = sc.normalize_scenario(raw, target)
 
-    n_a = len(norm.agents)
-    feats = np.zeros((n_a, t, N_AGENT_FEATURES))
-    observed = np.zeros((n_a, t), dtype=bool)
-    agent_pos = np.zeros((n_a, 2))
-    for i, a in enumerate(norm.agents):
-        if not a.padding.any():
-            raise ValueError(f"empty history for agent {i}")
-        observed[i] = a.padding
-        feats[i, :, 0:2] = a.positions / FEATURE_SCALE
-        feats[i, :, 2] = a.padding.astype(np.float64)
-        feats[i, :, 3] = float(a.category)
-        feats[i, :, 4] = float(sc.AGENT_TYPES.index(a.agent_type))
-        feats[i, :, 5] = a.headings
-        feats[i, :, 6:8] = a.velocities / FEATURE_SCALE
-        agent_pos[i] = a.positions[np.flatnonzero(a.padding)[-1]]
+    positions, velocities, headings, observed = sc._agent_arrays(norm.agents)
+    empty = np.flatnonzero(~observed.any(axis=1))
+    if len(empty):
+        raise ValueError(f"empty history for agent {empty[0]}")
+    feats = np.zeros((len(norm.agents), t, N_AGENT_FEATURES))
+    feats[..., 0:2] = positions / FEATURE_SCALE
+    feats[..., 2] = observed
+    feats[..., 3:5] = np.array([(a.category, sc.AGENT_TYPES.index(a.agent_type))
+                                for a in norm.agents], dtype=np.float64)[:, None]
+    feats[..., 5] = headings
+    feats[..., 6:8] = velocities / FEATURE_SCALE
+    last_observed = t - 1 - np.argmax(observed[:, ::-1], axis=1)
+    agent_pos = positions[np.arange(len(positions)), last_observed]
 
     resampled = sc.resample_lanes(norm, cfg.n_lane_nodes)
     topo = build_topology(resampled, cfg.connection_types)
 
-    n_l = len(resampled.lanes)
-    lane_feats = np.zeros((n_l, cfg.n_lane_nodes, N_MAP_FEATURES))
-    lane_pos = np.zeros((n_l, 2))
-    for i, l in enumerate(resampled.lanes):
-        pts = l.centerline
-        tangent = sc.finite_difference_velocities(pts, 1.0)
-        norms = np.linalg.norm(tangent, axis=1, keepdims=True)
-        tangent = np.divide(tangent, norms, out=np.zeros_like(tangent), where=norms > 0)
-        lane_feats[i, :, 0:2] = pts / FEATURE_SCALE
-        lane_feats[i, :, 2:4] = tangent
-        lane_feats[i, :, 4] = float(sc.LANE_TYPES.index(l.lane_type))
-        lane_pos[i] = sc.arc_length_midpoint(pts)
+    pts = np.array([l.centerline for l in resampled.lanes])
+    tangent = sc.finite_difference_velocities(pts, 1.0)
+    norms = np.linalg.norm(tangent, axis=2, keepdims=True)
+    tangent = np.divide(tangent, norms, out=np.zeros_like(tangent), where=norms > 0)
+    lane_feats = np.zeros((len(pts), cfg.n_lane_nodes, N_MAP_FEATURES))
+    lane_feats[..., 0:2] = pts / FEATURE_SCALE
+    lane_feats[..., 2:4] = tangent
+    lane_feats[..., 4] = np.array([sc.LANE_TYPES.index(l.lane_type) for l in resampled.lanes],
+                                  dtype=np.float64)[:, None]
 
     return Sample(
         scenario=resampled,
@@ -187,7 +182,7 @@ def prepare_sample(raw: sc.Scenario, cfg: ModelConfig) -> Sample:
         observed=observed,
         agent_positions=agent_pos,
         lane_features=lane_feats,
-        lane_positions=lane_pos,
+        lane_positions=topo.midpoints,
         target_ids=list(norm.target_ids),
         ground_truth=norm.ground_truth,
         frame_origin=origin,

@@ -122,24 +122,81 @@ def lane_index_map(sc: Scenario) -> dict:
     return {l.lane_id: i for i, l in enumerate(sc.lanes)}
 
 
+def _agent_arrays(agents) -> tuple:
+    """The agents' positions and velocities (N_a, T, 2), headings and padding (N_a, T)."""
+    return (np.array([a.positions for a in agents]), np.array([a.velocities for a in agents]),
+            np.array([a.headings for a in agents]), np.array([a.padding for a in agents]))
+
+
+def _first_offender(flags: np.ndarray):
+    """(index, check) of the first True column of a (checks, items) array, or None."""
+    if not flags.any():
+        return None
+    i = int(np.flatnonzero(flags.any(axis=0))[0])
+    return i, int(np.argmax(flags[:, i]))
+
+
+def _check_lanes(lanes) -> None:
+    """Per lane: a repeated id, an unknown type, a non-finite node, two equal consecutive nodes."""
+    first_index = {}
+    flags = np.zeros((4, len(lanes)), dtype=bool)
+    flags[0] = [first_index.setdefault(l.lane_id, i) != i for i, l in enumerate(lanes)]
+    flags[1] = [l.lane_type not in LANE_TYPES for l in lanes]
+    nodes = np.concatenate([l.centerline for l in lanes])
+    lane_of = np.repeat(np.arange(len(lanes)), [len(l.centerline) for l in lanes])
+    flags[2, lane_of[~np.isfinite(nodes).all(axis=1)]] = True
+    with np.errstate(invalid="ignore"):   # inf - inf at a non-finite node, flagged above
+        repeated = np.linalg.norm(np.diff(nodes, axis=0), axis=1) == 0.0
+    flags[3, lane_of[1:][repeated & (lane_of[1:] == lane_of[:-1])]] = True
+    found = _first_offender(flags)
+    if found:
+        l = lanes[found[0]]
+        raise ValueError((f"duplicate lane id {l.lane_id}",
+                          f"lane {l.lane_id}: unknown lane type {l.lane_type!r}",
+                          f"lane {l.lane_id}: non-finite centerline",
+                          f"lane {l.lane_id}: consecutive centerline nodes not distinct",
+                          )[found[1]])
+
+
+def _check_agents(agents) -> None:
+    """Per agent: a history length unlike agent 0's, an unknown type, then a
+    non-finite position, velocity or heading at an observed step."""
+    t = agents[0].t_history
+    lengths = np.array([a.t_history for a in agents])
+    mismatched = np.flatnonzero(lengths != t)
+    kept = agents[:mismatched[0]] if len(mismatched) else agents
+    positions, velocities, headings, padding = _agent_arrays(kept)
+    # padded steps are ignored downstream, so only observed ones must be finite
+    bad = {"positions": padding & ~np.isfinite(positions).all(axis=2),
+           "velocities": padding & ~np.isfinite(velocities).all(axis=2),
+           "headings": padding & ~np.isfinite(headings)}
+    found = _first_offender(np.array(
+        [[a.agent_type not in AGENT_TYPES for a in kept], *(b.any(axis=1) for b in bad.values())]))
+    if found:
+        i, check = found
+        if check == 0:
+            raise ValueError(f"agent {i}: unknown agent type {kept[i].agent_type!r}")
+        name, steps = list(bad.items())[check - 1]
+        raise ValueError(
+            f"agent {i}: non-finite {name} at observed step {int(np.flatnonzero(steps[i])[0])}")
+    if len(mismatched):
+        i = int(mismatched[0])
+        raise ValueError(f"history length mismatch: agent {i} has {lengths[i]}, expected {t}")
+
+
 def validate_scenario(sc: Scenario) -> None:
-    """Raise ValueError on any structural invariant violation."""
+    """Raise ValueError on any structural invariant violation.
+
+    Lanes and agents are checked as stacked arrays; a message names the
+    first offending lane or agent in storage order, and its first failing
+    check in the order the checks are listed.
+    """
     if not sc.lanes:
         raise ValueError("no lanes")
     if not sc.agents:
         raise ValueError("no agents")
-
-    lane_ids = set()
-    for l in sc.lanes:
-        if l.lane_id in lane_ids:
-            raise ValueError(f"duplicate lane id {l.lane_id}")
-        lane_ids.add(l.lane_id)
-        if l.lane_type not in LANE_TYPES:
-            raise ValueError(f"lane {l.lane_id}: unknown lane type {l.lane_type!r}")
-        if not np.isfinite(l.centerline).all():
-            raise ValueError(f"lane {l.lane_id}: non-finite centerline")
-        if (np.linalg.norm(np.diff(l.centerline, axis=0), axis=1) == 0.0).any():
-            raise ValueError(f"lane {l.lane_id}: consecutive centerline nodes not distinct")
+    _check_lanes(sc.lanes)
+    lane_ids = {l.lane_id for l in sc.lanes}
 
     def check_pair(a, b, relation):
         if a not in lane_ids:
@@ -161,20 +218,7 @@ def validate_scenario(sc: Scenario) -> None:
     for a, b, _marking in conn.right:
         check_pair(a, b, "right")
 
-    t = sc.agents[0].t_history
-    for i, a in enumerate(sc.agents):
-        if a.t_history != t:
-            raise ValueError(
-                f"history length mismatch: agent {i} has {a.t_history}, expected {t}")
-        if a.agent_type not in AGENT_TYPES:
-            raise ValueError(f"agent {i}: unknown agent type {a.agent_type!r}")
-        # padded steps are ignored downstream, so only observed ones must be finite
-        for name in ("positions", "velocities", "headings"):
-            values = getattr(a, name).reshape(a.t_history, -1)
-            bad = a.padding & ~np.isfinite(values).all(axis=1)
-            if bad.any():
-                raise ValueError(
-                    f"agent {i}: non-finite {name} at observed step {int(np.flatnonzero(bad)[0])}")
+    _check_agents(sc.agents)
 
     if not sc.target_ids:
         raise ValueError("no target agents")
@@ -326,8 +370,9 @@ def normalize_scenario(sc: Scenario, target: int) -> Scenario:
 
     The target's current position (history row T-1, "t = 0") moves to the
     origin and its heading there becomes zero. The same rigid motion applies
-    to every lane node, valid agent state, and ground-truth point. Padded
-    steps come out exactly zero.
+    to every lane node, valid agent state, and ground-truth point, each kind
+    moved as one stacked array, so the agents share one history length (as
+    validate_scenario requires). Padded steps come out exactly zero.
     """
     if not 0 <= target < len(sc.agents):
         raise ValueError(f"target index {target} out of range")
@@ -339,28 +384,23 @@ def normalize_scenario(sc: Scenario, target: int) -> Scenario:
     h0 = float(tgt.headings[ref])
     rot = rotation(-h0)
 
-    def move_points(p):
-        return (p - origin) @ rot.T
-
-    def move_vectors(v):
-        return v @ rot.T
-
-    agents = []
-    for a in sc.agents:
-        valid = a.padding.copy()
-        mask = valid[:, None]
-        agents.append(AgentHistory(
-            positions=np.where(mask, move_points(a.positions), 0.0),
-            velocities=np.where(mask, move_vectors(a.velocities), 0.0),
-            headings=np.where(valid, a.headings - h0, 0.0),
-            padding=valid,
-            category=a.category,
-            agent_type=a.agent_type,
-        ))
+    positions, velocities, headings, padding = _agent_arrays(sc.agents)
+    mask = padding[..., None]
+    positions = np.where(mask, (positions - origin) @ rot.T, 0.0)
+    velocities = np.where(mask, velocities @ rot.T, 0.0)
+    headings = np.where(padding, headings - h0, 0.0)
+    agents = [AgentHistory(positions=positions[i], velocities=velocities[i],
+                           headings=headings[i], padding=padding[i],
+                           category=a.category, agent_type=a.agent_type)
+              for i, a in enumerate(sc.agents)]
+    nodes = (np.concatenate([l.centerline for l in sc.lanes] or [np.empty((0, 2))])
+             - origin) @ rot.T
+    ends = np.cumsum([len(l.centerline) for l in sc.lanes]).tolist()
     lanes = [Lane(lane_id=l.lane_id, lane_type=l.lane_type,
-                  centerline=move_points(l.centerline)) for l in sc.lanes]
-    gt = None if sc.ground_truth is None else np.stack(
-        [move_points(g) for g in sc.ground_truth])
+                  centerline=nodes[end - len(l.centerline):end])
+             for l, end in zip(sc.lanes, ends)]
+    gt = None if sc.ground_truth is None else (
+        (np.asarray(sc.ground_truth, dtype=np.float64) - origin) @ rot.T)
     conn = LaneConnectivity(
         successors=list(sc.connectivity.successors),
         predecessors=list(sc.connectivity.predecessors),
@@ -371,9 +411,66 @@ def normalize_scenario(sc: Scenario, target: int) -> Scenario:
                     target_ids=list(sc.target_ids), ground_truth=gt, name=sc.name)
 
 
-def _cumulative_arc_length(points: np.ndarray) -> np.ndarray:
-    seg = np.linalg.norm(np.diff(points, axis=0), axis=1)
-    return np.concatenate([[0.0], np.cumsum(seg)])
+# Polylines are handled as one (N, P, 2) array. Ragged ones are padded with
+# copies of their last node, which add no arc length and change no
+# interpolation below.
+
+
+def _stack_polylines(polylines) -> np.ndarray:
+    """(N, P_max, 2): the polylines, each padded with copies of its last node."""
+    counts = [len(p) for p in polylines]
+    if min(counts) == max(counts):
+        return np.array(polylines, dtype=np.float64)
+    counts = np.array(counts)
+    starts = np.cumsum(counts) - counts
+    nodes = np.concatenate(polylines).astype(np.float64, copy=False)
+    return nodes[starts[:, None] + np.minimum(np.arange(counts.max()), counts[:, None] - 1)]
+
+
+def _arc_lengths(points: np.ndarray) -> np.ndarray:
+    """(N, P) cumulative arc length along each of (N, P, 2) polylines."""
+    step = points[:, 1:] - points[:, :-1]
+    s = np.zeros(points.shape[:2])
+    # segment lengths summed and rooted as np.linalg.norm(..., axis=2) does
+    np.cumsum(np.sqrt((step * step).sum(axis=2)), axis=1, out=s[:, 1:])
+    return s
+
+
+def _interp(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
+    """np.interp(x[i], xp[i], fp[i, :, c]) for each row i and coordinate c.
+
+    x is (N, k), the knots xp (N, P) ascend (repeats allowed) and fp is
+    (N, P, 2). For finite knots this takes np.interp's segment (the last
+    knot not above x), its end values and its arithmetic, so it rounds the
+    same; both coordinates share the segment search.
+    """
+    rows = np.arange(len(xp))[:, None]
+    # the inner knots not above x: np.interp's segment, clipped to the first and last
+    j = (xp[:, None, 1:-1] <= x[:, :, None]).sum(axis=2)
+    k = j + 1
+    x, x0, x1 = x[..., None], xp[rows, j][..., None], xp[rows, k][..., None]
+    f0, f1 = fp[rows, j], fp[rows, k]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        inner = (f1 - f0) / (x1 - x0) * (x - x0) + f0
+    return np.where(x <= x0, f0, np.where(x >= x1, f1, inner))
+
+
+def _resample(points: np.ndarray, n: int) -> np.ndarray:
+    """(N, n, 2): each of (N, P, 2) polylines at n points uniform in arc length."""
+    s = _arc_lengths(points)
+    total = s[:, -1:]
+    # np.linspace(0, total, n) lane by lane, its step-underflow branch included
+    step = total / (n - 1)
+    u = np.where(step == 0, np.arange(n) / (n - 1) * total, np.arange(n) * step)
+    u[:, -1] = total[:, 0]
+    return np.where(total[..., None] == 0.0, points[:, :1], _interp(u, s, points))
+
+
+def _midpoints(points: np.ndarray) -> np.ndarray:
+    """(N, 2): the point halfway along each of (N, P, 2) polylines' arc length."""
+    s = _arc_lengths(points)
+    total = s[:, -1:]
+    return np.where(total == 0.0, points[:, 0], _interp(0.5 * total, s, points)[:, 0])
 
 
 def resample_centerline(points: np.ndarray, n: int) -> np.ndarray:
@@ -383,37 +480,39 @@ def resample_centerline(points: np.ndarray, n: int) -> np.ndarray:
         raise ValueError(f"need n >= 2 resample points, got {n}")
     if points.ndim != 2 or points.shape[1] != 2 or len(points) < 2:
         raise ValueError("polyline must be (P, 2) with P >= 2")
-    s = _cumulative_arc_length(points)
-    if s[-1] == 0.0:
-        return np.tile(points[0], (n, 1))
-    u = np.linspace(0.0, s[-1], n)
-    return np.column_stack([np.interp(u, s, points[:, 0]), np.interp(u, s, points[:, 1])])
+    return _resample(points[None], n)[0]
 
 
 def resample_lanes(sc: Scenario, n: int) -> Scenario:
-    """The scenario with every lane resampled to n nodes; the rest is shared."""
-    return replace(sc, lanes=[replace(l, centerline=resample_centerline(l.centerline, n))
-                              for l in sc.lanes])
+    """The scenario with every lane resampled to n nodes; the rest is shared.
+
+    The new centerlines are rows of one (N_l, n, 2) array.
+    """
+    if n < 2:
+        raise ValueError(f"need n >= 2 resample points, got {n}")
+    if not sc.lanes:
+        return replace(sc, lanes=[])
+    nodes = _resample(_stack_polylines([l.centerline for l in sc.lanes]), n)
+    return replace(sc, lanes=[Lane(lane_id=l.lane_id, lane_type=l.lane_type, centerline=c)
+                              for l, c in zip(sc.lanes, nodes)])
 
 
 def arc_length_midpoint(points: np.ndarray) -> np.ndarray:
     """Point halfway along the polyline's total arc length (interpolated)."""
     points = np.asarray(points, dtype=np.float64)
-    s = _cumulative_arc_length(points)
-    if s[-1] == 0.0:
+    if len(points) < 2:
         return points[0].copy()
-    half = 0.5 * s[-1]
-    return np.array([np.interp(half, s, points[:, 0]), np.interp(half, s, points[:, 1])])
+    return _midpoints(points[None])[0]
 
 
 def finite_difference_velocities(positions: np.ndarray, dt: float) -> np.ndarray:
-    """Central-difference velocity estimates, one-sided at the ends."""
+    """Central-difference velocity estimates along the step axis of (..., T, 2)
+    positions, one-sided at the ends."""
     positions = np.asarray(positions, dtype=np.float64)
-    t = positions.shape[0]
-    if t < 2:
+    if positions.shape[-2] < 2:
         raise ValueError("need at least 2 steps for finite differences")
     v = np.empty_like(positions)
-    v[1:-1] = (positions[2:] - positions[:-2]) / (2.0 * dt)
-    v[0] = (positions[1] - positions[0]) / dt
-    v[-1] = (positions[-1] - positions[-2]) / dt
+    v[..., 1:-1, :] = (positions[..., 2:, :] - positions[..., :-2, :]) / (2.0 * dt)
+    v[..., 0, :] = (positions[..., 1, :] - positions[..., 0, :]) / dt
+    v[..., -1, :] = (positions[..., -1, :] - positions[..., -2, :]) / dt
     return v

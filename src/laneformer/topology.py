@@ -14,12 +14,11 @@ all-zero elsewhere.
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
 
-from .scenario import BOUNDARY_TYPES, Scenario, arc_length_midpoint, lane_index_map
+from .scenario import BOUNDARY_TYPES, Scenario, _midpoints, _stack_polylines, lane_index_map
 
 __all__ = [
     "EPS_DISTANCE",
@@ -39,6 +38,8 @@ class TopologyMatrices:
 
     pre_hops/suc_hops are raw hop counts; m_pre_spd/m_suc_spd are their
     reciprocal-bias transforms. m_c is (N_l, N_l, C) over categories.
+    midpoints (N_l, 2) are the lanes' arc-length midpoints that closeness
+    measures from.
     """
 
     lane_ids: list
@@ -52,58 +53,59 @@ class TopologyMatrices:
     m_suc_spd: np.ndarray
     m_c: np.ndarray
     categories: tuple
+    midpoints: np.ndarray
 
     @property
     def n_lanes(self) -> int:
         return len(self.lane_ids)
 
 
-def _midpoints(sc: Scenario) -> np.ndarray:
-    return np.stack([arc_length_midpoint(l.centerline) for l in sc.lanes])
-
-
-def _index_pairs(pairs, index: dict) -> list:
-    """Lane-id relation pairs (or lateral triples) as storage-order index pairs."""
-    return [(index[a], index[b]) for a, b, *_ in pairs]
-
-
-def _closeness(midpoints: np.ndarray, pairs) -> np.ndarray:
+def _closeness(midpoints: np.ndarray, relation: np.ndarray, i: np.ndarray, j: np.ndarray,
+               relations: int) -> np.ndarray:
+    """(relations, N_l, N_l) closeness; pair (i[k], j[k]) sets matrix relation[k]
+    unless it is a self-pair."""
     n = len(midpoints)
-    m = np.zeros((n, n))
-    for i, j in pairs:
-        if i == j:
-            continue
-        d = float(np.linalg.norm(midpoints[i] - midpoints[j]))
-        m[i, j] = 1.0 / max(d, EPS_DISTANCE)
+    m = np.zeros((relations, n, n))
+    keep = i != j
+    relation, i, j = relation[keep], i[keep], j[keep]
+    diff = (midpoints[i] - midpoints[j])[:, None, :]
+    # squared length as a dot product, which rounds as np.linalg.norm of one vector does
+    d = np.sqrt((diff @ diff.swapaxes(1, 2))[:, 0, 0])
+    m[relation, i, j] = 1.0 / np.maximum(d, EPS_DISTANCE)
     return m
+
+
+def _hop_counts(adjacency: np.ndarray) -> np.ndarray:
+    """(R, n, n) hop counts through each of R (n, n) boolean adjacency matrices.
+
+    Breadth-first from every origin at once: step d marks the lanes first
+    reached d edges away, so a lane's count is fixed when it first appears.
+    """
+    hops = np.zeros(adjacency.shape, dtype=np.int64)
+    reached = frontier = np.eye(adjacency.shape[-1], dtype=bool)   # broadcast over R
+    depth = 0
+    while frontier.any():
+        depth += 1
+        frontier = (frontier @ adjacency) > reached   # reached now, not before
+        hops[frontier] = depth
+        reached = reached | frontier
+    return hops
 
 
 def build_spd_matrix(pairs, n: int) -> np.ndarray:
     """Directed hop counts through the given relation pairs.
 
     Entry (i, j) is the minimum number of relation edges on a path from i
-    to j, or 0 when j is i or unreachable. Frontier expansion from each
-    origin; a lane enters the visited set the first time it appears, which
-    pins its hop count.
+    to j, or 0 when j is i or unreachable.
     """
-    adjacency = [[] for _ in range(n)]
-    for a, b in pairs:
-        if not (0 <= a < n and 0 <= b < n):
-            raise ValueError(f"pair ({a}, {b}) references a lane outside [0, {n})")
-        adjacency[a].append(b)
-    hops = np.zeros((n, n), dtype=np.int64)
-    for origin in range(n):
-        appeared = {origin}
-        frontier = deque([(origin, 0)])
-        while frontier:
-            node, depth = frontier.popleft()
-            for nxt in adjacency[node]:
-                if nxt in appeared:
-                    continue
-                appeared.add(nxt)
-                hops[origin, nxt] = depth + 1
-                frontier.append((nxt, depth + 1))
-    return hops
+    pairs = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+    outside = ((pairs < 0) | (pairs >= n)).any(axis=1)
+    if outside.any():
+        a, b = pairs[np.flatnonzero(outside)[0]]
+        raise ValueError(f"pair ({a}, {b}) references a lane outside [0, {n})")
+    adjacency = np.zeros((1, n, n), dtype=bool)
+    adjacency[0, pairs[:, 0], pairs[:, 1]] = True
+    return _hop_counts(adjacency)[0]
 
 
 def distance_to_bias(hops: np.ndarray) -> np.ndarray:
@@ -114,20 +116,19 @@ def distance_to_bias(hops: np.ndarray) -> np.ndarray:
     return np.where(hops >= 1, 1.0 / np.maximum(hops, 1), 0.0)
 
 
-def _connection_types(sc: Scenario, categories, index: dict) -> np.ndarray:
-    """(N_l, N_l, C) one-hot boundary markings for laterally connected pairs.
+def _connection_types(lateral, i: np.ndarray, j: np.ndarray, n: int, categories) -> np.ndarray:
+    """(N_l, N_l, C) one-hot boundary markings of the lateral pairs (i, j).
 
     Rows for pairs with no lateral connection (diagonal included) are
     all-zero, so unconnected pairs contribute nothing regardless of the
     category weights.
     """
-    n, c = len(sc.lanes), len(categories)
     slot = {name: k for k, name in enumerate(categories)}
-    m_c = np.zeros((n, n, c))
-    for a, b, marking in list(sc.connectivity.left) + list(sc.connectivity.right):
-        if marking not in slot:
-            raise ValueError(f"unknown connection type {marking!r}")
-        m_c[index[a], index[b], slot[marking]] = 1.0
+    unknown = [marking for *_, marking in lateral if marking not in slot]
+    if unknown:
+        raise ValueError(f"unknown connection type {unknown[0]!r}")
+    m_c = np.zeros((n, n, len(categories)))
+    m_c[i, j, [slot[marking] for *_, marking in lateral]] = 1.0
     return m_c
 
 
@@ -135,25 +136,36 @@ def build_topology(sc: Scenario, categories=BOUNDARY_TYPES) -> TopologyMatrices:
     """All structure matrices for one scenario, lanes in storage order.
 
     Closeness uses the lanes' own centerline midpoints, so callers who want
-    those of resampled centerlines resample the lanes first.
+    those of resampled centerlines resample the lanes first. The pairs of
+    all four relations are mapped to lane indices once and handled as one
+    array.
     """
     index = lane_index_map(sc)
     n = len(sc.lanes)
-    mid = _midpoints(sc)
+    mid = _midpoints(_stack_polylines([l.centerline for l in sc.lanes]))
     conn = sc.connectivity
-    pre, suc, left, right = (_index_pairs(pairs, index) for pairs in (
-        conn.predecessors, conn.successors, conn.left, conn.right))
-    pre_hops, suc_hops = build_spd_matrix(pre, n), build_spd_matrix(suc, n)
+    relations = (conn.predecessors, conn.successors, conn.left, conn.right)
+    relation = np.repeat(np.arange(4), [len(pairs) for pairs in relations])
+    i, j = np.array([(index[a], index[b]) for pairs in relations for a, b, *_ in pairs],
+                    dtype=np.int64).reshape(-1, 2).T
+    m_p, m_s, m_l, m_r = _closeness(mid, relation, i, j, len(relations))
+    reach = len(conn.predecessors) + len(conn.successors)   # the pairs before the lateral ones
+    adjacency = np.zeros((2, n, n), dtype=bool)
+    adjacency[relation[:reach], i[:reach], j[:reach]] = True
+    hops = _hop_counts(adjacency)
+    pre_hops, suc_hops = hops
+    m_pre_spd, m_suc_spd = distance_to_bias(hops)
     return TopologyMatrices(
         lane_ids=[l.lane_id for l in sc.lanes],
-        m_p=_closeness(mid, pre),
-        m_s=_closeness(mid, suc),
-        m_l=_closeness(mid, left),
-        m_r=_closeness(mid, right),
+        m_p=m_p,
+        m_s=m_s,
+        m_l=m_l,
+        m_r=m_r,
         pre_hops=pre_hops,
         suc_hops=suc_hops,
-        m_pre_spd=distance_to_bias(pre_hops),
-        m_suc_spd=distance_to_bias(suc_hops),
-        m_c=_connection_types(sc, categories, index),
+        m_pre_spd=m_pre_spd,
+        m_suc_spd=m_suc_spd,
+        m_c=_connection_types([*conn.left, *conn.right], i[reach:], j[reach:], n, categories),
         categories=tuple(categories),
+        midpoints=mid,
     )

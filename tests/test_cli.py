@@ -198,6 +198,19 @@ def test_eval_truncated_checkpoint_is_data_error(workspace, tmp_path, capsys):
     assert "cut.ckpt: truncated checkpoint: record 0" in err
 
 
+@pytest.mark.parametrize("cut", [0, 3, 10, 100, "half", -1])   # -1: one byte short
+def test_eval_on_a_cut_checkpoint_exits_4_and_writes_nothing(workspace, tmp_path, capsys, cut):
+    run = shutil.copytree(workspace["run"], tmp_path / "run")   # the manifest stays beside it
+    ckpt = run / "model.ckpt"
+    data = ckpt.read_bytes()
+    ckpt.write_bytes(data[:len(data) // 2 if cut == "half" else cut])
+    out = tmp_path / "e"
+    assert main(["eval", "--data", workspace["data"], "--model", str(ckpt),
+                 "--out", str(out)]) == EXIT_DATA_ERROR
+    assert str(ckpt) in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_eval_restores_config_from_manifest(workspace, tmp_path):
     # no --config here: dims come from the manifest next to the checkpoint
     out = str(tmp_path / "noconf")

@@ -1,4 +1,5 @@
-"""tools/fingerprint.py: a dump compares equal to itself, and a one-ulp change shows."""
+"""tools/fingerprint.py: a dump compares equal to itself, a one-ulp change shows,
+and the prepared samples are in it."""
 
 import os
 import subprocess
@@ -22,6 +23,17 @@ def test_compare_reports_exactly_the_perturbed_array(tmp_path):
         arrays = dict(f)
     key = "toy/step1/grad/lane_bias.wc"
     assert key in arrays and len(arrays) > 1000
+    # every prepared sample of every case, topology and hop counts included
+    for case, count in (("toy", 8), ("default", 5), ("micro", 1)):
+        sample = f"{case}/sample{count - 1}"
+        assert f"{case}/sample{count}/agent_features" not in arrays
+        for field in ("agent_features", "observed", "agent_positions", "lane_features",
+                      "lane_positions", "ground_truth", "frame_origin", "frame_heading",
+                      *(f"topology/{m}" for m in ("m_p", "m_s", "m_l", "m_r", "pre_hops",
+                                                  "suc_hops", "m_pre_spd", "m_suc_spd",
+                                                  "m_c"))):
+            assert f"{sample}/{field}" in arrays, f"{sample}/{field}"
+    assert arrays["micro/sample0/topology/suc_hops"].tolist() == [[0, 1, 0], [0, 0, 0], [0, 0, 0]]
     arrays[key] = arrays[key].copy()
     arrays[key].flat[0] = np.nextafter(arrays[key].flat[0], np.inf)
     np.savez(b, **arrays)

@@ -23,6 +23,7 @@ from laneformer.autodiff import (
 )
 from laneformer.cli import micro_config, micro_scenario
 from laneformer.model import (
+    FEATURE_SCALE,
     ModelConfig,
     ModelOutput,
     PredictionSet,
@@ -36,10 +37,15 @@ from laneformer.model import (
     prepare_sample,
 )
 from laneformer.scenario import (
+    AGENT_TYPES,
+    LANE_TYPES,
     AgentHistory,
     Lane,
     LaneConnectivity,
     Scenario,
+    finite_difference_velocities,
+    resample_centerline,
+    rotation,
 )
 from laneformer.synth import TEMPLATES, GeneratorConfig, generate_scenario
 from laneformer.training import AdamOptimizer, batch_loss
@@ -193,6 +199,97 @@ def test_predictions_invariant_to_scene_translation_and_rotation():
     out = predict(params, moved)
     assert np.abs(base.trajectories - out.trajectories).max() < 1e-9
     assert np.abs(base.confidences - out.confidences).max() < 1e-9
+
+
+def _looped_sample_arrays(raw, cfg):
+    """prepare_sample's arrays computed agent by agent and lane by lane: the reference."""
+    tgt = raw.agents[raw.target_ids[0]]
+    origin, h0 = tgt.positions[-1], float(tgt.headings[-1])
+    rot = rotation(-h0)
+    feats, pos = [], []
+    for a in raw.agents:
+        mask = a.padding[:, None]
+        p = np.where(mask, (a.positions - origin) @ rot.T, 0.0)
+        v = np.where(mask, a.velocities @ rot.T, 0.0)
+        h = np.where(a.padding, a.headings - h0, 0.0)
+        cols = [p / FEATURE_SCALE, a.padding[:, None], np.full((len(p), 1), a.category),
+                np.full((len(p), 1), AGENT_TYPES.index(a.agent_type)), h[:, None],
+                v / FEATURE_SCALE]
+        feats.append(np.hstack(cols))
+        pos.append(p[np.flatnonzero(a.padding)[-1]])
+    lanes = []
+    for l in raw.lanes:
+        pts = resample_centerline((l.centerline - origin) @ rot.T, cfg.n_lane_nodes)
+        tangent = finite_difference_velocities(pts, 1.0)
+        norms = np.linalg.norm(tangent, axis=1, keepdims=True)
+        tangent = np.divide(tangent, norms, out=np.zeros_like(tangent), where=norms > 0)
+        lanes.append(np.hstack([pts / FEATURE_SCALE, tangent,
+                                np.full((len(pts), 1), LANE_TYPES.index(l.lane_type))]))
+    gt = np.stack([(g - origin) @ rot.T for g in raw.ground_truth])
+    return np.stack(feats), np.stack(pos), np.stack(lanes), gt
+
+
+@pytest.mark.parametrize("template", TEMPLATES)
+def test_prepared_arrays_equal_the_per_agent_and_per_lane_loop(template):
+    cfg = ModelConfig()
+    for index in range(4):
+        raw = generate_scenario(GeneratorConfig(seed=9, template=template,
+                                                agent_count=2 + 2 * index), index)
+        sample = prepare_sample(raw, cfg)
+        feats, pos, lanes, gt = _looped_sample_arrays(raw, cfg)
+        assert np.array_equal(sample.agent_features, feats)
+        assert np.array_equal(sample.agent_positions, pos)
+        assert np.array_equal(sample.lane_features, lanes)
+        assert np.array_equal(sample.ground_truth, gt)
+        assert np.array_equal(sample.observed, [a.padding for a in raw.agents])
+
+
+def _rigidly_moved(raw, angle, shift):
+    """The scene turned by angle about the world origin, then shifted."""
+    rot = rotation(angle)
+    agents = [AgentHistory(positions=a.positions @ rot.T + shift,
+                           velocities=a.velocities @ rot.T, headings=a.headings + angle,
+                           padding=a.padding.copy(), category=a.category,
+                           agent_type=a.agent_type) for a in raw.agents]
+    lanes = [Lane(l.lane_id, l.lane_type, l.centerline @ rot.T + shift) for l in raw.lanes]
+    return Scenario(lanes=lanes, connectivity=raw.connectivity, agents=agents,
+                    target_ids=list(raw.target_ids),
+                    ground_truth=raw.ground_truth @ rot.T + shift, name=raw.name)
+
+
+_SCENES = dict(seed=st.integers(0, 10_000), template=st.sampled_from(TEMPLATES),
+               agents=st.integers(1, 8), angle=st.floats(-np.pi, np.pi),
+               shift=st.tuples(st.floats(-500.0, 500.0), st.floats(-500.0, 500.0)))
+
+
+@settings(max_examples=30, deadline=None)
+@given(**_SCENES)
+def test_to_world_inverts_the_normalization(seed, template, agents, angle, shift):
+    raw = _rigidly_moved(generate_scenario(
+        GeneratorConfig(seed=seed, template=template, agent_count=agents), 0), angle, shift)
+    sample = prepare_sample(raw, ModelConfig())
+    for before, after in zip(raw.agents, sample.scenario.agents):
+        seen = before.padding
+        back = sample.to_world(after.positions[seen])
+        assert np.abs(back - before.positions[seen]).max() <= 1e-9
+    assert np.abs(sample.to_world(sample.ground_truth) - raw.ground_truth).max() <= 1e-9
+
+
+@settings(max_examples=30, deadline=None)
+@given(**_SCENES)
+def test_prepared_arrays_do_not_see_a_rigid_motion_of_the_scene(seed, template, agents, angle,
+                                                                shift):
+    raw = generate_scenario(GeneratorConfig(seed=seed, template=template, agent_count=agents), 0)
+    cfg = ModelConfig()
+    a, b = prepare_sample(raw, cfg), prepare_sample(_rigidly_moved(raw, angle, shift), cfg)
+    for field in ("agent_features", "agent_positions", "lane_features", "lane_positions",
+                  "ground_truth"):
+        assert np.abs(getattr(a, field) - getattr(b, field)).max() <= 1e-9, field
+    assert np.array_equal(a.observed, b.observed)
+    for m in ("m_p", "m_s", "m_l", "m_r", "m_pre_spd", "m_suc_spd", "m_c"):
+        assert np.abs(getattr(a.topology, m) - getattr(b.topology, m)).max() <= 1e-9, m
+    assert np.array_equal(a.topology.pre_hops, b.topology.pre_hops)
+    assert np.array_equal(a.topology.suc_hops, b.topology.suc_hops)
 
 
 def test_lane_permutation_permutes_map_rows():

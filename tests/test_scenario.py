@@ -2,11 +2,17 @@
 
 import json
 import os
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from laneformer.scenario import (
+    AGENT_TYPES,
+    BOUNDARY_TYPES,
+    LANE_TYPES,
     AgentHistory,
     Lane,
     LaneConnectivity,
@@ -72,6 +78,47 @@ def test_round_trip_through_dict():
     assert doc == again
 
 
+_FINITE = st.floats(-1e6, 1e6)
+
+
+@st.composite
+def _scenarios(draw):
+    """Any scenario the JSON schema can hold; structure is not validated."""
+    ids = draw(st.lists(st.integers(-50, 50), min_size=1, max_size=4, unique=True))
+    lanes = [Lane(i, draw(st.sampled_from(LANE_TYPES)),
+                  draw(st.lists(st.tuples(_FINITE, _FINITE), min_size=2, max_size=5)))
+             for i in ids]
+    pairs = draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)), max_size=3))
+    lateral = st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids),
+                                 st.sampled_from(BOUNDARY_TYPES)), max_size=3)
+    conn = LaneConnectivity(successors=pairs, predecessors=[(b, a) for a, b in pairs],
+                            left=draw(lateral), right=draw(lateral))
+    t, n = draw(st.integers(1, 5)), draw(st.integers(1, 3))
+    points = st.lists(st.tuples(_FINITE, _FINITE), min_size=t, max_size=t)
+    agents = [AgentHistory(positions=draw(points), velocities=draw(points),
+                           headings=draw(st.lists(_FINITE, min_size=t, max_size=t)),
+                           padding=draw(st.lists(st.booleans(), min_size=t, max_size=t)),
+                           category=draw(st.integers(0, 3)),
+                           agent_type=draw(st.sampled_from(AGENT_TYPES))) for _ in range(n)]
+    t_f = draw(st.integers(1, 4))
+    gt = draw(st.none() | st.lists(_FINITE, min_size=n * t_f * 2, max_size=n * t_f * 2))
+    return Scenario(lanes=lanes, connectivity=conn, agents=agents,
+                    target_ids=draw(st.lists(st.integers(0, n - 1), min_size=1, max_size=n)),
+                    ground_truth=None if gt is None else np.reshape(gt, (n, t_f, 2)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(sc=_scenarios())
+def test_dict_round_trip_keeps_every_value(sc):
+    doc = scenario_to_dict(sc)
+    again = scenario_from_dict(json.loads(json.dumps(doc)))
+    # the JSON text tells 0.0 from -0.0 and prints each float exactly
+    assert json.dumps(scenario_to_dict(again)) == json.dumps(doc)
+    for a, b in zip(sc.agents, again.agents):
+        for name in ("positions", "velocities", "headings", "padding"):
+            assert np.array_equal(getattr(a, name), getattr(b, name))
+
+
 def test_round_trip_through_file(tmp_path):
     sc = _small_scenario()
     path = os.path.join(tmp_path, "case_0003.json")
@@ -135,6 +182,49 @@ def test_validation_rejects_non_finite_values():
     sc.agents[1].padding[0] = False
     sc.agents[1].positions[0] = np.inf
     validate_scenario(sc)
+
+
+def test_validation_names_the_first_of_two_offenders():
+    """With two offenders of one kind, the message names the first in storage order."""
+    cases = []
+
+    sc = _small_scenario()
+    sc.agents.append(_agent([[i * 1.0, 7.0] for i in range(4)]))
+    sc.agents[2].positions[1, 1] = np.nan
+    sc.agents[1].headings[3] = np.inf
+    sc.agents[1].velocities[3, 1] = np.nan
+    sc.agents[1].velocities[2, 0] = np.nan
+    sc.agents[1].positions[0, 0] = np.nan
+    sc.agents[1].padding[0] = False     # a padded step may hold anything
+    cases.append((sc, "agent 1: non-finite velocities at observed step 2"))
+
+    sc = _small_scenario()
+    sc.lanes = [sc.lanes[0], sc.lanes[2], sc.lanes[1]]   # storage order: ids 0, 2, 1
+    sc.lanes[2].centerline = np.array([[10.0, 0.0], [15.0, 0.0], [15.0, 0.0], [20.0, 0.0]])
+    sc.lanes[1].centerline = np.array([[0.0, 3.5], [0.0, 3.5], [10.0, 3.5]])
+    cases.append((sc, "lane 2: consecutive centerline nodes not distinct"))
+
+    sc = _small_scenario()   # infinite nodes: the fault is named, with no warning on the way
+    sc.lanes[0].centerline = np.array([[0.0, 0.0], [np.inf, 0.0], [np.inf, 0.0]])
+    sc.lanes[1].centerline = np.array([[10.0, 0.0], [10.0, 0.0], [20.0, 0.0]])
+    cases.append((sc, "lane 0: non-finite centerline"))
+
+    sc = _small_scenario()
+    sc.ground_truth[1, 0, 0] = np.nan
+    sc.ground_truth[0, 4, 1] = -np.inf
+    cases.append((sc, "agent 0: non-finite ground truth"))
+
+    # the per-agent order: an earlier agent's fault before a later one's length
+    sc = _small_scenario()
+    sc.agents.append(_agent([[0.0, 0.0], [1.0, 0.0]]))
+    sc.agents[1].agent_type = "hovercraft"
+    cases.append((sc, "agent 1: unknown agent type 'hovercraft'"))
+
+    for sc, message in cases:
+        with warnings.catch_warnings(), pytest.raises(ValueError) as err:
+            warnings.simplefilter("error")
+            validate_scenario(sc)
+        assert str(err.value) == message
 
 
 def test_nan_in_micro_scene_names_agent_and_field():
@@ -283,6 +373,37 @@ def test_resample_points_stay_on_polyline():
             assert d_best < 1e-9
 
 
+def _looped_resample(points, n):
+    """The per-polyline reference: np.linspace over the arc length, then np.interp."""
+    s = np.concatenate([[0.0], np.cumsum(np.linalg.norm(np.diff(points, axis=0), axis=1))])
+    if s[-1] == 0.0:
+        return np.tile(points[0], (n, 1)), points[0]
+    u = np.linspace(0.0, s[-1], n)
+    half = 0.5 * s[-1]
+    return (np.column_stack([np.interp(u, s, points[:, 0]), np.interp(u, s, points[:, 1])]),
+            np.array([np.interp(half, s, points[:, 0]), np.interp(half, s, points[:, 1])]))
+
+
+_POLYLINE = st.lists(st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)),
+                     min_size=2, max_size=12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(polylines=st.lists(_POLYLINE, min_size=1, max_size=6), n=st.integers(2, 12),
+       repeat=st.booleans())
+def test_batched_resampling_equals_the_per_polyline_loop(polylines, n, repeat):
+    lanes = [Lane(i, "vehicle", pts) for i, pts in enumerate(polylines)]
+    if repeat:   # repeated nodes: knots of equal arc length
+        lanes[0].centerline = np.repeat(lanes[0].centerline, 2, axis=0)
+    sc = Scenario(lanes=lanes, connectivity=LaneConnectivity(), agents=[], target_ids=[])
+    for before, after in zip(lanes, resample_lanes(sc, n).lanes):
+        want, mid = _looped_resample(before.centerline, n)
+        assert np.array_equal(after.centerline, want)
+        assert np.array_equal(resample_centerline(before.centerline, n), want)
+        assert np.array_equal(arc_length_midpoint(before.centerline), mid)
+        assert np.array_equal(arc_length_midpoint(want), _looped_resample(want, 2)[1])
+
+
 def test_resample_needs_two_points():
     with pytest.raises(ValueError, match="n >= 2"):
         resample_centerline(np.array([[0.0, 0.0], [1.0, 0.0]]), 1)
@@ -300,6 +421,13 @@ def test_resample_lanes_resamples_every_lane_and_shares_the_rest():
     assert out.ground_truth is sc.ground_truth and out.name == "s"
     assert out.target_ids == sc.target_ids
     assert [l.centerline.shape for l in sc.lanes] == [(2, 2)] * 3   # input untouched
+
+
+def test_a_scene_without_lanes_normalizes_and_resamples():
+    sc = _small_scenario()
+    sc.lanes, sc.connectivity = [], LaneConnectivity()
+    assert normalize_scenario(sc, 0).lanes == []
+    assert resample_lanes(sc, 4).lanes == []
 
 
 def test_rotation_turns_counterclockwise():

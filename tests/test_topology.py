@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from laneformer.scenario import AgentHistory, Lane, LaneConnectivity, Scenario
+from laneformer.scenario import AgentHistory, Lane, LaneConnectivity, Scenario, arc_length_midpoint
 from laneformer.topology import (
     EPS_DISTANCE,
     build_spd_matrix,
@@ -126,6 +126,26 @@ def test_closeness_entries_bounded():
             assert (np.diag(m) == 0.0).all()
             nz = m[m != 0.0]
             assert (nz > 0.0).all() and (nz <= 10.0).all()
+
+
+def test_closeness_equals_the_per_pair_loop():
+    # one np.linalg.norm per pair, as a loop computes it, bit for bit
+    rng = np.random.default_rng(29)
+    for _ in range(20):
+        n = int(rng.integers(2, 9))
+        lanes = [Lane(i, "vehicle", np.cumsum(rng.normal(scale=20.0, size=(3, 2)), axis=0))
+                 for i in range(n)]
+        pairs = [(int(a), int(b)) for a in range(n) for b in range(n)
+                 if a != b and rng.random() < 0.4]
+        rpe = build_topology(_scenario(lanes, successors=pairs))
+        want = np.zeros((n, n))
+        for a, b in pairs:
+            d = float(np.linalg.norm(rpe.midpoints[a] - rpe.midpoints[b]))
+            want[a, b] = 1.0 / max(d, EPS_DISTANCE)
+        assert np.array_equal(rpe.m_s, want)
+        assert np.array_equal(rpe.m_p, want.T)
+        assert np.array_equal(rpe.midpoints,
+                              np.stack([arc_length_midpoint(l.centerline) for l in lanes]))
 
 
 def test_connection_tensor_one_hot_only_at_lateral_pairs():

@@ -5,9 +5,12 @@
 
 `dump` runs three cases: the toy batch (8 `straight` scenes, 3 agents,
 seed 1), the default config (5 scenes, one per template, 8 agents, seed 3)
-and the micro scene. For each of 3 Adam steps (lr 2e-3) it saves every
-model output, taped and under no_grad, every loss term, every parameter
-gradient and every parameter after the step. `compare` lists every key
+and the micro scene. It saves every prepared sample's arrays: agent and
+lane features, observed mask, agent and lane positions, ground truth,
+frame origin and heading, and every topology matrix, hop counts included.
+For each of 3 Adam steps (lr 2e-3) it saves every model output, taped and
+under no_grad, every loss term, every parameter gradient and every
+parameter after the step. `compare` lists every key
 whose arrays differ, by shape or by value (NaN equals NaN), or that only
 one file holds, and exits 1 if there is any.
 
@@ -28,6 +31,10 @@ from laneformer.synth import TEMPLATES
 
 STEPS = 3
 LR = 2e-3
+SAMPLE_FIELDS = ("agent_features", "observed", "agent_positions", "lane_features",
+                 "lane_positions", "ground_truth", "frame_origin", "frame_heading")
+TOPOLOGY_FIELDS = ("m_p", "m_s", "m_l", "m_r", "pre_hops", "suc_hops", "m_pre_spd",
+                   "m_suc_spd", "m_c")
 
 
 def _cases():
@@ -53,10 +60,21 @@ def _outputs(prefix: str, out, arrays: dict) -> None:
         arrays[f"{prefix}/{field}"] = getattr(out, field).data.copy()
 
 
+def _prepared(prefix: str, sample, arrays: dict) -> None:
+    for field in SAMPLE_FIELDS:
+        value = getattr(sample, field)
+        if value is not None:
+            arrays[f"{prefix}/{field}"] = np.array(value)
+    for field in TOPOLOGY_FIELDS:
+        arrays[f"{prefix}/topology/{field}"] = getattr(sample.topology, field).copy()
+
+
 def fingerprint() -> dict:
     """Key -> array for every number `dump` saves."""
     arrays = {}
     for case, (cfg, seed, samples) in _cases().items():
+        for i, s in enumerate(samples):
+            _prepared(f"{case}/sample{i}", s, arrays)
         params = lf.init_model(cfg, seed=seed)
         opt = lf.AdamOptimizer(params.registry, lr=LR)
         for step in range(STEPS):
