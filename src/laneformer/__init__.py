@@ -45,6 +45,7 @@ from .model import (
     model_forward,
     predict,
     prepare_sample,
+    stack_samples,
 )
 from .scenario import (
     AgentHistory,

@@ -35,6 +35,7 @@ from . import autodiff
 from .autodiff import (
     ShapeError,
     Tensor,
+    _broadcast,
     _layer_norm,
     _result,
     _softmax,
@@ -185,16 +186,24 @@ def compose_bias_matrices(bw: BiasWeights, topo: TopologyMatrices,
 
     A disabled group substitutes its neutral element (all-ones B and
     d_outer, all-zero d_inter), which reduces biased attention to the
-    standard form.
+    standard form. Topology matrices stacked over B scenes, (B, N_l, N_l),
+    give (B, H, N_l, N_l) bias matrices.
     """
-    heads, n = bw.wp.shape[0], topo.n_lanes
-    b = _structure_bias(bw, topo) if use_relations else Tensor(np.ones((heads, n, n)))
+    heads, lead, n = bw.wp.shape[0], topo.m_p.shape[:-2], topo.m_p.shape[-1]
+    shape = lead + (heads, n, n)
+    b = _structure_bias(bw, topo) if use_relations else Tensor(np.ones(shape))
     if use_reachability:
         d_inter = _reachability_bias(bw.wpre_inter, bw.wsuc_inter, topo)
         d_outer = _reachability_bias(bw.wpre_outer, bw.wsuc_outer, topo)
     else:
-        d_inter, d_outer = Tensor(np.zeros((heads, n, n))), Tensor(np.ones((heads, n, n)))
+        d_inter, d_outer = Tensor(np.zeros(shape)), Tensor(np.ones(shape))
     return BiasSet(b=b, d_inter=d_inter, d_outer=d_outer)
+
+
+def _per_head(stacked: bool, *mats):
+    """Stacked (B, N, N) structure matrices as (B, 1, N, N), to meet (H, 1, 1)
+    coefficients; one scene's (N, N) matrices broadcast against them as they are."""
+    return [m[:, None] for m in mats] if stacked else mats
 
 
 def _structure_bias(bw: BiasWeights, topo: TopologyMatrices) -> Tensor:
@@ -203,30 +212,35 @@ def _structure_bias(bw: BiasWeights, topo: TopologyMatrices) -> Tensor:
     operands = (bw.wp, bw.ws, bw.wl, bw.wr, bw.wc)
     need_p, need_s, need_l, need_r, need_c = (t.requires_grad for t in operands)
     wp, ws, wl, wr, wc = (t.data for t in operands)
-    heads, (n, _, c) = wp.shape[0], topo.m_c.shape
-    m_c = topo.m_c.reshape(n * n, c)
-    gate = (m_c @ wc).reshape((heads, n, n))
-    sides = wl * topo.m_l + wr * topo.m_r
+    heads, lead, (n, _, c) = wp.shape[0], topo.m_c.shape[:-3], topo.m_c.shape[-3:]
+    stacked = bool(lead)
+    m_p, m_s, m_l, m_r = _per_head(stacked, topo.m_p, topo.m_s, topo.m_l, topo.m_r)
+    m_c = topo.m_c.reshape(lead + (1, n * n, c))
+    gate = (m_c @ wc).reshape(lead + (heads, n, n))
+    sides = wl * m_l + wr * m_r
 
     def backward(g):
         g_sides = _unbroadcast(g * gate, sides.shape) if need_l or need_r else None
-        g_gate = _unbroadcast(g * sides, gate.shape).reshape((heads, n * n, 1)) if need_c else None
-        return (_unbroadcast(g * topo.m_p, wp.shape) if need_p else None,
-                _unbroadcast(g * topo.m_s, ws.shape) if need_s else None,
-                _unbroadcast(g_sides * topo.m_l, wl.shape) if need_l else None,
-                _unbroadcast(g_sides * topo.m_r, wr.shape) if need_r else None,
-                _unbroadcast(m_c.swapaxes(-1, -2) @ g_gate, wc.shape) if need_c else None)
+        g_gate = (_unbroadcast(g * sides, gate.shape).reshape(lead + (heads, n * n, 1))
+                  if need_c else None)
+        return (_unbroadcast(g * m_p, wp.shape, stacked) if need_p else None,
+                _unbroadcast(g * m_s, ws.shape, stacked) if need_s else None,
+                _unbroadcast(g_sides * m_l, wl.shape, stacked) if need_l else None,
+                _unbroadcast(g_sides * m_r, wr.shape, stacked) if need_r else None,
+                _unbroadcast(m_c.swapaxes(-1, -2) @ g_gate, wc.shape, stacked)
+                if need_c else None)
 
-    return _result(wp * topo.m_p + ws * topo.m_s + gate * sides, operands, backward)
+    return _result(wp * m_p + ws * m_s + gate * sides, operands, backward)
 
 
 def _reachability_bias(w_pre: Tensor, w_suc: Tensor, topo: TopologyMatrices) -> Tensor:
     """w_pre M_pre_spd + w_suc M_suc_spd as one tape node."""
-    m_pre, m_suc = topo.m_pre_spd, topo.m_suc_spd
+    stacked = topo.m_pre_spd.ndim > 2
+    m_pre, m_suc = _per_head(stacked, topo.m_pre_spd, topo.m_suc_spd)
     need_pre, need_suc = w_pre.requires_grad, w_suc.requires_grad
     return _result(w_pre.data * m_pre + w_suc.data * m_suc, (w_pre, w_suc),
-                   lambda g: (_unbroadcast(g * m_pre, w_pre.shape) if need_pre else None,
-                              _unbroadcast(g * m_suc, w_suc.shape) if need_suc else None))
+                   lambda g: (_unbroadcast(g * m_pre, w_pre.shape, stacked) if need_pre else None,
+                              _unbroadcast(g * m_suc, w_suc.shape, stacked) if need_suc else None))
 
 
 # ---------------------------------------------------------------------------
@@ -258,12 +272,12 @@ def _record_softmax(p: np.ndarray) -> None:
 # attention ops
 
 def _attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights, heads: int,
-               mask, biases: BiasSet | None):
+               mask, biases: BiasSet | None, stacked: bool = False):
     """attention's numpy forward: (operands, output, backward), where
     backward(g) returns one gradient per operand, None for a constant."""
     biased = biases is not None
-    if biased and biases.b.shape[0] != heads:
-        raise ValueError(f"bias set has {biases.b.shape[0]} heads, attention {heads}")
+    if biased and biases.b.shape[-3] != heads:
+        raise ValueError(f"bias set has {biases.b.shape[-3]} heads, attention {heads}")
     if w.wq.shape[-1] % heads:
         raise ShapeError(f"attention: cannot split {w.wq.shape[-1]} columns into {heads} heads")
     operands = (q, k, v, w.wq, w.wk, w.wv, w.wo)
@@ -292,7 +306,7 @@ def _attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights, heads: int,
     _record_softmax(p)
     weights = p * d_outer if biased else p
     # the heads' outputs go straight into the merged (..., N_q, H, d_k) layout
-    lead = np.broadcast_shapes(weights.shape[:-2], vh.shape[:-2])
+    lead = _broadcast(weights.shape[:-2], vh.shape[:-2])
     per_head_shape = lead[:-1] + (weights.shape[-2], heads, vh.shape[-1])
     per_head = np.empty(per_head_shape)
     np.matmul(weights, vh, out=per_head.swapaxes(-3, -2))
@@ -302,10 +316,11 @@ def _attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights, heads: int,
         """Gradients of input i and of its projection, from its heads' gradient."""
         g_proj = g_h.swapaxes(-3, -2).reshape(g_h.shape[:-3] + (g_h.shape[-2], -1))
         return (_unbroadcast(g_proj @ w_in.swapaxes(-1, -2), x.shape) if need[i] else None,
-                _unbroadcast(x.swapaxes(-1, -2) @ g_proj, w_in.shape) if need[i + 3] else None)
+                _unbroadcast(x.swapaxes(-1, -2) @ g_proj, w_in.shape, stacked)
+                if need[i + 3] else None)
 
     def backward(g):
-        g_wo = _unbroadcast(merged.swapaxes(-1, -2) @ g, wo.shape) if need[6] else None
+        g_wo = _unbroadcast(merged.swapaxes(-1, -2) @ g, wo.shape, stacked) if need[6] else None
         g_merged = _unbroadcast(g @ wo.swapaxes(-1, -2), merged.shape)
         g_heads = g_merged.reshape(per_head_shape).swapaxes(-3, -2)
         g_weights = _unbroadcast(g_heads @ vh.swapaxes(-1, -2), weights.shape)
@@ -331,9 +346,12 @@ def _attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights, heads: int,
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights, heads: int,
-              mask: np.ndarray | None = None, biases: BiasSet | None = None) -> Tensor:
+              mask: np.ndarray | None = None, biases: BiasSet | None = None,
+              stacked: bool = False) -> Tensor:
     """All heads at once over (..., N, D) inputs; mask is (..., N_q, N_k) keep
     flags, or any shape that broadcasts to it, such as (..., 1, N_k).
+    stacked: the inputs' first axis stacks scenes that share the weights
+    (see autodiff._unbroadcast); the bias set and mask then stack them too.
 
     Per head: softmax(QK^T / sqrt(d_k) * B + D_inter) * D_outer, applied to
     V, where the bias set supplies B, D_inter and D_outer; without one the
@@ -341,7 +359,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights, heads: int,
     One tape node whose parents are q, k, v, the four projections and the
     bias matrices, those that need a gradient; its backward computes theirs.
     """
-    operands, out, backward = _attention(q, k, v, w, heads, mask, biases)
+    operands, out, backward = _attention(q, k, v, w, heads, mask, biases, stacked)
     return _result(out, operands, backward)
 
 
@@ -353,19 +371,20 @@ def nearest_neighbor_mask(q_pos: np.ndarray, k_pos: np.ndarray, e: int) -> np.nd
     """
     if e < 1:
         raise ValueError(f"neighborhood size must be at least 1, got {e}")
-    n_k = len(k_pos)
+    n_k = k_pos.shape[-2]
     if n_k == 0:
         raise ValueError("no keys to attend to")
+    shape = q_pos.shape[:-1] + (n_k,)
     if e >= n_k:
-        return np.ones((len(q_pos), n_k), dtype=bool)
-    d = np.linalg.norm(q_pos[:, None, :] - k_pos[None, :, :], axis=2)
-    order = np.argsort(d, axis=1, kind="stable")
-    mask = np.zeros((len(q_pos), n_k), dtype=bool)
-    np.put_along_axis(mask, order[:, :e], True, axis=1)
+        return np.ones(shape, dtype=bool)
+    d = np.linalg.norm(q_pos[..., :, None, :] - k_pos[..., None, :, :], axis=-1)
+    order = np.argsort(d, axis=-1, kind="stable")
+    mask = np.zeros(shape, dtype=bool)
+    np.put_along_axis(mask, order[..., :e], True, axis=-1)
     return mask
 
 
-def _mlp(x, w1, b1, w2, b2, need):
+def _mlp(x, w1, b1, w2, b2, need, stacked=False):
     """mlp on arrays: (output, backward), where backward(g) returns the
     gradients of x, w1, b1, w2 and b2, None for each that need flags False."""
     pre = x @ w1
@@ -380,33 +399,37 @@ def _mlp(x, w1, b1, w2, b2, need):
         g_pre = _unbroadcast(g_biased, pre_shape)
         return (
             _unbroadcast(g_pre @ w1.swapaxes(-1, -2), x.shape) if need[0] else None,
-            _unbroadcast(x.swapaxes(-1, -2) @ g_pre, w1.shape) if need[1] else None,
-            _unbroadcast(g_biased, b1.shape) if need[2] else None,
-            _unbroadcast(hidden.swapaxes(-1, -2) @ g_out, w2.shape) if need[3] else None,
-            _unbroadcast(g, b2.shape) if need[4] else None)
+            _unbroadcast(x.swapaxes(-1, -2) @ g_pre, w1.shape, stacked) if need[1] else None,
+            _unbroadcast(g_biased, b1.shape, stacked) if need[2] else None,
+            _unbroadcast(hidden.swapaxes(-1, -2) @ g_out, w2.shape, stacked) if need[3] else None,
+            _unbroadcast(g, b2.shape, stacked) if need[4] else None)
 
     return out + b2, backward
 
 
-def mlp(x: Tensor, w: MLPWeights) -> Tensor:
-    """relu(x w1 + b1) w2 + b2 as one tape node over x and the four weights."""
+def mlp(x: Tensor, w: MLPWeights, stacked: bool = False) -> Tensor:
+    """relu(x w1 + b1) w2 + b2 as one tape node over x and the four weights;
+    stacked as in attention."""
     operands = (x, w.w1, w.b1, w.w2, w.b2)
-    out, backward = _mlp(*(t.data for t in operands), [t.requires_grad for t in operands])
+    out, backward = _mlp(*(t.data for t in operands), [t.requires_grad for t in operands],
+                         stacked)
     return _result(out, operands, backward)
 
 
 def transformer_layer(x_q: Tensor, x_kv: Tensor, w: LayerWeights, heads: int,
                       mask: np.ndarray | None = None,
-                      biases: BiasSet | None = None) -> Tensor:
+                      biases: BiasSet | None = None, stacked: bool = False) -> Tensor:
     """Residual attention block with post-norm and a two-layer feed-forward:
-    h = LN1(x_q + attention(x_q, x_kv, x_kv)), out = LN2(h + mlp(h)).
+    h = LN1(x_q + attention(x_q, x_kv, x_kv)), out = LN2(h + mlp(h));
+    stacked as in attention.
 
     One tape node whose parents are attention's operands (x_kv as both key
     and value), the four feed-forward weights and the two layer norms' gains
     and biases, those that need a gradient. Its backward chains the pieces'
     backwards, so x_q's gradient is its residual path's plus attention's.
     """
-    attn_operands, att, att_backward = _attention(x_q, x_kv, x_kv, w.attn, heads, mask, biases)
+    attn_operands, att, att_backward = _attention(x_q, x_kv, x_kv, w.attn, heads, mask, biases,
+                                                  stacked)
     if not autodiff._recording:
         att_backward = None   # nothing will read attention's saved arrays: free them now
     own = (w.ffn.w1, w.ffn.b1, w.ffn.w2, w.ffn.b2, w.ln1_gain, w.ln1_bias, w.ln2_gain, w.ln2_bias)
@@ -414,9 +437,10 @@ def transformer_layer(x_q: Tensor, x_kv: Tensor, w: LayerWeights, heads: int,
     need = [t.requires_grad for t in own]
     x_shape, att_shape = x_q.shape, att.shape
     # the residual stream's gradient is always computed, a weight's only if it trains
-    h1, ln1_backward = _layer_norm(x_q.data + att, *arrays[4:6], (True, *need[4:6]))
-    ffn, mlp_backward = _mlp(h1, *arrays[:4], (True, *need[:4]))
-    out, ln2_backward = _layer_norm(h1 + ffn, *arrays[6:], (True, *need[6:]))
+    h1, ln1_backward = _layer_norm(x_q.data + att, *arrays[4:6], (True, *need[4:6]),
+                                   stacked=stacked)
+    ffn, mlp_backward = _mlp(h1, *arrays[:4], (True, *need[:4]), stacked)
+    out, ln2_backward = _layer_norm(h1 + ffn, *arrays[6:], (True, *need[6:]), stacked=stacked)
 
     def backward(g):
         g_h2, *g_ln2 = ln2_backward(g)

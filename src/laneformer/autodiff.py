@@ -34,6 +34,7 @@ __all__ = [
     "matmul",
     "reshape",
     "gather_rows",
+    "stack",
     "add",
     "multiply",
     "scale",
@@ -129,17 +130,39 @@ def _result(data, operands: tuple, backward) -> Tensor:
     return Tensor(data)
 
 
-def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
-    """Sum a broadcast gradient back down to `shape`; g itself when it already fits."""
+def _unbroadcast(g: np.ndarray, shape: tuple, stacked: bool = False) -> np.ndarray:
+    """Sum a broadcast gradient back down to `shape`; g itself when it already fits.
+
+    stacked: g's first axis stacks scenes and `shape` is one scene's operand
+    (a weight every scene shares). Each scene's slice is reduced as it would
+    be alone, then the scenes are added in order, so the result equals the
+    one-scene gradients summed one after another.
+    """
     if g.shape == shape:
         return g
-    extra = g.ndim - len(shape)
+    lead = int(stacked)
+    extra = g.ndim - lead - len(shape)
     if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, (gs, s) in enumerate(zip(g.shape, shape)) if s == 1 and gs != 1)
+        summed = tuple(range(lead, lead + extra))
+        # a size-1 axis sums to its own values: drop it without a copy
+        g = (g.reshape(g.shape[:lead] + g.shape[lead + extra:])
+             if all(g.shape[i] == 1 for i in summed) else g.sum(axis=summed))
+    axes = tuple(i for i, (gs, s) in enumerate(zip(g.shape[lead:], shape), lead)
+                 if s == 1 and gs != 1)
     if axes:
         g = g.sum(axis=axes, keepdims=True)
+    if stacked:
+        g = _sum_scenes(g)
     return g.reshape(shape)
+
+
+def _sum_scenes(g: np.ndarray) -> np.ndarray:
+    """g[0] + g[1] + ... in that order.
+
+    An axis-0 sum of a stack adds slice by slice, except where each slice
+    holds one value: numpy then sums the axis pairwise.
+    """
+    return g.sum(axis=0) if g[0].size > 1 else np.add.accumulate(g, axis=0)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -150,11 +173,12 @@ def _unbroadcast(g: np.ndarray, shape: tuple) -> np.ndarray:
 # operand is often a constant computes only the gradients needed at its run.
 
 
-def matmul(a, b) -> Tensor:
+def matmul(a, b, stacked: bool = False) -> Tensor:
     """a @ b over the last two axes, broadcasting any leading axes.
 
     A batch multiplies item by item, so each BLAS call stays small enough
-    to run on one thread.
+    to run on one thread. stacked: one operand stacks scenes on its first
+    axis and the other is shared by every scene (see _unbroadcast).
     """
     a, b = as_tensor(a), as_tensor(b)
     ad, bd = a.data, b.data
@@ -166,8 +190,8 @@ def matmul(a, b) -> Tensor:
     except ValueError:
         raise ShapeError(f"matmul: incompatible shapes {ad.shape} x {bd.shape}") from None
     return _result(out, (a, b), lambda g: (
-        _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape) if need_a else None,
-        _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape) if need_b else None))
+        _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape, stacked) if need_a else None,
+        _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape, stacked) if need_b else None))
 
 
 def reshape(a, shape) -> Tensor:
@@ -180,13 +204,21 @@ def reshape(a, shape) -> Tensor:
 
 
 def gather_rows(a, indices) -> Tensor:
-    """Select rows (axis 0) by index; duplicate indices accumulate gradient."""
+    """Select rows (axis 0) by index; duplicate indices accumulate gradient.
+
+    (B, n) indices into a (B, N, ...) stack of scenes select, for each
+    scene b, rows indices[b] of a[b].
+    """
     a = as_tensor(a)
     idx = np.asarray(indices, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError("gather_rows: indices must be 1-d")
-    if a.data.shape[0] == 0 or (idx.size and (idx.min() < 0 or idx.max() >= a.data.shape[0])):
-        raise ShapeError(f"gather_rows: index out of range for {a.data.shape[0]} rows")
+    stacked = idx.ndim == 2 and a.data.ndim >= 2 and len(idx) == len(a.data)
+    if idx.ndim != 1 and not stacked:
+        raise ShapeError("gather_rows: indices must be 1-d, or (B, n) for a stack of B scenes")
+    rows = a.data.shape[int(stacked)]
+    if rows == 0 or (idx.size and (idx.min() < 0 or idx.max() >= rows)):
+        raise ShapeError(f"gather_rows: index out of range for {rows} rows")
+    if stacked:
+        idx = (np.arange(len(idx))[:, None], idx)
 
     def backward(g):
         buf = np.zeros_like(a.data)
@@ -196,12 +228,23 @@ def gather_rows(a, indices) -> Tensor:
     return _result(a.data[idx], (a,), backward)
 
 
-def add(a, b) -> Tensor:
+def stack(tensors) -> Tensor:
+    """Join same-shaped tensors along a new first axis, in the given order."""
+    tensors = [as_tensor(t) for t in tensors]
+    try:
+        out = np.stack([t.data for t in tensors])
+    except ValueError:
+        raise ShapeError(f"stack: shapes differ: {[t.data.shape for t in tensors]}") from None
+    return _result(out, tuple(tensors), lambda g: list(g))
+
+
+def add(a, b, stacked: bool = False) -> Tensor:
+    """a + b, broadcasting; stacked as in matmul."""
     a, b = as_tensor(a), as_tensor(b)
     need_a, need_b = a.requires_grad, b.requires_grad
     return _result(a.data + b.data, (a, b), lambda g: (
-        _unbroadcast(g, a.data.shape) if need_a else None,
-        _unbroadcast(g, b.data.shape) if need_b else None))
+        _unbroadcast(g, a.data.shape, stacked) if need_a else None,
+        _unbroadcast(g, b.data.shape, stacked) if need_b else None))
 
 
 def multiply(a, b) -> Tensor:
@@ -231,11 +274,7 @@ def _softmax(x: np.ndarray, mask=None) -> np.ndarray:
         raise ShapeError(f"row_softmax: expected at least 2-d tensor, got shape {x.shape}")
     if mask is not None:
         mask = np.asarray(mask, dtype=bool)
-        try:
-            fits = np.broadcast_shapes(mask.shape, x.shape) == x.shape
-        except ValueError:
-            fits = False
-        if not fits:
+        if not _fits(mask.shape, x.shape):
             raise ShapeError(f"row_softmax: mask shape {mask.shape} does not fit input {x.shape}")
         rows_ok = mask.any(axis=-1)
         if not rows_ok.all():
@@ -246,6 +285,25 @@ def _softmax(x: np.ndarray, mask=None) -> np.ndarray:
     np.exp(x, out=x)
     x /= x.sum(axis=-1, keepdims=True)
     return x
+
+
+def _fits(shape: tuple, target: tuple) -> bool:
+    """Whether an array of `shape` broadcasts to `target` unchanged."""
+    return len(shape) <= len(target) and all(
+        s == 1 or s == t for s, t in zip(reversed(shape), reversed(target)))
+
+
+def _broadcast(a: tuple, b: tuple) -> tuple:
+    """The shape two shapes broadcast to, as np.broadcast_shapes gives it."""
+    if a == b:
+        return a
+    n = max(len(a), len(b))
+    a, b = (1,) * (n - len(a)) + a, (1,) * (n - len(b)) + b
+    if not all(x == y or 1 in (x, y) for x, y in zip(a, b)):
+        raise ValueError(f"shapes {a} and {b} do not broadcast")
+    # from a list: tuple() of a generator leaves the cyclic collector's
+    # generation-0 count one higher after every call
+    return tuple([y if x == 1 else x for x, y in zip(a, b)])
 
 
 def _softmax_vjp(p: np.ndarray, g: np.ndarray) -> np.ndarray:
@@ -268,9 +326,10 @@ def row_softmax(a, mask=None) -> Tensor:
 
 
 def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, need,
-                eps: float = 1e-5):
+                eps: float = 1e-5, stacked: bool = False):
     """layer_norm on arrays: (output, backward), where backward(g) returns the
-    gradients of x, gain and bias, None for each that need flags False."""
+    gradients of x, gain and bias, None for each that need flags False.
+    stacked: x's first axis stacks scenes that share gain and bias."""
     if x.ndim < 2:
         raise ShapeError(f"layer_norm: expected at least 2-d tensor, got shape {x.shape}")
     d = x.shape[-1]
@@ -284,6 +343,11 @@ def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, need,
     inv = 1.0 / np.sqrt((xc * xc).sum(axis=-1, keepdims=True) / d + eps)
     xhat = xc * inv
 
+    def rows_sum(a):   # over each scene's rows, then over the scenes in order
+        if stacked:
+            return _sum_scenes(a.reshape(a.shape[0], -1, d).sum(axis=1))
+        return a.reshape(-1, d).sum(axis=0)
+
     def backward(g):
         gx = None
         if need_x:
@@ -292,8 +356,8 @@ def _layer_norm(x: np.ndarray, gain: np.ndarray, bias: np.ndarray, need,
             gx = inv * (gh - gh.sum(axis=-1, keepdims=True) / d
                         - xhat * (gh * xhat).sum(axis=-1, keepdims=True) / d)
         return (gx,
-                (g * xhat).reshape(-1, d).sum(axis=0).reshape(gain.shape) if need_gain else None,
-                g.reshape(-1, d).sum(axis=0).reshape(bias.shape) if need_bias else None)
+                rows_sum(g * xhat).reshape(gain.shape) if need_gain else None,
+                rows_sum(g).reshape(bias.shape) if need_bias else None)
 
     return xhat * gvec + bvec, backward
 

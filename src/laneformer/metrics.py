@@ -34,10 +34,16 @@ def _check_shapes(trajectories: np.ndarray, gt: np.ndarray):
     return trajectories, gt
 
 
+def _endpoint_errors(trajectories: np.ndarray, gt: np.ndarray) -> np.ndarray:
+    """(..., K) endpoint displacements of (..., K, T, 2) modes from (..., T, 2)
+    ground truth; the best mode is their argmin, ties to the lower index."""
+    return np.linalg.norm(trajectories[..., -1, :] - gt[..., None, -1, :], axis=-1)
+
+
 def min_fde(trajectories: np.ndarray, gt: np.ndarray):
     """(smallest endpoint displacement, index of the mode achieving it)."""
     trajectories, gt = _check_shapes(trajectories, gt)
-    d = np.linalg.norm(trajectories[:, -1, :] - gt[-1], axis=1)
+    d = _endpoint_errors(trajectories, gt)
     k_hat = int(np.argmin(d))
     return float(d[k_hat]), k_hat
 

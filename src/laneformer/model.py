@@ -8,6 +8,13 @@ set), a four-step fusion exchanges information between the two sets with
 local attention, and K decoding heads, run as one batch, emit offset
 sequences plus a score that becomes the mode confidence. The output is one
 (N_t, K, T_f, 2) path tensor and one (N_t, K) score tensor.
+
+Every stage also takes a stack of scenes that share their shapes
+(stack_samples): the history encoder runs scene by scene and joins its
+outputs, and each later stage runs once over a leading scene axis. Each
+scene keeps its own rows in every matrix product, and every weight
+gradient is reduced within each scene before the scenes are added in
+order, so a stack gives the per-scene numbers bit for bit.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ from .autodiff import (
     relu,
     reshape,
     row_softmax,
+    stack,
     uniform_init,
 )
 from .attention import (
@@ -52,6 +60,7 @@ __all__ = [
     "PredictionSet",
     "ModelOutput",
     "prepare_sample",
+    "stack_samples",
     "init_model",
     "hte_forward",
     "ain_forward",
@@ -113,7 +122,12 @@ class ModelConfig:
 
 @dataclass
 class Sample:
-    """One scenario prepared for the network, in the target's frame."""
+    """One scenario prepared for the network, in the target's frame.
+
+    A stack of B scenes (stack_samples) is one Sample whose arrays and
+    topology matrices have a leading scene axis and whose scenario,
+    target_ids and topology lane_ids are per-scene lists.
+    """
 
     scenario: sc.Scenario
     topology: TopologyMatrices
@@ -130,6 +144,44 @@ class Sample:
     def to_world(self, points: np.ndarray) -> np.ndarray:
         """Map normalized-frame points back to raw scene coordinates."""
         return points @ sc.rotation(self.frame_heading).T + self.frame_origin
+
+    @property
+    def stacked(self) -> bool:
+        return self.observed.ndim == 3
+
+
+def _shapes(s: Sample) -> tuple:
+    gt = None if s.ground_truth is None else np.shape(s.ground_truth)
+    return (s.agent_features.shape, s.lane_features.shape, len(s.target_ids), gt,
+            s.topology.m_c.shape)
+
+
+def stack_samples(samples) -> Sample | None:
+    """The samples as one stack, scene b at index b; None if any shape differs.
+
+    Shapes are the agent, lane, target and ground-truth counts and lengths
+    and the boundary categories: everything the model's arrays take theirs
+    from.
+    """
+    first = samples[0]
+    if any(_shapes(s) != _shapes(first) for s in samples[1:]):
+        return None
+    arrays = lambda get: np.stack([get(s) for s in samples])
+    topo = first.topology
+    return Sample(
+        scenario=[s.scenario for s in samples],
+        topology=TopologyMatrices(
+            lane_ids=[s.topology.lane_ids for s in samples],
+            categories=topo.categories,
+            **{f: arrays(lambda s: getattr(s.topology, f)) for f in (
+                "m_p", "m_s", "m_l", "m_r", "pre_hops", "suc_hops", "m_pre_spd", "m_suc_spd",
+                "m_c", "midpoints")}),
+        target_ids=[s.target_ids for s in samples],
+        ground_truth=None if first.ground_truth is None else arrays(lambda s: s.ground_truth),
+        frame_heading=np.array([s.frame_heading for s in samples]),
+        **{f: arrays(lambda s: getattr(s, f)) for f in (
+            "agent_features", "observed", "agent_positions", "lane_features",
+            "lane_positions", "frame_origin")})
 
 
 def prepare_sample(raw: sc.Scenario, cfg: ModelConfig) -> Sample:
@@ -326,7 +378,11 @@ class PredictionSet:
 
 @dataclass
 class ModelOutput:
-    """Tensor-valued forward result, differentiable end to end."""
+    """Tensor-valued forward result, differentiable end to end.
+
+    A stack of B scenes gives (B, N_targets, ...) tensors and one target
+    list per scene.
+    """
 
     paths: Tensor               # (N_targets, K, T_future, 2)
     scores: Tensor              # (N_targets, K) raw
@@ -363,8 +419,11 @@ def hte_forward(params: ModelParams, agent_features: np.ndarray,
     masked out of its keys, mean-pool the observed rows, then a final
     linear aggregation. The key mask stays (N_a, 1, T), the same keep flags
     for every query step, so the softmax checks and inverts T flags per
-    agent, not T^2.
+    agent, not T^2. A (B, N_a, T, 8) stack is encoded scene by scene and
+    gives (B, N_a, D).
     """
+    if observed.ndim == 3:
+        return stack([hte_forward(params, f, o) for f, o in zip(agent_features, observed)])
     n_a = observed.shape[0]
     counts = observed.sum(axis=1)
     if not counts.all():
@@ -379,7 +438,8 @@ def hte_forward(params: ModelParams, agent_features: np.ndarray,
 
 def ain_forward(params: ModelParams, agent_feats: Tensor) -> Tensor:
     """Agent interaction: one full self-attention block over agent rows."""
-    return transformer_layer(agent_feats, agent_feats, params.interaction, params.cfg.heads)
+    return transformer_layer(agent_feats, agent_feats, params.interaction, params.cfg.heads,
+                             stacked=agent_feats.data.ndim == 3)
 
 
 def map_net_forward(params: ModelParams, sample: Sample) -> Tensor:
@@ -388,21 +448,21 @@ def map_net_forward(params: ModelParams, sample: Sample) -> Tensor:
     Every biased layer reuses the same composed bias set, so one group of
     bias coefficients serves the whole stack.
     """
-    cfg = params.cfg
-    nodes = mlp(Tensor(sample.lane_features), params.node_embed)
+    cfg, stacked = params.cfg, sample.stacked
+    nodes = mlp(Tensor(sample.lane_features), params.node_embed, stacked)
     pool = Tensor(np.full((1, cfg.n_lane_nodes), 1.0 / cfg.n_lane_nodes))
-    pooled = reshape(matmul(pool, nodes), (sample.lane_features.shape[0], cfg.d_model))
-    lanes = mlp(pooled, params.node_agg)
+    pooled = reshape(matmul(pool, nodes), sample.lane_features.shape[:-2] + (cfg.d_model,))
+    lanes = mlp(pooled, params.node_agg, stacked)
     biases = compose_bias_matrices(params.lane_bias, sample.topology,
                                    use_relations=cfg.use_relation_bias,
                                    use_reachability=cfg.use_reachability_bias)
     for lw in params.lane_layers:
-        lanes = transformer_layer(lanes, lanes, lw, cfg.heads, biases=biases)
+        lanes = transformer_layer(lanes, lanes, lw, cfg.heads, biases=biases, stacked=stacked)
     return lanes
 
 
 def _local_mask(cfg: ModelConfig, q_pos, k_pos, e: int):
-    if not cfg.use_local_attention or e >= len(k_pos):
+    if not cfg.use_local_attention or e >= k_pos.shape[-2]:
         return None
     return nearest_neighbor_mask(np.asarray(q_pos), np.asarray(k_pos), e)
 
@@ -410,18 +470,19 @@ def _local_mask(cfg: ModelConfig, q_pos, k_pos, e: int):
 def fusion_forward(params: ModelParams, agent_feats: Tensor, lane_feats: Tensor,
                    sample: Sample) -> Tensor:
     """Agent/lane exchange: A2L, biased L2L, L2A, A2A; returns agent rows."""
-    cfg = params.cfg
+    cfg, stacked = params.cfg, sample.stacked
     a_pos, l_pos = sample.agent_positions, sample.lane_positions
     lanes = transformer_layer(lane_feats, agent_feats, params.fuse_a2l, cfg.heads,
-                              mask=_local_mask(cfg, l_pos, a_pos, cfg.e_a2l))
+                              mask=_local_mask(cfg, l_pos, a_pos, cfg.e_a2l), stacked=stacked)
     l2l_bias = compose_bias_matrices(params.fuse_l2l_bias, sample.topology,
                                      use_relations=cfg.use_relation_bias,
                                      use_reachability=cfg.use_reachability_bias)
-    lanes = transformer_layer(lanes, lanes, params.fuse_l2l, cfg.heads, biases=l2l_bias)
+    lanes = transformer_layer(lanes, lanes, params.fuse_l2l, cfg.heads, biases=l2l_bias,
+                              stacked=stacked)
     agents = transformer_layer(agent_feats, lanes, params.fuse_l2a, cfg.heads,
-                               mask=_local_mask(cfg, a_pos, l_pos, cfg.e_l2a))
+                               mask=_local_mask(cfg, a_pos, l_pos, cfg.e_l2a), stacked=stacked)
     return transformer_layer(agents, agents, params.fuse_a2a, cfg.heads,
-                             mask=_local_mask(cfg, a_pos, a_pos, cfg.e_a2a))
+                             mask=_local_mask(cfg, a_pos, a_pos, cfg.e_a2a), stacked=stacked)
 
 
 @lru_cache(maxsize=None)
@@ -440,16 +501,20 @@ def decode_trajectories(params: ModelParams, target_feats: Tensor,
     """K offset-sequence heads per target; offsets accumulate from the origin.
 
     All heads run as one batch: the (N_t, K, 1, h) hidden state gives
-    (N_t, K, T_f, 2) cumulative paths and (N_t, K) scores.
+    (N_t, K, T_f, 2) cumulative paths and (N_t, K) scores. (B, N_t, D)
+    target rows of a stack give (B, N_t, ...) outputs.
     """
     cfg = params.cfg
     dec = params.decoder
     t_f, k, h = cfg.t_future, cfg.modes, cfg.decoder_hidden
-    n_t = target_feats.shape[0]
-    hidden = reshape(relu(add(matmul(target_feats, dec.w1), dec.b1)), (n_t, k, 1, h))
-    offsets = reshape(add(matmul(hidden, dec.w_offsets), dec.b_offsets), (n_t, k, t_f, 2))
+    lead, stacked = target_feats.shape[:-1], target_feats.data.ndim == 3
+    hidden = reshape(relu(add(matmul(target_feats, dec.w1, stacked), dec.b1, stacked)),
+                     lead + (k, 1, h))
+    offsets = reshape(add(matmul(hidden, dec.w_offsets, stacked), dec.b_offsets, stacked),
+                      lead + (k, t_f, 2))
     paths = matmul(_cumulative_sum_matrix(t_f), offsets)
-    scores = reshape(add(matmul(hidden, dec.w_score), dec.b_score), (n_t, k))
+    scores = reshape(add(matmul(hidden, dec.w_score, stacked), dec.b_score, stacked),
+                     lead + (k,))
     return ModelOutput(paths=paths, scores=scores, confidences=row_softmax(scores),
                        target_ids=list(target_ids))
 

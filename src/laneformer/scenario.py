@@ -11,6 +11,7 @@ one future polyline per agent.
 
 from __future__ import annotations
 
+import itertools
 import json
 from dataclasses import dataclass, field, replace
 
@@ -269,31 +270,60 @@ def scenario_to_dict(sc: Scenario) -> dict:
     return doc
 
 
+def _floats(values, n: int) -> np.ndarray:
+    """n scalars as float64, converted as assigning each to a float64 array would."""
+    return np.fromiter(values, dtype=np.float64, count=n)
+
+
 def _parse_states(states, agent_idx: int) -> AgentHistory:
+    """One agent's rows [x, y, padding, category, type, heading, vx, vy].
+
+    Each field is read as a column. If any row is faulty, _raise_state_fault
+    names the first fault in row order.
+    """
     t = len(states)
     if t == 0:
         raise ValueError(f"agent {agent_idx}: empty states array")
-    positions = np.zeros((t, 2))
-    velocities = np.zeros((t, 2))
-    headings = np.zeros(t)
-    padding = np.zeros(t, dtype=bool)
-    category, agent_type = 0, "vehicle"
+    try:
+        if set(map(len, states)) != {8}:
+            raise ValueError("a row without 8 fields")
+        x, y, pad, cat, typ, heading, vx, vy = zip(*states)
+        if not set(pad) <= {0, 1} or not all(map(isinstance, typ, itertools.repeat(str))):
+            raise ValueError("a padding flag or a type out of range")
+        positions = np.stack([_floats(x, t), _floats(y, t)], axis=1)
+        velocities = np.stack([_floats(vx, t), _floats(vy, t)], axis=1)
+        headings = _floats(heading, t)
+        # every row's category must be an integer; the last row's is kept
+        category = list(map(int, cat))[-1]
+    except (TypeError, ValueError, OverflowError):
+        _raise_state_fault(states, agent_idx)
+        raise
+    return AgentHistory(positions=positions, velocities=velocities, headings=headings,
+                        padding=np.fromiter(pad, dtype=bool, count=t), category=category,
+                        agent_type=typ[-1])
+
+
+def _raise_state_fault(states, agent_idx: int) -> None:
+    """Raise the first fault of an agent's state rows, row by row and, within
+    a row, field count, padding, type, x, y, vx, vy, heading, category."""
     for row_idx, row in enumerate(states):
+        where = f"agent {agent_idx} state {row_idx}"
         if len(row) != 8:
-            raise ValueError(
-                f"agent {agent_idx} state {row_idx}: expected 8 fields, got {len(row)}")
+            raise ValueError(f"{where}: expected 8 fields, got {len(row)}")
         x, y, pad, cat, typ, heading, vx, vy = row
         if pad not in (0, 1):
-            raise ValueError(f"agent {agent_idx} state {row_idx}: padding must be 0 or 1")
+            raise ValueError(f"{where}: padding must be 0 or 1")
         if not isinstance(typ, str):
-            raise ValueError(f"agent {agent_idx} state {row_idx}: type must be a string")
-        positions[row_idx] = (x, y)
-        velocities[row_idx] = (vx, vy)
-        headings[row_idx] = heading
-        padding[row_idx] = bool(pad)
-        category, agent_type = int(cat), typ
-    return AgentHistory(positions=positions, velocities=velocities, headings=headings,
-                        padding=padding, category=category, agent_type=agent_type)
+            raise ValueError(f"{where}: type must be a string")
+        for name, value in (("x", x), ("y", y), ("vx", vx), ("vy", vy), ("heading", heading)):
+            try:
+                _floats([value], 1)
+            except (TypeError, ValueError, OverflowError) as e:
+                raise ValueError(f"{where}: {name} must be a number ({e})") from None
+        try:
+            int(cat)
+        except (TypeError, ValueError, OverflowError) as e:
+            raise ValueError(f"{where}: category must be an integer ({e})") from None
 
 
 def scenario_from_dict(doc: dict, name: str = "") -> Scenario:
@@ -442,7 +472,8 @@ def _interp(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
     x is (N, k), the knots xp (N, P) ascend (repeats allowed) and fp is
     (N, P, 2). For finite knots this takes np.interp's segment (the last
     knot not above x), its end values and its arithmetic, so it rounds the
-    same; both coordinates share the segment search.
+    same; both coordinates share the segment search. Like np.interp, x at
+    the last knot takes the last value, also where that knot repeats.
     """
     rows = np.arange(len(xp))[:, None]
     # the inner knots not above x: np.interp's segment, clipped to the first and last
@@ -452,7 +483,8 @@ def _interp(x: np.ndarray, xp: np.ndarray, fp: np.ndarray) -> np.ndarray:
     f0, f1 = fp[rows, j], fp[rows, k]
     with np.errstate(divide="ignore", invalid="ignore"):
         inner = (f1 - f0) / (x1 - x0) * (x - x0) + f0
-    return np.where(x <= x0, f0, np.where(x >= x1, f1, inner))
+    return np.where(x == xp[:, -1:, None], fp[:, -1:],
+                    np.where(x <= x0, f0, np.where(x >= x1, f1, inner)))
 
 
 def _resample(points: np.ndarray, n: int) -> np.ndarray:

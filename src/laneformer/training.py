@@ -9,7 +9,8 @@ to the lower index; the selection itself is not differentiated. The
 objective is one tape node over the paths and the confidences: a numpy
 forward over all targets at once, from the best modes' (N, T_f, 2) errors
 for the two Huber terms and an (N, K) one-hot mask for the hinge, and one
-hand-written backward.
+hand-written backward. A minibatch whose scenes share their shapes runs as
+one stack with one objective node over all its scenes (batch_loss).
 """
 
 from __future__ import annotations
@@ -30,8 +31,8 @@ from .autodiff import (
     save_checkpoint,
     scale,
 )
-from .metrics import min_fde
-from .model import ModelOutput, ModelParams, Sample, model_forward
+from .metrics import _endpoint_errors
+from .model import ModelOutput, ModelParams, Sample, model_forward, stack_samples
 
 __all__ = [
     "LossConfig",
@@ -81,6 +82,52 @@ def _huber(x: np.ndarray, delta: float) -> np.ndarray:
     return np.where(absx <= delta, 0.5 * x * x, delta * (absx - 0.5 * delta))
 
 
+def _objective(paths: np.ndarray, confidences: np.ndarray, gt: np.ndarray, cfg: LossConfig):
+    """The objective's numpy forward over B scenes' (B, N, K, T_f, 2) paths,
+    (B, N, K) confidences and (B, N, T_f, 2) ground truth.
+
+    Returns (B,) arrays reg, cls, goal and total, each scene's term computed
+    as that scene alone gives it, and backward(g), which maps g, the gradient
+    of every scene's total, to the paths' and the confidences' gradients.
+    """
+    b, n, k, t_f, _ = paths.shape
+    if k == 1:
+        raise ValueError("classification loss undefined for a single mode")
+    delta = float(cfg.huber_delta)
+    if delta <= 0:
+        raise ValueError(f"huber_delta must be positive, got {delta}")
+    # minFDE's own rule, so the loss trains the mode the metrics score
+    best = np.argmin(_endpoint_errors(paths, gt), axis=-1)
+    chosen = (np.arange(b)[:, None], np.arange(n), best)
+    errors = paths[chosen] - gt     # (B, N, T_f, 2)
+    onehot = np.zeros((b, n, k))
+    onehot[chosen] = 1.0
+    others = 1.0 - onehot
+    pre = (confidences + cfg.epsilon) - (confidences * onehot).sum(axis=-1, keepdims=True)
+    c_reg, c_cls, c_goal = 1.0 / (n * t_f), 1.0 / (n * (k - 1)), 1.0 / n
+    w_reg, w_cls, w_goal = cfg.weight_reg, cfg.weight_cls, cfg.weight_goal
+    scene_sum = lambda a: a.reshape(b, -1).sum(axis=1)
+    reg = scene_sum(_huber(errors, delta)) * c_reg
+    cls = scene_sum(np.maximum(pre, 0.0) * others) * c_cls
+    goal = scene_sum(_huber(errors[:, :, -1:], delta)) * c_goal
+    total = (reg * w_reg + cls * w_cls) + goal * w_goal
+
+    def backward(g, need_paths, need_conf):
+        g_paths = g_conf = None
+        if need_paths:
+            g_errors = ((g * w_reg) * c_reg) * np.clip(errors, -delta, delta)
+            g_errors[:, :, -1:] += ((g * w_goal) * c_goal) * np.clip(errors[:, :, -1:],
+                                                                    -delta, delta)
+            g_paths = np.zeros(paths.shape)
+            g_paths[chosen] += g_errors
+        if need_conf:
+            g_pre = (((g * w_cls) * c_cls) * others) * (pre > 0.0)
+            g_conf = g_pre + (-g_pre.sum(axis=-1, keepdims=True)) * onehot
+        return g_paths, g_conf
+
+    return reg, cls, goal, total, backward
+
+
 def scenario_loss(output: ModelOutput, sample: Sample,
                   loss_cfg: LossConfig | None = None) -> LossBreakdown:
     """Objective over one scenario's targets; needs ground truth on the sample.
@@ -90,63 +137,65 @@ def scenario_loss(output: ModelOutput, sample: Sample,
     computed over all targets at once, and one backward returns both
     gradients. Only `total` is taped; `reg`, `cls` and `goal` are constants.
     """
-    cfg = loss_cfg or LossConfig()
     if sample.ground_truth is None:
         raise ValueError(f"scenario {sample.scenario.name!r} has no ground truth")
     paths, confidences = output.paths, output.confidences
-    n, k, t_f, _ = paths.shape
-    if k == 1:
-        raise ValueError("classification loss undefined for a single mode")
-    delta = float(cfg.huber_delta)
-    if delta <= 0:
-        raise ValueError(f"huber_delta must be positive, got {delta}")
     gt = np.stack([sample.ground_truth[i] for i in output.target_ids])
-    # minFDE's own rule, so the loss trains the mode the metrics score
-    best = [min_fde(modes, g)[1] for modes, g in zip(paths.data, gt)]
-    rows = np.arange(n)
-    errors = paths.data[rows, best] - gt     # (N, T_f, 2)
-    onehot = np.zeros((n, k))
-    onehot[rows, best] = 1.0
-    others = 1.0 - onehot
-    conf = confidences.data
-    pre = (conf + cfg.epsilon) - (conf * onehot).sum(axis=1, keepdims=True)
-    c_reg, c_cls, c_goal = 1.0 / (n * t_f), 1.0 / (n * (k - 1)), 1.0 / n
-    w_reg, w_cls, w_goal = cfg.weight_reg, cfg.weight_cls, cfg.weight_goal
-    reg = _huber(errors, delta).sum() * c_reg
-    cls = (np.maximum(pre, 0.0) * others).sum() * c_cls
-    goal = _huber(errors[:, -1:], delta).sum() * c_goal
-    total = (reg * w_reg + cls * w_cls) + goal * w_goal
-    need_paths, need_conf = paths.requires_grad, confidences.requires_grad
+    reg, cls, goal, total, backward = _objective(
+        paths.data[None], confidences.data[None], gt[None], loss_cfg or LossConfig())
+    need = (paths.requires_grad, confidences.requires_grad)
 
-    def backward(g):
-        g_paths = g_conf = None
-        if need_paths:
-            g_errors = ((g * w_reg) * c_reg) * np.clip(errors, -delta, delta)
-            g_errors[:, -1:] += ((g * w_goal) * c_goal) * np.clip(errors[:, -1:], -delta, delta)
-            g_paths = np.zeros(paths.shape)
-            g_paths[rows, best] += g_errors
-        if need_conf:
-            g_pre = (((g * w_cls) * c_cls) * others) * (pre > 0.0)
-            g_conf = g_pre + (-g_pre.sum(axis=1, keepdims=True)) * onehot
-        return g_paths, g_conf
+    def one_scene(g):
+        return tuple(None if a is None else a[0] for a in backward(g, *need))
 
-    return LossBreakdown(total=_result(total, (paths, confidences), backward),
-                         reg=Tensor(reg), cls=Tensor(cls), goal=Tensor(goal))
+    return LossBreakdown(total=_result(total[0], (paths, confidences), one_scene),
+                         reg=Tensor(reg[0]), cls=Tensor(cls[0]), goal=Tensor(goal[0]))
+
+
+def _mean(values) -> float:
+    """The scenes' values added in order, then scaled by 1/B: the float
+    operations of an `add` chain and a `scale`."""
+    total = values[0]
+    for v in values[1:]:
+        total = total + v
+    return total * (1.0 / len(values))
 
 
 def batch_loss(params: ModelParams, samples, loss_cfg: LossConfig | None = None) -> LossBreakdown:
-    """Mean of per-scenario objectives, one graph so a single backward works."""
-    parts = [scenario_loss(model_forward(params, s), s, loss_cfg) for s in samples]
-    inv = 1.0 / len(parts)
+    """Mean of per-scenario objectives, one graph so a single backward works.
 
-    def mean(name):
-        total = getattr(parts[0], name)
-        for p in parts[1:]:
-            total = add(total, getattr(p, name))
-        return scale(total, inv)
+    Two or more scenes with ground truth that share every shape run as one
+    stack (model.stack_samples): one forward and one objective node over
+    the scenes, whose total is the mean of the scene totals. Its numbers
+    equal, bit for bit, those of the per-scene graph that any other batch
+    gets: each scene's forward and scenario_loss, the totals joined by an
+    `add` chain in sample order and scaled by 1/B.
+    """
+    stacked = stack_samples(samples) if len(samples) > 1 else None
+    if stacked is None or stacked.ground_truth is None:
+        parts = [scenario_loss(model_forward(params, s), s, loss_cfg) for s in samples]
+        inv = 1.0 / len(parts)
 
-    return LossBreakdown(total=mean("total"), reg=mean("reg"),
-                         cls=mean("cls"), goal=mean("goal"))
+        def mean(name):
+            total = getattr(parts[0], name)
+            for p in parts[1:]:
+                total = add(total, getattr(p, name))
+            return scale(total, inv)
+
+        return LossBreakdown(total=mean("total"), reg=mean("reg"),
+                             cls=mean("cls"), goal=mean("goal"))
+    out = model_forward(params, stacked)
+    paths, confidences = out.paths, out.confidences
+    ids = np.asarray(stacked.target_ids)
+    gt = stacked.ground_truth[np.arange(len(samples))[:, None], ids]
+    reg, cls, goal, total, backward = _objective(paths.data, confidences.data, gt,
+                                                 loss_cfg or LossConfig())
+    need = (paths.requires_grad, confidences.requires_grad)
+    inv = 1.0 / len(samples)
+    # the add chain passes its gradient to every scene, and the scale multiplies it by 1/B
+    return LossBreakdown(total=_result(_mean(total), (paths, confidences),
+                                       lambda g: backward(g * inv, *need)),
+                         reg=Tensor(_mean(reg)), cls=Tensor(_mean(cls)), goal=Tensor(_mean(goal)))
 
 
 # ---------------------------------------------------------------------------

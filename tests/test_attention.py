@@ -579,9 +579,9 @@ def test_transformer_layer_norms_read_constant_flags(monkeypatch):
     module, seen = importlib.import_module("laneformer.attention"), []
     real = module._layer_norm
 
-    def spy(x, gain, bias, need):
+    def spy(x, gain, bias, need, **kwargs):
         seen.append(tuple(need))
-        return real(x, gain, bias, need)
+        return real(x, gain, bias, need, **kwargs)
 
     monkeypatch.setattr(module, "_layer_norm", spy)
     rng = np.random.default_rng(9)

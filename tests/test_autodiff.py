@@ -31,6 +31,7 @@ from laneformer.autodiff import (
     row_softmax,
     save_checkpoint,
     scale,
+    stack,
     uniform_init,
 )
 
@@ -361,6 +362,23 @@ def test_batched_matmul_matches_per_item_products():
         matmul(Tensor(np.ones((2, 3, 4))), Tensor(np.ones((3, 4, 5))))
 
 
+def test_gather_rows_from_a_stack_gathers_each_scene_alone():
+    # (B, n) indices pick rows of each scene; repeated rows add their gradients
+    rng = np.random.default_rng(6)
+    x = Tensor(rng.normal(size=(3, 4, 2)), requires_grad=True)
+    idx = [[1, 1, 3], [0, 2, 0], [3, 3, 3]]
+    w = rng.normal(size=(3, 3, 2))
+    backpropagate(reduce_sum(multiply(gather_rows(x, idx), Tensor(w))))
+    for b in range(3):
+        one = Tensor(x.data[b], requires_grad=True)
+        backpropagate(reduce_sum(multiply(gather_rows(one, idx[b]), Tensor(w[b]))))
+        assert np.array_equal(x.grad[b], one.grad)
+    with pytest.raises(ShapeError, match="out of range for 4 rows"):
+        gather_rows(x, [[0], [4], [1]])
+    with pytest.raises(ShapeError, match="1-d, or"):
+        gather_rows(x, [[0], [1]])
+
+
 def test_row_softmax_batched_empty_row_raises():
     mask = np.ones((2, 3, 4), dtype=bool)
     mask[1, 2] = False
@@ -371,6 +389,28 @@ def test_row_softmax_batched_empty_row_raises():
         row_softmax(Tensor(np.zeros((2, 2, 3, 4))), mask=mask[:, None])
     with pytest.raises(ShapeError, match="mask shape"):
         row_softmax(Tensor(np.zeros((2, 3, 4))), mask=np.ones((3, 3), dtype=bool))
+
+
+_shape = st.lists(st.integers(0, 3), max_size=4).map(tuple)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_shape, _shape)
+def test_shape_rules_agree_with_numpy_broadcasting(a, b):
+    # the softmax's mask check and attention's head-output shape, without np.broadcast_shapes
+    try:
+        want = np.broadcast_shapes(a, b)
+    except ValueError:
+        want = None
+    assert autodiff._fits(a, b) == (want == b)
+    if want is None:
+        with pytest.raises(ValueError):
+            autodiff._broadcast(a, b)
+    else:
+        assert autodiff._broadcast(a, b) == want
+    if len(b) >= 2 and not autodiff._fits(a, b):
+        with pytest.raises(ShapeError, match=r"mask shape .* does not fit"):
+            row_softmax(Tensor(np.zeros(b)), mask=np.ones(a, dtype=bool))
 
 
 def test_row_softmax_batched_rows_sum_to_one():
@@ -501,6 +541,7 @@ def _op_calls(x, y, w, g, b):
         "matmul": (matmul, (x, w)),
         "reshape": (reshape, (x, (4, 3))),
         "gather_rows": (gather_rows, (x, [2, 0])),
+        "stack": (lambda *ts: stack(ts), (x, y)),
         "add": (add, (x, y)),
         "multiply": (multiply, (x, y)),
         "scale": (scale, (x, 2.0)),

@@ -2,6 +2,9 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from laneformer.metrics import (
     MISS_THRESHOLD,
@@ -119,3 +122,34 @@ def test_shape_validation():
         min_fde(np.zeros((2, 5, 2)), gt)
     with pytest.raises(ValueError, match=r"\(K,\)"):
         evaluate_prediction(np.zeros((2, 4, 2)), np.zeros(3), gt)
+
+
+_coords = st.floats(-100.0, 100.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _predictions(draw):
+    k, t = draw(st.integers(1, 6)), draw(st.integers(1, 8))
+    return (draw(hnp.arrays(np.float64, (k, t, 2), elements=_coords)),
+            draw(hnp.arrays(np.float64, (k,), elements=st.floats(0.0, 1.0))),
+            draw(hnp.arrays(np.float64, (t, 2), elements=_coords)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_predictions(), st.floats(-np.pi, np.pi), st.tuples(
+    st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)))
+def test_metrics_do_not_see_a_rigid_motion(prediction, angle, shift):
+    # one rotation and translation of the modes and the ground truth together
+    trajectories, confidences, gt = prediction
+    fde = np.linalg.norm(trajectories[:, -1] - gt[-1], axis=1)
+    # the best mode must be clear: a tie within rounding may pick another mode after the motion
+    assume(len(fde) == 1 or np.partition(fde, 1)[1] - fde.min() > 1e-6)
+    c, s = np.cos(angle), np.sin(angle)
+    move = lambda p: p @ np.array([[c, -s], [s, c]]).T + np.array(shift)
+    before = evaluate_prediction(trajectories, confidences, gt)
+    after = evaluate_prediction(move(trajectories), confidences, move(gt))
+    for key in ("min_ade", "min_fde", "b_min_fde"):
+        assert abs(after[key] - before[key]) <= 1e-9, key
+    assert after["best_mode"] == before["best_mode"]
+    if abs(before["min_fde"] - MISS_THRESHOLD) > 1e-9:
+        assert after["miss"] == before["miss"]

@@ -6,7 +6,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from laneformer.scenario import (
@@ -391,6 +391,8 @@ _POLYLINE = st.lists(st.tuples(st.floats(-1e4, 1e4), st.floats(-1e4, 1e4)),
 @settings(max_examples=40, deadline=None)
 @given(polylines=st.lists(_POLYLINE, min_size=1, max_size=6), n=st.integers(2, 12),
        repeat=st.booleans())
+# a last segment that rounds to no length: the last knot repeats with a different value
+@example(polylines=[[(0.0, 1.0), (0.0, 4.129497086952738e-235), (0.0, 0.0)]], n=2, repeat=False)
 def test_batched_resampling_equals_the_per_polyline_loop(polylines, n, repeat):
     lanes = [Lane(i, "vehicle", pts) for i, pts in enumerate(polylines)]
     if repeat:   # repeated nodes: knots of equal arc length
@@ -460,3 +462,87 @@ def test_agent_history_shape_and_category_checks():
         _agent([[0.0, 0.0], [1.0, 0.0]], category=4)
     with pytest.raises(ValueError, match="P >= 2"):
         Lane(0, "vehicle", [[0.0, 0.0]])
+
+
+def _loop_parse_states(states, agent_idx):
+    """The row-by-row parse that _parse_states replaced, kept as its reference."""
+    t = len(states)
+    if t == 0:
+        raise ValueError(f"agent {agent_idx}: empty states array")
+    positions, velocities = np.zeros((t, 2)), np.zeros((t, 2))
+    headings, padding = np.zeros(t), np.zeros(t, dtype=bool)
+    category, agent_type = 0, "vehicle"
+    for row_idx, row in enumerate(states):
+        if len(row) != 8:
+            raise ValueError(
+                f"agent {agent_idx} state {row_idx}: expected 8 fields, got {len(row)}")
+        x, y, pad, cat, typ, heading, vx, vy = row
+        if pad not in (0, 1):
+            raise ValueError(f"agent {agent_idx} state {row_idx}: padding must be 0 or 1")
+        if not isinstance(typ, str):
+            raise ValueError(f"agent {agent_idx} state {row_idx}: type must be a string")
+        positions[row_idx] = (x, y)
+        velocities[row_idx] = (vx, vy)
+        headings[row_idx] = heading
+        padding[row_idx] = bool(pad)
+        category, agent_type = int(cat), typ
+    return positions, velocities, headings, padding, category, agent_type
+
+
+def _parsed(agent):
+    return (agent.positions, agent.velocities, agent.headings, agent.padding,
+            agent.category, agent.agent_type)
+
+
+def _same_parse(a, b):
+    return all(np.array_equal(u, v, equal_nan=True) and np.asarray(u).dtype == np.asarray(v).dtype
+               for u, v in zip(a[:4], b[:4])) and a[4:] == b[4:]
+
+
+def test_state_columns_parse_as_the_row_loop_does():
+    from laneformer.scenario import _parse_states
+    from laneformer.synth import TEMPLATES, GeneratorConfig, generate_scenario
+    for template in TEMPLATES:
+        for index in range(3):
+            doc = json.loads(json.dumps(scenario_to_dict(generate_scenario(
+                GeneratorConfig(seed=index, template=template, agent_count=4), index))))
+            for i, agent in enumerate(doc["agents"]):
+                got = _parsed(_parse_states(agent["states"], i))
+                assert _same_parse(got, _loop_parse_states(agent["states"], i)), (template, i)
+    # inputs the loop accepted: numeric strings, booleans, None as NaN, integer-valued floats
+    odd = [[1, "2.5", True, 1.0, "cyclist", None, " 3 ", 0], [0.5, 1, 0.0, "2", "bus", 1, 2, 3]]
+    assert _same_parse(_parsed(_parse_states(odd, 0)), _loop_parse_states(odd, 0))
+
+
+_FAULTS = {   # fault -> (field index, faulty value, the start of the message it gets)
+    "length": (None, None, "expected 8 fields, got 3"),
+    "padding": (2, 2, "padding must be 0 or 1"),
+    "type": (4, 7, "type must be a string"),
+    "x": (0, "a", "x must be a number (could not convert string to float: 'a')"),
+    "vy": (7, [1, 2], "vy must be a number (setting an array element with a sequence"),
+    "heading": (5, {}, "heading must be a number"),
+    "category": (3, "z", "category must be an integer (invalid literal for int()"),
+}
+
+
+@pytest.mark.parametrize("first", list(_FAULTS))
+def test_a_bad_state_row_names_agent_state_and_field(first):
+    # two faulty rows: the message names the earlier one, whatever the later one holds
+    from laneformer.scenario import _parse_states
+    doc = scenario_to_dict(_small_scenario())
+    for second in _FAULTS:
+        states = json.loads(json.dumps(doc["agents"][1]["states"]))
+        for row, fault in ((3, second), (1, first)):
+            field, value, _ = _FAULTS[fault]
+            if field is None:
+                states[row] = states[row][:3]
+            else:
+                states[row][field] = value
+        want = f"agent 1 state 1: {_FAULTS[first][2]}"
+        with pytest.raises(ValueError) as err:
+            _parse_states(states, 1)
+        assert str(err.value).startswith(want), (first, second, str(err.value))
+        if first in ("length", "padding", "type"):   # the loop's messages are kept as they were
+            with pytest.raises(ValueError) as loop_err:
+                _loop_parse_states(states, 1)
+            assert str(err.value) == str(loop_err.value)

@@ -1,5 +1,6 @@
 """Loss, optimizer, and training-loop tests with hand-worked oracles."""
 
+import contextlib
 from types import SimpleNamespace
 
 import numpy as np
@@ -9,14 +10,24 @@ from laneformer import training
 from laneformer.autodiff import (
     ParameterRegistry,
     Tensor,
+    add,
     backpropagate,
     grad_check,
     multiply,
     no_grad,
     reduce_sum,
+    scale,
 )
 from laneformer.metrics import min_fde
-from laneformer.model import ModelConfig, ModelOutput, init_model, model_forward, prepare_sample
+from laneformer.model import (
+    ModelConfig,
+    ModelOutput,
+    init_model,
+    model_forward,
+    prepare_sample,
+    stack_samples,
+)
+from laneformer.synth import TEMPLATES, GeneratorConfig, generate_scenario
 from laneformer.training import (
     AdamOptimizer,
     LossConfig,
@@ -33,7 +44,7 @@ from laneformer.training import (
 )
 
 from test_autodiff import _assert_one_backward_per_parent
-from test_model import _cfg, _scene
+from test_model import _cfg, _scene, _tape_nodes, _toy_cfg
 
 
 def test_select_best_mode_endpoint_and_ties():
@@ -226,6 +237,97 @@ def test_batch_loss_is_mean_of_scenario_losses():
     l2 = scenario_loss(model_forward(params, s2), s2).total.item()
     both = batch_loss(params, [s1, s2]).total.item()
     assert abs(both - 0.5 * (l1 + l2)) < 1e-12
+
+
+def _per_scene_replay(params, samples):
+    """batch_loss's per-scene graph: each scene's forward and scenario_loss,
+    the terms joined by an add chain in sample order and scaled by 1/B."""
+    parts = [scenario_loss(model_forward(params, s), s) for s in samples]
+
+    def mean(name):
+        total = getattr(parts[0], name)
+        for p in parts[1:]:
+            total = add(total, getattr(p, name))
+        return scale(total, 1.0 / len(parts))
+
+    return {name: mean(name) for name in ("total", "reg", "cls", "goal")}
+
+
+def _gradients(params):
+    return {n: None if t.grad is None else t.grad.copy() for n, t in params.registry.items()}
+
+
+def _assert_batch_loss_is_the_replay(params, samples):
+    params.registry.zero_grad()
+    want = _per_scene_replay(params, samples)
+    backpropagate(want["total"])
+    want_grads = _gradients(params)
+    params.registry.zero_grad()
+    got = batch_loss(params, samples)
+    backpropagate(got.total)
+    for name, term in want.items():
+        assert np.array_equal(getattr(got, name).data, term.data), name
+    got_grads = _gradients(params)
+    assert [n for n in want_grads if (want_grads[n] is None) != (got_grads[n] is None)] == []
+    assert [n for n in want_grads if want_grads[n] is not None
+            and not np.array_equal(want_grads[n], got_grads[n])] == []
+
+
+@pytest.mark.parametrize("config", ["toy", "default", "one_head", "two_targets"])
+def test_stacked_batch_loss_equals_the_per_scene_replay(config):
+    # every scene of a generated dataset shares its shapes, so these batches stack;
+    # the toy config takes every B from 1 to 8 on each template, the default
+    # config two per template, between them 1 to 8, at 1 to 8 agents. With one
+    # head each bias coefficient is one value per scene, which numpy would
+    # sum pairwise over eight scenes; with two targets the decoder's weight
+    # gradients sum each scene's targets before the scenes
+    cfg = ModelConfig() if config == "default" else _toy_cfg(heads=1 if config == "one_head" else 2)
+    for i, template in enumerate(TEMPLATES):
+        sizes = {"toy": range(1, 9), "default": (i + 1, 8 - i)}.get(config, (3, 8))
+        agents = 8 - i if config == "default" else 3
+        params = init_model(cfg, seed=i)
+        gen = GeneratorConfig(seed=i, template=template, agent_count=agents)
+        raw = [generate_scenario(gen, j) for j in range(max(sizes))]
+        if config == "two_targets":
+            for scene in raw:
+                scene.target_ids = [2, 0]
+        pool = [prepare_sample(scene, cfg) for scene in raw]
+        assert stack_samples(pool) is not None, template
+        for b in sizes:
+            _assert_batch_loss_is_the_replay(params, pool[:b])
+
+
+def test_mixed_shapes_run_scene_by_scene():
+    cfg = _toy_cfg()
+    params = init_model(cfg, seed=4)
+    samples = [prepare_sample(generate_scenario(
+        GeneratorConfig(seed=4, template=t, agent_count=3), j), cfg)
+        for j, t in enumerate(("straight", "merge", "straight", "merge"))]
+    assert stack_samples(samples) is None
+    assert stack_samples(samples[::2]) is not None
+    _assert_batch_loss_is_the_replay(params, samples)
+    # four per-scene graphs of 35 nodes, three adds and the scale
+    assert _tape_nodes(batch_loss(params, samples).total) == 4 * 35 + 3 + 1
+    # a stack without ground truth runs scene by scene and names the first scene that lacks it
+    bare = [prepare_sample(_scene(with_gt=False), _cfg()) for _ in range(2)]
+    with pytest.raises(ValueError, match="no ground truth"):
+        batch_loss(init_model(_cfg(), seed=0), bare)
+
+
+def test_a_stack_gives_every_scene_its_own_outputs():
+    cfg = _toy_cfg()
+    params = init_model(cfg, seed=5)
+    gen = GeneratorConfig(seed=5, template="fork", agent_count=4)
+    samples = [prepare_sample(generate_scenario(gen, j), cfg) for j in range(3)]
+    stacked = stack_samples(samples)
+    for taped in (True, False):
+        with contextlib.nullcontext() if taped else no_grad():
+            out = model_forward(params, stacked)
+            singles = [model_forward(params, s) for s in samples]
+        assert out.target_ids == [s.target_ids for s in samples]
+        for b, single in enumerate(singles):
+            for field in ("paths", "scores", "confidences"):
+                assert np.array_equal(getattr(out, field).data[b], getattr(single, field).data)
 
 
 def test_batch_loss_backward_reaches_parameters():

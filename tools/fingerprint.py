@@ -3,16 +3,22 @@
     python tools/fingerprint.py dump OUT.npz
     python tools/fingerprint.py compare A.npz B.npz
 
-`dump` runs three cases: the toy batch (8 `straight` scenes, 3 agents,
-seed 1), the default config (5 scenes, one per template, 8 agents, seed 3)
-and the micro scene. It saves every prepared sample's arrays: agent and
+`dump` runs five cases: the toy batch (8 `straight` scenes, 3 agents,
+seed 1), the default config (5 scenes, one per template, 8 agents, seed 3),
+the micro scene, a stacked default-config batch (4 `merge` scenes, 8
+agents, seed 3: scenes that share their shapes, whose two lane layers
+share one bias set) and a mixed toy batch (`straight`, `merge`, `straight`,
+`merge`, 3 agents, seed 1), whose shapes differ, so that batch_loss runs it
+scene by scene. It saves every prepared sample's arrays: agent and
 lane features, observed mask, agent and lane positions, ground truth,
 frame origin and heading, and every topology matrix, hop counts included.
 For each of 3 Adam steps (lr 2e-3) it saves every model output, taped and
 under no_grad, every loss term, every parameter gradient and every
 parameter after the step. `compare` lists every key
 whose arrays differ, by shape or by value (NaN equals NaN), or that only
-one file holds, and exits 1 if there is any.
+one file holds, and exits 1 if there is any. For arrays that differ by
+value it also prints the largest absolute difference and the normwise
+relative difference |a - b| / |a| (2-norms over the whole array).
 
 Needs only numpy and laneformer; run it from a checkout with
 PYTHONPATH=src so that the dump measures that checkout's code.
@@ -52,6 +58,14 @@ def _cases():
                 lf.GeneratorConfig(seed=3, template=tpl, agent_count=8), 0), default)
             for tpl in TEMPLATES]),
         "micro": (micro, 0, [lf.prepare_sample(micro_scenario(), micro)]),
+        "stacked": (default, 3, [
+            lf.prepare_sample(lf.generate_scenario(
+                lf.GeneratorConfig(seed=3, template="merge", agent_count=8), i), default)
+            for i in range(4)]),
+        "mixed": (toy, 1, [
+            lf.prepare_sample(lf.generate_scenario(
+                lf.GeneratorConfig(seed=1, template=tpl, agent_count=3), i), toy)
+            for i, tpl in enumerate(("straight", "merge", "straight", "merge"))]),
     }
 
 
@@ -104,6 +118,14 @@ def differing(a: dict, b: dict) -> list:
                   or not np.array_equal(a[k], b[k], equal_nan=a[k].dtype.kind in "fc"))
 
 
+def difference(a: np.ndarray, b: np.ndarray) -> str:
+    """The largest |a - b| and |a - b| / |a| of two same-shaped arrays."""
+    a, b = a.astype(np.float64), b.astype(np.float64)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return (f"max |a-b| {np.abs(a - b).max():.3e}, "
+                f"|a-b|/|a| {np.linalg.norm(a - b) / np.linalg.norm(a):.3e}")
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     sub = parser.add_subparsers(dest="command", required=True)
@@ -121,7 +143,12 @@ def main(argv=None) -> int:
         a, b = dict(fa), dict(fb)
     keys = differing(a, b)
     for k in keys:
-        where = "only in " + (args.a if k in a else args.b) if (k in a) != (k in b) else "differs"
+        if (k in a) != (k in b):
+            where = "only in " + (args.a if k in a else args.b)
+        elif a[k].shape != b[k].shape:
+            where = f"differs in shape, {a[k].shape} against {b[k].shape}"
+        else:
+            where = f"differs, {difference(a[k], b[k])}"
         print(f"{k}: {where}")
     print(f"{len(keys)} of {len(a.keys() | b.keys())} arrays differ")
     return 1 if keys else 0
