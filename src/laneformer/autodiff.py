@@ -9,6 +9,11 @@ the objective in `training`) share this contract.
 it returns, out of place, so `.grad` arrays may share memory and are never
 written once stored: treat them as read-only. An op may overwrite arrays
 it allocated itself, never an operand's data or an incoming gradient.
+A weight that a stack of scenes shares gets each scene's gradient reduced
+as that scene alone would reduce it, and the scenes added in order. Where
+one scene's product in `matmul` is larger than the weight, `matmul` forms
+it and adds it to the total scene by scene, so that backward's working
+memory does not grow with the number of scenes.
 Inside `no_grad()` nothing is recorded, so inference builds no tape.
 Everything runs in float64 so analytic gradients can be compared against
 central finite differences at tight tolerances.
@@ -190,8 +195,25 @@ def matmul(a, b, stacked: bool = False) -> Tensor:
     except ValueError:
         raise ShapeError(f"matmul: incompatible shapes {ad.shape} x {bd.shape}") from None
     return _result(out, (a, b), lambda g: (
-        _unbroadcast(g @ bd.swapaxes(-1, -2), ad.shape, stacked) if need_a else None,
-        _unbroadcast(ad.swapaxes(-1, -2) @ g, bd.shape, stacked) if need_b else None))
+        _product_grad(g, bd.swapaxes(-1, -2), ad.shape, stacked) if need_a else None,
+        _product_grad(ad.swapaxes(-1, -2), g, bd.shape, stacked) if need_b else None))
+
+
+def _product_grad(x: np.ndarray, y: np.ndarray, shape: tuple, stacked: bool) -> np.ndarray:
+    """_unbroadcast(x @ y, shape, stacked): a matmul operand's gradient.
+
+    Where one scene's product x[s] @ y[s] of a stack has more axes than the
+    operand (a shared weight, so x and y both stack scenes), each scene's
+    product is formed and reduced alone and added to a running total in
+    scene order: the same numbers, but the backward holds one scene's
+    product, never the stack's.
+    """
+    if not stacked or max(x.ndim, y.ndim) - 1 <= len(shape):
+        return _unbroadcast(x @ y, shape, stacked)
+    total = _unbroadcast(x[0] @ y[0], shape)   # a new array: this op owns it
+    for s in range(1, len(x)):
+        total += _unbroadcast(x[s] @ y[s], shape)
+    return total
 
 
 def reshape(a, shape) -> Tensor:
@@ -515,36 +537,42 @@ def grad_check(f, inputs, h: float = 1e-6, tol: float = 1e-6,
 
     f runs 2 N + 3 times for N input scalars: twice to confirm it is
     deterministic, 2 N times for the differences, all under no_grad(), then
-    once recording the tape that gives the analytic gradients.
+    once recording the tape that gives the analytic gradients. Every input
+    requires a gradient during the check, and gets its own flag back after
+    it, also when the check raises.
     """
     inputs = [as_tensor(t) for t in inputs]
+    flags = [t.requires_grad for t in inputs]
     for t in inputs:
         t.requires_grad = True
+    try:
+        with no_grad():
+            first = f(*inputs).data.copy()
+            if not np.array_equal(first, f(*inputs).data):
+                raise NondeterministicFunctionError("function output changed between evaluations")
+            if first.size != 1:
+                raise ValueError("grad_check: f must return a scalar tensor")
+            numeric = []
+            for t in inputs:
+                num = np.zeros_like(t.data)
+                flat = t.data.reshape(-1)
+                nflat = num.reshape(-1)
+                for i in range(flat.size):
+                    orig = flat[i]
+                    flat[i] = orig + h
+                    fp = float(f(*inputs).data)
+                    flat[i] = orig - h
+                    fm = float(f(*inputs).data)
+                    flat[i] = orig
+                    nflat[i] = (fp - fm) / (2.0 * h)
+                numeric.append(num)
 
-    with no_grad():
-        first = f(*inputs).data.copy()
-        if not np.array_equal(first, f(*inputs).data):
-            raise NondeterministicFunctionError("function output changed between evaluations")
-        if first.size != 1:
-            raise ValueError("grad_check: f must return a scalar tensor")
-        numeric = []
         for t in inputs:
-            num = np.zeros_like(t.data)
-            flat = t.data.reshape(-1)
-            nflat = num.reshape(-1)
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + h
-                fp = float(f(*inputs).data)
-                flat[i] = orig - h
-                fm = float(f(*inputs).data)
-                flat[i] = orig
-                nflat[i] = (fp - fm) / (2.0 * h)
-            numeric.append(num)
-
-    for t in inputs:
-        t.grad = None
-    backpropagate(f(*inputs))
+            t.grad = None
+        backpropagate(f(*inputs))
+    finally:
+        for t, flag in zip(inputs, flags):
+            t.requires_grad = flag
 
     errors = []
     for t, num in zip(inputs, numeric):

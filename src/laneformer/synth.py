@@ -316,25 +316,17 @@ def _distances(speeds: np.ndarray) -> np.ndarray:
 
 
 def _headings_from(positions: np.ndarray) -> np.ndarray:
-    """Path-tangent headings; stationary stretches borrow the nearest moving step."""
+    """Path-tangent headings; stationary stretches borrow the nearest moving step.
+
+    A stationary step takes the last moving step before it, or the first one
+    after it when none moved before; a track that never moves heads 0.
+    """
     v = finite_difference_velocities(positions, DT)
-    speed = np.linalg.norm(v, axis=1)
-    head = np.full(len(v), np.nan)
-    moving = speed > 1e-6
-    head[moving] = np.arctan2(v[moving, 1], v[moving, 0])
-    last = np.nan
-    for i in range(len(head)):
-        if np.isnan(head[i]):
-            head[i] = last
-        else:
-            last = head[i]
-    last = np.nan
-    for i in range(len(head) - 1, -1, -1):
-        if np.isnan(head[i]):
-            head[i] = last
-        else:
-            last = head[i]
-    return np.nan_to_num(head)
+    moving = np.linalg.norm(v, axis=1) > 1e-6
+    if not moving.any():
+        return np.zeros(len(v))
+    steps = np.maximum.accumulate(np.where(moving, np.arange(len(v)), moving.argmax()))
+    return np.arctan2(v[steps, 1], v[steps, 0])
 
 
 def _make_agent(route: _Route, s_path: np.ndarray, rng: np.random.Generator,

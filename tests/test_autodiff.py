@@ -208,6 +208,60 @@ def test_grad_check_rejects_nondeterministic_function():
         grad_check(f, [Tensor(np.ones((2, 2)))])
 
 
+def test_grad_check_gives_each_input_its_flag_back():
+    # a constant input is taped only for the check, also when it fails or raises
+    rng = np.random.default_rng(4)
+    w = Tensor(rng.normal(size=(4, 3)))
+
+    def f(x, w):
+        return reduce_sum(matmul(x, w))
+
+    x, leaf = Tensor(rng.normal(size=(2, 4))), Tensor(w.data.copy(), requires_grad=True)
+    assert grad_check(f, [x, leaf]).passed
+    assert not grad_check(f, [x, leaf], tol=0.0).passed
+    assert (x.requires_grad, leaf.requires_grad) == (False, True)
+    assert x.grad is not None
+    assert not matmul(x, w).requires_grad
+    calls = [0]
+
+    def drifting(x):
+        calls[0] += 1
+        return reduce_sum(scale(x, float(calls[0])))
+
+    with pytest.raises(NondeterministicFunctionError):
+        grad_check(drifting, [x])
+    assert not x.requires_grad
+
+
+@pytest.mark.parametrize("shapes", [
+    ((5, 2, 1, 4), (2, 4, 3)),   # a scene's product (5, 2, 4, 3) is larger than the weight
+    ((1, 2, 1, 4), (2, 4, 3)),   # ... with an extra axis of one value, dropped without a copy
+    ((5, 2, 1, 4), (1, 4, 3)),   # ... and summed over the weight's size-1 axis too
+    ((5, 4), (4, 3)),            # a weight-sized product
+])
+def test_stacked_matmul_sums_scene_gradients_in_order(shapes):
+    # a weight shared by a stack gets the per-scene graphs' gradients, added
+    # one scene after another, whether or not the product is formed per scene
+    x_shape, w_shape = shapes
+    rng = np.random.default_rng(7)
+    for scenes in (1, 2, 3, 8):
+        xs = rng.normal(size=(scenes, *x_shape))
+        gs = rng.normal(size=(scenes, *x_shape[:-1], w_shape[-1]))
+        w = Tensor(rng.normal(size=w_shape), requires_grad=True)
+        x = Tensor(xs, requires_grad=True)
+        backpropagate(reduce_sum(multiply(matmul(x, w, stacked=True), gs)))
+        want, want_x = None, []
+        for s in range(scenes):
+            w_s = Tensor(w.data, requires_grad=True)
+            x_s = Tensor(xs[s], requires_grad=True)
+            backpropagate(reduce_sum(multiply(matmul(x_s, w_s), gs[s])))
+            want = w_s.grad if want is None else want + w_s.grad
+            want_x.append(x_s.grad)
+        assert w.grad.shape == w_shape
+        assert np.array_equal(w.grad, want)
+        assert np.array_equal(x.grad, np.stack(want_x))
+
+
 def test_registry_rejects_duplicates():
     reg = ParameterRegistry()
     reg.add("w", Tensor(np.ones(2)))

@@ -1,5 +1,5 @@
 """tools/fingerprint.py: a dump compares equal to itself, a one-ulp change shows
-with its size, and the prepared samples of every case, batches included, are in it."""
+with its size in ulps, and the prepared samples of every case, batches included, are in it."""
 
 import os
 import subprocess
@@ -47,7 +47,7 @@ def test_compare_reports_exactly_the_perturbed_array(tmp_path):
     assert same.returncode == 0 and f"0 of {len(arrays)} arrays differ" in same.stdout
     changed = _fingerprint("compare", a, b)
     assert changed.returncode == 1
-    size = f"max |a-b| {ulp:.3e}, |a-b|/|a| {ulp / np.linalg.norm(original):.3e}"
+    size = f"max |a-b| {ulp:.3e}, |a-b|/|a| {ulp / np.linalg.norm(original):.3e}, max 1 ulp"
     assert changed.stdout.splitlines() == [f"{key}: differs, {size}",
                                            f"1 of {len(arrays)} arrays differ"]
 

@@ -502,12 +502,9 @@ def test_backpropagate_calls_each_backward_once():
     assert set(calls.values()) == {1}
 
 
-def test_toy_backward_memory_budget():
-    # an op output drops its gradient once its backward has run, and a
-    # transformer block keeps no residual sum or sublayer output for its
-    # backward; keeping every intermediate gradient to the end of the pass
-    # peaks at about 7.9 MB, and six nodes per block at about 6.1 MB
-    params, samples = _toy_batch()
+def _backward_peaks(params, samples):
+    """The tracemalloc peak of backpropagate on the batch's loss after five Adam
+    steps, and that peak above the memory held once the forward has run."""
     opt = AdamOptimizer(params.registry, lr=2e-3)
     for _ in range(5):
         params.registry.zero_grad()
@@ -517,12 +514,35 @@ def test_toy_backward_memory_budget():
     tracemalloc.start()
     try:
         loss = batch_loss(params, samples).total
+        held = tracemalloc.get_traced_memory()[0]
         tracemalloc.reset_peak()
         backpropagate(loss)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6.0e6, f"backward peak {peak / 1e6:.2f} MB"
+    return peak, peak - held
+
+
+def test_toy_backward_memory_budget():
+    # an op output drops its gradient once its backward has run, and a
+    # transformer block keeps no residual sum or sublayer output for its
+    # backward; keeping every intermediate gradient to the end of the pass
+    # peaks at about 7.9 MB, and six nodes per block at about 6.1 MB. The
+    # decoder's weight gradients form one scene's product at a time: the
+    # whole batch's (8, N_t, K, h, 2 T_f) product peaked at about 5.74 MB
+    peak, _ = _backward_peaks(*_toy_batch())
+    assert peak <= 5.2e6, f"backward peak {peak / 1e6:.2f} MB"
+
+
+def test_stacked_backward_memory_does_not_grow_with_the_batch():
+    # 32 toy scenes hold about 15.9 MB after the forward; their backward needs
+    # about 1.9 MB above that, and about 6.3 MB if a weight gradient formed
+    # every scene's product at once
+    cfg = _toy_cfg()
+    gen = GeneratorConfig(seed=1, template="straight", agent_count=3)
+    samples = [prepare_sample(generate_scenario(gen, i), cfg) for i in range(32)]
+    _, above = _backward_peaks(init_model(cfg, seed=1), samples)
+    assert above <= 2.5e6, f"backward peak {above / 1e6:.2f} MB above the forward's"
 
 
 def test_default_forward_memory_budget():

@@ -6,6 +6,7 @@ import os
 import numpy as np
 import pytest
 
+from laneformer import synth
 from laneformer.scenario import (
     finite_difference_velocities,
     resample_centerline,
@@ -205,3 +206,64 @@ def test_template_shapes():
     fork_conn = generate_lane_graph(GeneratorConfig(template="fork"))[1]
     # lane 4 forks into both 5 and 7
     assert (4, 5) in fork_conn.successors and (4, 7) in fork_conn.successors
+
+
+def _loop_headings(positions):
+    """_headings_from as two per-step fill loops: the reference."""
+    v = finite_difference_velocities(positions, DT)
+    head = np.full(len(v), np.nan)
+    moving = np.linalg.norm(v, axis=1) > 1e-6
+    head[moving] = np.arctan2(v[moving, 1], v[moving, 0])
+    last = np.nan
+    for i in range(len(head)):
+        if np.isnan(head[i]):
+            head[i] = last
+        else:
+            last = head[i]
+    last = np.nan
+    for i in range(len(head) - 1, -1, -1):
+        if np.isnan(head[i]):
+            head[i] = last
+        else:
+            last = head[i]
+    return np.nan_to_num(head)
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_headings_match_the_fill_loops_on_tracks_that_stand_still():
+    rng = np.random.default_rng(11)
+    for trial in range(400):
+        n = int(rng.integers(2, 51))
+        steps = rng.normal(size=(n, 2))
+        still = np.zeros(n, dtype=bool)
+        a, b = sorted(rng.integers(0, n + 1, size=2))
+        still[a:b] = True   # a stationary stretch at the start, middle or end
+        if trial % 4 == 0:
+            still |= rng.random(n) < 0.5
+        if trial % 50 == 0:
+            still[:] = True   # never moves: heading 0
+        steps[still] = 0.0
+        pos = np.cumsum(steps, axis=0) + rng.normal(size=2)
+        assert _same_bits(synth._headings_from(pos), _loop_headings(pos)), trial
+    assert np.array_equal(synth._headings_from(np.zeros((6, 2))), np.zeros(6))
+
+
+def test_generated_agents_get_the_fill_loops_headings(monkeypatch):
+    compared = [0]
+    vectorized = synth._headings_from
+
+    def checked(positions):
+        got = vectorized(positions)
+        assert _same_bits(got, _loop_headings(positions))
+        compared[0] += 1
+        return got
+
+    monkeypatch.setattr(synth, "_headings_from", checked)
+    for template in TEMPLATES:
+        for profile in SPEED_PROFILES:
+            generate_scenario(GeneratorConfig(seed=5, template=template, agent_count=6,
+                                              speed_profile=profile), 0)
+    assert compared[0] == 6 * len(TEMPLATES) * len(SPEED_PROFILES)

@@ -17,8 +17,10 @@ under no_grad, every loss term, every parameter gradient and every
 parameter after the step. `compare` lists every key
 whose arrays differ, by shape or by value (NaN equals NaN), or that only
 one file holds, and exits 1 if there is any. For arrays that differ by
-value it also prints the largest absolute difference and the normwise
-relative difference |a - b| / |a| (2-norms over the whole array).
+value it also prints the largest absolute difference, the normwise
+relative difference |a - b| / |a| (2-norms over the whole array) and the
+largest distance in ulps: the number of float64 values from an element of
+a to its element in b, counted after casting both to float64.
 
 Needs only numpy and laneformer; run it from a checkout with
 PYTHONPATH=src so that the dump measures that checkout's code.
@@ -118,12 +120,27 @@ def differing(a: dict, b: dict) -> list:
                   or not np.array_equal(a[k], b[k], equal_nan=a[k].dtype.kind in "fc"))
 
 
+def ulps(a: np.ndarray, b: np.ndarray) -> int:
+    """The largest number of float64 steps between a and b, element by element."""
+    def ordered(x):   # float64 bit patterns as integers in the floats' order
+        i = x.view(np.int64)
+        return np.where(i < 0, -(i & np.int64(0x7FFFFFFFFFFFFFFF)), i)
+
+    ia, ib = ordered(a), ordered(b)
+    # the unsigned difference of the larger and the smaller is exact
+    steps = np.maximum(ia, ib).astype(np.uint64) - np.minimum(ia, ib).astype(np.uint64)
+    return int(steps.max(initial=0))
+
+
 def difference(a: np.ndarray, b: np.ndarray) -> str:
-    """The largest |a - b| and |a - b| / |a| of two same-shaped arrays."""
+    """The largest |a - b|, |a - b| / |a| and largest ulp distance of two
+    same-shaped arrays."""
     a, b = a.astype(np.float64), b.astype(np.float64)
+    n = ulps(a, b)
     with np.errstate(divide="ignore", invalid="ignore"):
         return (f"max |a-b| {np.abs(a - b).max():.3e}, "
-                f"|a-b|/|a| {np.linalg.norm(a - b) / np.linalg.norm(a):.3e}")
+                f"|a-b|/|a| {np.linalg.norm(a - b) / np.linalg.norm(a):.3e}, "
+                f"max {n} ulp{'' if n == 1 else 's'}")
 
 
 def main(argv=None) -> int:
