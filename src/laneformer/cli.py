@@ -28,7 +28,15 @@ from .evaluation import (
     write_report_csv,
     write_sweep_csv,
 )
-from .model import NEIGHBORHOODS, ModelConfig, init_model, model_forward, prepare_sample
+from .model import (
+    N_AGENT_FEATURES,
+    N_MAP_FEATURES,
+    NEIGHBORHOODS,
+    ModelConfig,
+    init_model,
+    model_forward,
+    prepare_sample,
+)
 from .plotting import write_prediction_svg, write_predictions_csv
 from .synth import GeneratorConfig, emit_dataset, load_dataset, sha256_file
 from .topology import build_topology
@@ -232,6 +240,37 @@ def _load_checkpoint(path, registry) -> int:
         raise DataError(str(e)) from e
 
 
+# manifests written while these were ModelConfig fields carry them, each with its one value
+_RETIRED_MODEL_FIELDS = {"m_agent": N_AGENT_FEATURES, "m_map": N_MAP_FEATURES}
+
+
+def _manifest_model_config(raw: dict, where) -> ModelConfig:
+    """A manifest's ModelConfig object, each value's JSON type checked
+    against its field's default; a retired field must hold its one value."""
+    _reject_unknown(raw, {f.name for f in dataclasses.fields(ModelConfig)}
+                    | set(_RETIRED_MODEL_FIELDS), where)
+    kwargs = {}
+    for key, value in raw.items():
+        if key in _RETIRED_MODEL_FIELDS:
+            if type(value) is not int or value != _RETIRED_MODEL_FIELDS[key]:
+                raise ConfigError(f"{where}: {key} is fixed at {_RETIRED_MODEL_FIELDS[key]}, "
+                                  f"got {value!r}")
+            continue
+        like = getattr(ModelConfig, key)
+        if isinstance(like, tuple):
+            if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+                raise ConfigError(f"{where}: {key} must be a list of strings, got {value!r}")
+            value = tuple(value)
+        elif type(value) is not type(like):
+            kind = "a boolean" if isinstance(like, bool) else "an integer"
+            raise ConfigError(f"{where}: {key} must be {kind}, got {value!r}")
+        kwargs[key] = value
+    try:
+        return ModelConfig(**kwargs)
+    except ValueError as e:
+        raise ConfigError(f"{where}: {e}") from e
+
+
 def _restore_model(model_path, values: dict, consumed: set, seed_flag):
     if not os.path.exists(model_path):
         raise DataError(f"no such model checkpoint: {model_path}")
@@ -245,15 +284,7 @@ def _restore_model(model_path, values: dict, consumed: set, seed_flag):
         if not isinstance(doc, dict) or not isinstance(doc.get("ModelConfig", {}), dict):
             raise DataError(f"{manifest_path}: expected a JSON object with a ModelConfig object")
         if "ModelConfig" in doc:
-            raw = dict(doc["ModelConfig"])
-            _reject_unknown(raw, {f.name for f in dataclasses.fields(ModelConfig)},
-                            f"{manifest_path} ModelConfig")
-            raw["connection_types"] = tuple(raw.get("connection_types",
-                                                    sc.BOUNDARY_TYPES))
-            try:
-                base = ModelConfig(**raw)
-            except ValueError as e:
-                raise ConfigError(f"{manifest_path}: {e}") from e
+            base = _manifest_model_config(doc["ModelConfig"], f"{manifest_path} ModelConfig")
     cfg = _overlay(base, values, consumed)
     params = init_model(cfg, seed=seed_flag or 0)
     return params, _load_checkpoint(model_path, params.registry)
@@ -390,6 +421,9 @@ def cmd_train(args) -> int:
     values = _read_config(args)
     consumed: set = set()
     model_cfg = _overlay(ModelConfig(), values, consumed)
+    if model_cfg.modes < 2:
+        raise ConfigError(f"modes must be at least 2 to train (the confidence hinge "
+                          f"compares modes), got {model_cfg.modes}")
     train_overrides = {}
     if args.seed is not None:
         train_overrides["seed"] = args.seed

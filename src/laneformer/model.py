@@ -90,8 +90,6 @@ class ModelConfig:
     heads: int = 4
     layers: int = 2
     n_lane_nodes: int = 10
-    m_agent: int = N_AGENT_FEATURES
-    m_map: int = N_MAP_FEATURES
     decoder_hidden: int = 64
     e_a2a: int = 16
     e_a2l: int = 32
@@ -109,9 +107,6 @@ class ModelConfig:
                 f"d_model must split evenly into heads ({self.d_model} % {self.heads} != 0)")
         if self.modes < 1:
             raise ValueError(f"need at least 1 mode, got {self.modes}")
-        if self.m_agent != N_AGENT_FEATURES or self.m_map != N_MAP_FEATURES:
-            raise ValueError(
-                f"feature widths are fixed at {N_AGENT_FEATURES}/{N_MAP_FEATURES}")
         if self.n_lane_nodes < 2:
             raise ValueError("n_lane_nodes must be at least 2")
         for name in NEIGHBORHOODS:

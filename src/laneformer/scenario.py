@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import numbers
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -308,6 +309,8 @@ def _raise_state_fault(states, agent_idx: int) -> None:
     a row, field count, padding, type, x, y, vx, vy, heading, category."""
     for row_idx, row in enumerate(states):
         where = f"agent {agent_idx} state {row_idx}"
+        if not isinstance(row, (list, tuple)):
+            raise ValueError(f"{where}: expected an array of 8 fields, got {_json_kind(row)}")
         if len(row) != 8:
             raise ValueError(f"{where}: expected 8 fields, got {len(row)}")
         x, y, pad, cat, typ, heading, vx, vy = row
@@ -326,32 +329,75 @@ def _raise_state_fault(states, agent_idx: int) -> None:
             raise ValueError(f"{where}: category must be an integer ({e})") from None
 
 
+_JSON_KINDS = {"an object": dict, "an array": list, "an integer": numbers.Integral,
+               "a string": str}
+
+
+def _json_kind(value) -> str:
+    """The JSON name of a decoded value's type, for messages."""
+    kinds = {"null": type(None), "a boolean": bool, **_JSON_KINDS, "a number": numbers.Real}
+    return next((k for k, t in kinds.items() if isinstance(value, t)), type(value).__name__)
+
+
+def _expect(value, kind: str, where: str):
+    """`value` if its JSON type is `kind`, a key of _JSON_KINDS; otherwise a
+    ValueError naming `where`. A boolean is not an integer."""
+    if isinstance(value, bool) or not isinstance(value, _JSON_KINDS[kind]):
+        raise ValueError(f"{where}: expected {kind}, got {_json_kind(value)}")
+    return value
+
+
+def _numbers(value, where: str) -> np.ndarray:
+    """A JSON array of numbers, nested to any depth, as a float64 array."""
+    try:
+        return np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        raise ValueError(f"{where}: expected a rectangular array of numbers") from None
+
+
+def _pair(row, width: int, where: str) -> tuple:
+    """A connectivity row: two lane ids, then for a lateral pair its marking."""
+    if not isinstance(row, list) or len(row) != width:
+        form = "[lane, lane]" if width == 2 else "[lane, lane, marking]"
+        raise ValueError(f"{where}: expected {form}, got {_json_kind(row)}")
+    ids = tuple(int(_expect(v, "an integer", where)) for v in row[:2])
+    return ids + tuple(_expect(v, "a string", where) for v in row[2:])
+
+
 def scenario_from_dict(doc: dict, name: str = "") -> Scenario:
+    """A Scenario from a decoded scenario document. Each field's JSON type is
+    checked where it is read, and a wrong one is a ValueError naming the field."""
+    _expect(doc, "an object", "scenario")
     for key in ("lanes", "connectivity", "agents", "targets"):
         if key not in doc:
             raise ValueError(f"missing field {key!r}")
     lanes = []
-    for i, l in enumerate(doc["lanes"]):
+    for i, l in enumerate(_expect(doc["lanes"], "an array", "lanes")):
+        _expect(l, "an object", f"lane {i}")
         for key in ("id", "type", "centerline"):
             if key not in l:
                 raise ValueError(f"lane {i}: missing field {key!r}")
-        lanes.append(Lane(lane_id=int(l["id"]), lane_type=l["type"],
-                          centerline=l["centerline"]))
-    conn_doc = doc["connectivity"]
-    conn = LaneConnectivity(
-        successors=[(int(a), int(b)) for a, b in conn_doc.get("successors", [])],
-        predecessors=[(int(a), int(b)) for a, b in conn_doc.get("predecessors", [])],
-        left=[(int(a), int(b), t) for a, b, t in conn_doc.get("left", [])],
-        right=[(int(a), int(b), t) for a, b, t in conn_doc.get("right", [])],
-    )
-    agents = [_parse_states(a.get("states", []), i) for i, a in enumerate(doc["agents"])]
+        lanes.append(Lane(lane_id=int(_expect(l["id"], "an integer", f"lane {i} id")),
+                          lane_type=l["type"],
+                          centerline=_numbers(l["centerline"], f"lane {i} centerline")))
+    conn_doc = _expect(doc["connectivity"], "an object", "connectivity")
+    pairs = {}
+    for key, width in (("successors", 2), ("predecessors", 2), ("left", 3), ("right", 3)):
+        rows = _expect(conn_doc.get(key, []), "an array", f"connectivity {key}")
+        pairs[key] = [_pair(row, width, f"connectivity {key} {j}") for j, row in enumerate(rows)]
+    agents = []
+    for i, a in enumerate(_expect(doc["agents"], "an array", "agents")):
+        states = _expect(a, "an object", f"agent {i}").get("states", [])
+        agents.append(_parse_states(_expect(states, "an array", f"agent {i} states"), i))
+    targets = [int(_expect(t, "an integer", f"target {j}"))
+               for j, t in enumerate(_expect(doc["targets"], "an array", "targets"))]
     gt = doc.get("ground_truth")
     return Scenario(
         lanes=lanes,
-        connectivity=conn,
+        connectivity=LaneConnectivity(**pairs),
         agents=agents,
-        target_ids=[int(i) for i in doc["targets"]],
-        ground_truth=None if gt is None else np.asarray(gt, dtype=np.float64),
+        target_ids=targets,
+        ground_truth=None if gt is None else _numbers(gt, "ground_truth"),
         name=name,
     )
 

@@ -9,14 +9,15 @@ to the lower index; the selection itself is not differentiated. The
 objective is one tape node over the paths and the confidences: a numpy
 forward over all targets at once, from the best modes' (N, T_f, 2) errors
 for the two Huber terms and an (N, K) one-hot mask for the hinge, and one
-hand-written backward. A minibatch whose scenes share their shapes runs as
-one stack with one objective node over all its scenes (batch_loss).
+hand-written backward. Every minibatch ends in one objective node over all
+its scenes, whether they ran as one stack or one by one (batch_loss).
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -26,10 +27,8 @@ from .autodiff import (
     ParameterRegistry,
     Tensor,
     _result,
-    add,
     backpropagate,
     save_checkpoint,
-    scale,
 )
 from .metrics import _endpoint_errors
 from .model import ModelOutput, ModelParams, Sample, model_forward, stack_samples
@@ -60,6 +59,14 @@ class LossConfig:
     weight_reg: float = 1.0
     weight_cls: float = 1.0
     weight_goal: float = 1.0
+
+    def __post_init__(self):
+        if not 0 < self.huber_delta < math.inf:
+            raise ValueError(f"huber_delta must be positive and finite, got {self.huber_delta}")
+        for name in ("epsilon", "weight_reg", "weight_cls", "weight_goal"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be non-negative and finite, "
+                                 f"got {getattr(self, name)}")
 
 
 @dataclass
@@ -94,8 +101,6 @@ def _objective(paths: np.ndarray, confidences: np.ndarray, gt: np.ndarray, cfg: 
     if k == 1:
         raise ValueError("classification loss undefined for a single mode")
     delta = float(cfg.huber_delta)
-    if delta <= 0:
-        raise ValueError(f"huber_delta must be positive, got {delta}")
     # minFDE's own rule, so the loss trains the mode the metrics score
     best = np.argmin(_endpoint_errors(paths, gt), axis=-1)
     chosen = (np.arange(b)[:, None], np.arange(n), best)
@@ -128,6 +133,12 @@ def _objective(paths: np.ndarray, confidences: np.ndarray, gt: np.ndarray, cfg: 
     return reg, cls, goal, total, backward
 
 
+def _require_ground_truth(samples) -> None:
+    for s in samples:
+        if s.ground_truth is None:
+            raise ValueError(f"scenario {s.scenario.name!r} has no ground truth")
+
+
 def scenario_loss(output: ModelOutput, sample: Sample,
                   loss_cfg: LossConfig | None = None) -> LossBreakdown:
     """Objective over one scenario's targets; needs ground truth on the sample.
@@ -137,19 +148,8 @@ def scenario_loss(output: ModelOutput, sample: Sample,
     computed over all targets at once, and one backward returns both
     gradients. Only `total` is taped; `reg`, `cls` and `goal` are constants.
     """
-    if sample.ground_truth is None:
-        raise ValueError(f"scenario {sample.scenario.name!r} has no ground truth")
-    paths, confidences = output.paths, output.confidences
-    gt = np.stack([sample.ground_truth[i] for i in output.target_ids])
-    reg, cls, goal, total, backward = _objective(
-        paths.data[None], confidences.data[None], gt[None], loss_cfg or LossConfig())
-    need = (paths.requires_grad, confidences.requires_grad)
-
-    def one_scene(g):
-        return tuple(None if a is None else a[0] for a in backward(g, *need))
-
-    return LossBreakdown(total=_result(total[0], (paths, confidences), one_scene),
-                         reg=Tensor(reg[0]), cls=Tensor(cls[0]), goal=Tensor(goal[0]))
+    _require_ground_truth([sample])
+    return _loss_node([output], [sample], loss_cfg)
 
 
 def _mean(values) -> float:
@@ -161,41 +161,45 @@ def _mean(values) -> float:
     return total * (1.0 / len(values))
 
 
+def _loss_node(outputs, samples, loss_cfg: LossConfig | None) -> LossBreakdown:
+    """The mean objective over every output's scenes as one tape node whose
+    operands are the outputs' paths and confidences in sample order. A single
+    scene is viewed as a stack of one. The B scene totals are added in order
+    and scaled by 1/B, as are the scenes' gradients, whatever the grouping."""
+    cfg, parts, operands = loss_cfg or LossConfig(), [], []
+    for out, sample in zip(outputs, samples):
+        paths = out.paths.data.reshape((-1,) + out.paths.shape[-4:])
+        ids = np.reshape(out.target_ids, paths.shape[:2])
+        gt = np.asarray(sample.ground_truth)
+        gt = gt.reshape((-1,) + gt.shape[-3:])[np.arange(len(ids))[:, None], ids]
+        parts.append(_objective(paths, out.confidences.data.reshape(paths.shape[:3]), gt, cfg))
+        operands += [out.paths, out.confidences]
+    *terms, backwards = zip(*parts)
+    reg, cls, goal, total = map(np.concatenate, terms)
+    inv = 1.0 / len(total)
+
+    def backward(g):
+        g = g * inv
+        return [None if grad is None else grad.reshape(t.shape)
+                for bwd, paths, conf in zip(backwards, operands[::2], operands[1::2])
+                for grad, t in zip(bwd(g, paths.requires_grad, conf.requires_grad), (paths, conf))]
+
+    return LossBreakdown(total=_result(_mean(total), tuple(operands), backward),
+                         reg=Tensor(_mean(reg)), cls=Tensor(_mean(cls)), goal=Tensor(_mean(goal)))
+
+
 def batch_loss(params: ModelParams, samples, loss_cfg: LossConfig | None = None) -> LossBreakdown:
     """Mean of per-scenario objectives, one graph so a single backward works.
 
-    Two or more scenes with ground truth that share every shape run as one
-    stack (model.stack_samples): one forward and one objective node over
-    the scenes, whose total is the mean of the scene totals. Its numbers
-    equal, bit for bit, those of the per-scene graph that any other batch
-    gets: each scene's forward and scenario_loss, the totals joined by an
-    `add` chain in sample order and scaled by 1/B.
+    Two or more scenes that share every shape run as one stack
+    (model.stack_samples), any other batch scene by scene; one objective
+    node ends the graph. A scene without ground truth is named before any
+    forward runs.
     """
+    _require_ground_truth(samples)
     stacked = stack_samples(samples) if len(samples) > 1 else None
-    if stacked is None or stacked.ground_truth is None:
-        parts = [scenario_loss(model_forward(params, s), s, loss_cfg) for s in samples]
-        inv = 1.0 / len(parts)
-
-        def mean(name):
-            total = getattr(parts[0], name)
-            for p in parts[1:]:
-                total = add(total, getattr(p, name))
-            return scale(total, inv)
-
-        return LossBreakdown(total=mean("total"), reg=mean("reg"),
-                             cls=mean("cls"), goal=mean("goal"))
-    out = model_forward(params, stacked)
-    paths, confidences = out.paths, out.confidences
-    ids = np.asarray(stacked.target_ids)
-    gt = stacked.ground_truth[np.arange(len(samples))[:, None], ids]
-    reg, cls, goal, total, backward = _objective(paths.data, confidences.data, gt,
-                                                 loss_cfg or LossConfig())
-    need = (paths.requires_grad, confidences.requires_grad)
-    inv = 1.0 / len(samples)
-    # the add chain passes its gradient to every scene, and the scale multiplies it by 1/B
-    return LossBreakdown(total=_result(_mean(total), (paths, confidences),
-                                       lambda g: backward(g * inv, *need)),
-                         reg=Tensor(_mean(reg)), cls=Tensor(_mean(cls)), goal=Tensor(_mean(goal)))
+    groups = samples if stacked is None else [stacked]
+    return _loss_node([model_forward(params, s) for s in groups], groups, loss_cfg)
 
 
 # ---------------------------------------------------------------------------
@@ -257,6 +261,18 @@ class TrainingConfig:
     checkpoint_every: int = 0     # epochs between snapshots; 0 = final only
     seed: int = 0
     loss: LossConfig = field(default_factory=LossConfig)
+
+    def __post_init__(self):
+        for name in ("epochs", "batch_size", "max_steps"):
+            value = getattr(self, name)
+            if value is not None and value < 1:
+                raise ValueError(f"{name} must be at least 1, got {value}")
+        for name in ("decay_epoch", "checkpoint_every", "seed"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
+        for name in ("lr_init", "lr_late"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
 def learning_rate(cfg: TrainingConfig, epoch: int) -> float:

@@ -444,7 +444,7 @@ def test_train_with_mismatched_horizon_is_data_error_before_any_work(workspace, 
 
 def test_config_file_sets_every_training_field(workspace, tmp_path, monkeypatch):
     model = dict(t_history=7, t_future=9, modes=3, d_model=12, heads=3, layers=1,
-                 n_lane_nodes=5, m_agent=8, m_map=5, decoder_hidden=10, e_a2a=3, e_a2l=4,
+                 n_lane_nodes=5, decoder_hidden=10, e_a2a=3, e_a2l=4,
                  e_l2a=2, use_relation_bias=False, use_reachability_bias=False,
                  use_local_attention=False, connection_types=("solid", "dashed"))
     loss = dict(epsilon=0.3, huber_delta=2.5, weight_reg=0.5, weight_cls=0.25, weight_goal=4.0)
@@ -541,3 +541,72 @@ def test_out_that_is_a_file_is_config_error(workspace, tmp_path, capsys, monkeyp
     err = capsys.readouterr().err
     assert err.startswith("config error:") and f"--out {out}" in err
     assert open(out).read() == "kept"
+
+
+@pytest.mark.parametrize("field, edit", [
+    ("lanes", lambda doc: doc.update(lanes=5)),
+    ("connectivity", lambda doc: doc.update(connectivity=[])),
+    ("agent 1", lambda doc: doc["agents"].__setitem__(1, doc["agents"][1]["states"])),
+    ("agent 0 states", lambda doc: doc["agents"][0].update(states=None)),
+    ("targets", lambda doc: doc.update(targets="0")),
+    ("target 0", lambda doc: doc.update(targets=[0.5])),
+    ("lane 1 id", lambda doc: doc["lanes"][1].update(id=1.5)),
+])
+def test_malformed_scenario_field_is_data_error_naming_it(workspace, tmp_path, capsys,
+                                                          field, edit):
+    doc = json.load(open(os.path.join(workspace["data"], "scenario_0000.json")))
+    edit(doc)
+    path = tmp_path / "bad.json"
+    json.dump(doc, open(path, "w"))
+    assert main(["matrices", "--data", str(path), "--out", str(tmp_path / "m")]) == EXIT_DATA_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: {path}: {field}: expected ")
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("setting, named", [
+    ("batch_size=0", "batch_size"), ("batch_size=-1", "batch_size"), ("epochs=-2", "epochs"),
+    ("max_steps=-1", "max_steps"), ("checkpoint_every=-1", "checkpoint_every"),
+    ("huber_delta=0", "huber_delta"), ("modes=1", "modes"),
+])
+def test_train_with_out_of_range_setting_is_config_error_before_any_work(
+        workspace, tmp_path, capsys, monkeypatch, setting, named):
+    monkeypatch.setattr(cli, "_load_scenarios", lambda *a: pytest.fail("loaded scenes"))
+    cfg = _write(tmp_path / "t.cfg", SMALL_MODEL.replace("modes=2\n", "") + setting + "\n")
+    out = tmp_path / "run"
+    assert main(["train", "--config", cfg, "--data", workspace["data"],
+                 "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {named} must be ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("key, value, message", [
+    ("heads", "x", "heads must be an integer"),
+    ("connection_types", 5, "connection_types must be a list of strings"),
+    ("use_local_attention", "no", "use_local_attention must be a boolean"),
+    ("m_agent", 9, "m_agent is fixed at 8"),
+    ("m_map", 5.0, "m_map is fixed at 5"),
+])
+def test_eval_manifest_value_of_the_wrong_type_is_config_error(workspace, tmp_path, capsys,
+                                                               key, value, message):
+    run = shutil.copytree(workspace["run"], tmp_path / "run")
+    manifest = json.load(open(run / "manifest.json"))
+    manifest["ModelConfig"][key] = value
+    json.dump(manifest, open(run / "manifest.json", "w"))
+    out = tmp_path / "ev"
+    assert main(["eval", "--data", workspace["data"], "--model", str(run / "model.ckpt"),
+                 "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {run / 'manifest.json'} ModelConfig: {message}")
+    assert not out.exists()
+
+
+def test_eval_loads_a_manifest_with_the_retired_feature_widths(workspace, tmp_path):
+    # manifests written while m_agent and m_map were ModelConfig fields carry 8 and 5
+    run = shutil.copytree(workspace["run"], tmp_path / "run")
+    manifest = json.load(open(run / "manifest.json"))
+    manifest["ModelConfig"].update(m_agent=8, m_map=5)
+    json.dump(manifest, open(run / "manifest.json", "w"))
+    assert main(["eval", "--data", workspace["data"], "--model", str(run / "model.ckpt"),
+                 "--out", str(tmp_path / "ev")]) == EXIT_OK

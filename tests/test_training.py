@@ -306,12 +306,51 @@ def test_mixed_shapes_run_scene_by_scene():
     assert stack_samples(samples) is None
     assert stack_samples(samples[::2]) is not None
     _assert_batch_loss_is_the_replay(params, samples)
-    # four per-scene graphs of 35 nodes, three adds and the scale
-    assert _tape_nodes(batch_loss(params, samples).total) == 4 * 35 + 3 + 1
-    # a stack without ground truth runs scene by scene and names the first scene that lacks it
-    bare = [prepare_sample(_scene(with_gt=False), _cfg()) for _ in range(2)]
-    with pytest.raises(ValueError, match="no ground truth"):
-        batch_loss(init_model(_cfg(), seed=0), bare)
+    # four per-scene graphs of 34 nodes, then the one objective node over all four
+    assert _tape_nodes(batch_loss(params, samples).total) == 4 * 34 + 1
+
+
+def _spy_forwards(monkeypatch):
+    """Record every output batch_loss's forwards return, in call order."""
+    outputs = []
+
+    def forward(params, sample):
+        outputs.append(model_forward(params, sample))
+        return outputs[-1]
+
+    monkeypatch.setattr(training, "model_forward", forward)
+    return outputs
+
+
+@pytest.mark.parametrize("batch", ["one_scene", "stack_of_3", "mixed"])
+def test_the_loss_node_takes_every_output_in_sample_order(batch, monkeypatch):
+    cfg = _toy_cfg()
+    params = init_model(cfg, seed=4)
+    templates = {"one_scene": ["fork"], "stack_of_3": ["fork"] * 3,
+                 "mixed": ["straight", "merge", "straight", "merge"]}[batch]
+    samples = [prepare_sample(generate_scenario(
+        GeneratorConfig(seed=4, template=t, agent_count=3), j), cfg)
+        for j, t in enumerate(templates)]
+    outputs = _spy_forwards(monkeypatch)
+    loss = batch_loss(params, samples)
+    assert len(outputs) == (len(samples) if batch == "mixed" else 1)
+    operands = [t for out in outputs for t in (out.paths, out.confidences)]
+    assert len(loss.total._parents) == len(operands)
+    assert all(a is b for a, b in zip(loss.total._parents, operands))
+
+
+def test_missing_ground_truth_is_named_before_any_forward(monkeypatch):
+    cfg = _cfg()
+    raws = [_scene(), _scene(with_gt=False), _scene(with_gt=False)]
+    for i, raw in enumerate(raws):
+        raw.name = f"scene{i}"
+    samples = [prepare_sample(raw, cfg) for raw in raws]
+    outputs = _spy_forwards(monkeypatch)
+    # mixed, shape-sharing and single-scene batches whose first scene without it is scene1
+    for batch in (samples, samples[1:], samples[1:2]):
+        with pytest.raises(ValueError, match="scenario 'scene1' has no ground truth"):
+            batch_loss(init_model(cfg, seed=0), batch)
+    assert outputs == []
 
 
 def test_a_stack_gives_every_scene_its_own_outputs():
