@@ -22,6 +22,20 @@ holds only what those backwards read. Attention allocates each score-sized
 and the softmax overwrite the logits it computed, and in the backward the
 softmax's vjp and the scale overwrite the gradient array it computed.
 It never writes an operand's data, a saved array or its incoming gradient.
+
+A fused op keeps what its backward cannot cheaply recompute and recomputes
+the rest from its operands. Attention keeps its operands, the softmax
+probabilities p, the weights p * D_outer of a biased layer and, where B
+trains, the unbiased logits; its forward frees the query and key heads as
+soon as the scores exist and the value heads once the heads are merged.
+Its backward recomputes the three projections with their head split and
+the merged heads, and the perceptron's backward its hidden layer, each by
+the forward's own numpy expression on the same arrays, so every number is
+bit-identical to keeping them. So no operand, parameters included, may be
+written between an op's forward and its backward. Parameters are written
+in three places, each outside that window: the Adam step runs after
+backpropagate, grad_check restores every scalar it perturbs before its
+taped run, and load_checkpoint rebinds `.data` rather than writing into it.
 """
 
 from __future__ import annotations
@@ -286,12 +300,21 @@ def _attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights, heads: int,
     need = [t.requires_grad for t in operands]
     x_q, x_k, x_v, wq, wk, wv, wo = (t.data for t in operands[:7])
 
-    def split(x):   # (..., N, H d_k) -> (..., H, N, d_k): head h owns column block h
-        return x.reshape(x.shape[:-1] + (heads, x.shape[-1] // heads)).swapaxes(-3, -2)
+    def project(x, w_in):   # x @ w_in as (..., H, N, d_k): head h owns column block h
+        y = x @ w_in
+        return y.reshape(y.shape[:-1] + (heads, y.shape[-1] // heads)).swapaxes(-3, -2)
 
-    qh, kh, vh = split(x_q @ wq), split(x_k @ wk), split(x_v @ wv)
-    c = float(1.0 / np.sqrt(qh.shape[-1]))
+    def merge(weights, vh):   # the heads' outputs, written straight into (..., N_q, H d_k)
+        lead = _broadcast(weights.shape[:-2], vh.shape[:-2])
+        per_head = np.empty(lead[:-1] + (weights.shape[-2], heads, vh.shape[-1]))
+        np.matmul(weights, vh, out=per_head.swapaxes(-3, -2))
+        return per_head.reshape(per_head.shape[:-2] + (-1,))
+
+    qh, kh = project(x_q, wq), project(x_k, wk)
+    d_k = qh.shape[-1]
+    c = float(1.0 / np.sqrt(d_k))
     scaled = qh @ kh.swapaxes(-1, -2)
+    del qh, kh
     scaled *= c
     logits = scaled
     if biased:
@@ -305,12 +328,8 @@ def _attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights, heads: int,
     p = _softmax(logits, mask=None if mask is None else np.asarray(mask)[..., None, :, :])
     _record_softmax(p)
     weights = p * d_outer if biased else p
-    # the heads' outputs go straight into the merged (..., N_q, H, d_k) layout
-    lead = _broadcast(weights.shape[:-2], vh.shape[:-2])
-    per_head_shape = lead[:-1] + (weights.shape[-2], heads, vh.shape[-1])
-    per_head = np.empty(per_head_shape)
-    np.matmul(weights, vh, out=per_head.swapaxes(-3, -2))
-    merged = per_head.reshape(per_head_shape[:-2] + (-1,))
+    merged = merge(weights, project(x_v, wv))
+    merged_shape = merged.shape
 
     def projected(g_h, x, w_in, i):
         """Gradients of input i and of its projection, from its heads' gradient."""
@@ -320,11 +339,16 @@ def _attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights, heads: int,
                 if need[i + 3] else None)
 
     def backward(g):
-        g_wo = _unbroadcast(merged.swapaxes(-1, -2) @ g, wo.shape, stacked) if need[6] else None
-        g_merged = _unbroadcast(g @ wo.swapaxes(-1, -2), merged.shape)
-        g_heads = g_merged.reshape(per_head_shape).swapaxes(-3, -2)
+        # the projections and the merged heads are recomputed, as the forward formed them
+        vh = project(x_v, wv)
+        g_wo = (_unbroadcast(merge(weights, vh).swapaxes(-1, -2) @ g, wo.shape, stacked)
+                if need[6] else None)
+        g_merged = _unbroadcast(g @ wo.swapaxes(-1, -2), merged_shape)
+        g_heads = g_merged.reshape(merged_shape[:-1] + (heads, d_k)).swapaxes(-3, -2)
         g_weights = _unbroadcast(g_heads @ vh.swapaxes(-1, -2), weights.shape)
-        g_vh = _unbroadcast(weights.swapaxes(-1, -2) @ g_heads, vh.shape)
+        g_v, g_wv = projected(_unbroadcast(weights.swapaxes(-1, -2) @ g_heads, vh.shape),
+                              x_v, wv, 2)
+        del vh, g_heads
         # the score-sized gradients are this backward's own: vjp and scale write into them
         if not biased:
             g_scaled, g_biases = _softmax_vjp(p, g_weights), ()
@@ -336,10 +360,9 @@ def _attention(q: Tensor, k: Tensor, v: Tensor, w: AttentionWeights, heads: int,
                         _unbroadcast(g_logits, d_inter.shape) if need[8] else None,
                         _unbroadcast(g_weights * p, d_outer.shape) if need[9] else None)
         g_scaled *= c
-        (g_q, g_wq), (g_k, g_wk), (g_v, g_wv) = (
-            projected(_unbroadcast(g_scaled @ kh, qh.shape), x_q, wq, 0),
-            projected(_unbroadcast(g_scaled.swapaxes(-1, -2) @ qh, kh.shape), x_k, wk, 1),
-            projected(g_vh, x_v, wv, 2))
+        qh, kh = project(x_q, wq), project(x_k, wk)
+        g_q, g_wq = projected(_unbroadcast(g_scaled @ kh, qh.shape), x_q, wq, 0)
+        g_k, g_wk = projected(_unbroadcast(g_scaled.swapaxes(-1, -2) @ qh, kh.shape), x_k, wk, 1)
         return (g_q, g_k, g_v, g_wq, g_wk, g_wv, g_wo) + g_biases
 
     return operands, merged @ wo, backward
@@ -386,13 +409,19 @@ def nearest_neighbor_mask(q_pos: np.ndarray, k_pos: np.ndarray, e: int) -> np.nd
 
 def _mlp(x, w1, b1, w2, b2, need, stacked=False):
     """mlp on arrays: (output, backward), where backward(g) returns the
-    gradients of x, w1, b1, w2 and b2, None for each that need flags False."""
-    pre = x @ w1
-    hidden = np.maximum(pre + b1, 0.0)
+    gradients of x, w1, b1, w2 and b2, None for each that need flags False.
+    The backward keeps the operands and recomputes the hidden layer from them."""
+    def hidden_layer():   # relu(x w1 + b1), and the shape of x w1
+        pre = x @ w1
+        return np.maximum(pre + b1, 0.0), pre.shape
+
+    hidden, pre_shape = hidden_layer()
     out = hidden @ w2
-    pre_shape, out_shape = pre.shape, out.shape
+    del hidden
+    out_shape = out.shape
 
     def backward(g):
+        hidden, _ = hidden_layer()
         g_out = _unbroadcast(g, out_shape)
         g_hidden = _unbroadcast(g_out @ w2.swapaxes(-1, -2), hidden.shape)
         g_biased = g_hidden * (hidden > 0.0)   # hidden > 0 exactly where pre + b1 > 0

@@ -9,6 +9,14 @@ the objective in `training`) share this contract.
 it returns, out of place, so `.grad` arrays may share memory and are never
 written once stored: treat them as read-only. An op may overwrite arrays
 it allocated itself, never an operand's data or an incoming gradient.
+A fused op keeps for its backward what that backward cannot cheaply
+recompute (probabilities, normalised rows, operands) and recomputes the
+rest from its operands. So no operand, parameters included, may be written
+between an op's forward and its backward. Three places write parameters,
+each outside that window: `AdamOptimizer.step` runs after `backpropagate`;
+`grad_check` restores every scalar it perturbs before its taped run; and
+`load_checkpoint` rebinds each tensor's `.data` to a new array rather than
+writing into it, so a graph recorded before it keeps the old values.
 A weight that a stack of scenes shares gets each scene's gradient reduced
 as that scene alone would reduce it, and the scenes added in order. Where
 one scene's product in `matmul` is larger than the weight, `matmul` forms

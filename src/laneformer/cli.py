@@ -613,6 +613,9 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_OK if e.code in (0, None) else EXIT_CONFIG_ERROR
     try:
+        # every command takes --seed, and numpy's seeding takes no negative seed
+        if args.seed is not None and args.seed < 0:
+            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
         return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 from dataclasses import dataclass
 
@@ -71,8 +72,14 @@ class GeneratorConfig:
             raise ValueError(f"unknown speed profile {self.speed_profile!r}")
         if self.agent_count < 1:
             raise ValueError("agent_count must be at least 1")
-        if self.lane_length <= 0 or self.lane_spacing <= 0:
-            raise ValueError("lane_length and lane_spacing must be positive")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+        for name in ("lane_length", "lane_spacing"):
+            value = getattr(self, name)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{name} must be finite and positive, got {value}")
+        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
+            raise ValueError(f"noise_sigma must be finite and non-negative, got {self.noise_sigma}")
 
 
 # ---------------------------------------------------------------------------

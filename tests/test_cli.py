@@ -581,6 +581,38 @@ def test_train_with_out_of_range_setting_is_config_error_before_any_work(
     assert not out.exists()
 
 
+@pytest.mark.parametrize("setting, named", [
+    ("agent_count=0", "agent_count"), ("seed=-1", "seed"),
+    ("noise_sigma=-1", "noise_sigma"), ("noise_sigma=nan", "noise_sigma"),
+    ("noise_sigma=inf", "noise_sigma"), ("lane_length=nan", "lane_length"),
+    ("lane_length=inf", "lane_length"), ("lane_length=0", "lane_length"),
+    ("lane_spacing=-inf", "lane_spacing"), ("lane_spacing=nan", "lane_spacing"),
+])
+def test_generate_with_out_of_range_setting_is_config_error_before_any_work(
+        tmp_path, capsys, setting, named):
+    cfg = _write(tmp_path / "g.cfg", f"template=straight\ncount=2\n{setting}\n")
+    out = tmp_path / "d"
+    assert main(["generate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {named} must be ") and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "gradcheck", "eval", "predict"])
+def test_negative_seed_is_config_error_before_any_output(workspace, tmp_path, capsys,
+                                                         monkeypatch, command):
+    monkeypatch.setattr(cli, "grad_check", lambda *a, **k: pytest.fail("audited"))
+    out = tmp_path / "o"
+    argv = [command, "--seed", "-1", "--out", str(out)]
+    if command in ("eval", "predict"):
+        argv += ["--data", workspace["data"],
+                 "--model", os.path.join(workspace["run"], "model.ckpt")]
+    assert main(argv) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error: --seed must be non-negative") and "Traceback" not in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("key, value, message", [
     ("heads", "x", "heads must be an integer"),
     ("connection_types", 5, "connection_types must be a list of strings"),

@@ -45,6 +45,12 @@ def test_config_validation():
         GeneratorConfig(agent_count=0)
     with pytest.raises(ValueError, match="positive"):
         GeneratorConfig(lane_spacing=-1.0)
+    with pytest.raises(ValueError, match="seed must be non-negative"):
+        GeneratorConfig(seed=-1)
+    for field, bad in (("lane_length", float("nan")), ("lane_spacing", float("inf")),
+                       ("noise_sigma", -0.1), ("noise_sigma", float("nan"))):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            GeneratorConfig(**{field: bad})
 
 
 def test_every_template_builds_a_valid_scenario():

@@ -8,14 +8,25 @@ For each workload that BENCHMARK.json in CHANGE names, runs
 each checkout per pair, the side that runs first alternating from pair to
 pair, and reads each run's last output line, the bench's JSON result. It
 prints, per workload and end-to-end metric, each side's q1/median/q3 over
-the pairs, the ratio of the medians (change/parent) and the pairs the
-change won, a tie counting for neither side. Runs that were not correct or
-had failed operations are listed after the table, and the exit status is 1
-if there were any.
+the pairs, the ratio of the medians (change/parent), the pairs the change
+won, a tie counting for neither side, and a verdict, the first of these
+that holds, where the bound is the metric's `bound` in BENCHMARK.json, a
+fraction of the parent's median:
+
+    unresolved  the parent's own quartile spread is wider than the bound
+    regression  the change's median is worse than the parent's by more
+                than the bound
+    gain        the change won at least 9 of every 10 pairs, and its median
+                is better than the parent's by more than the parent's
+                quartile spread
+    —           none of these
+
+Runs that were not correct or had failed operations are listed after the
+table, and the exit status is 1 if there were any.
 
 Progress goes to stderr, the table to stdout. `--json PATH` also writes
 the table to PATH as JSON: per workload and metric, both sides' quartiles,
-the ratio and the wins, with the seed, the run length and the host as the
+the ratio, the wins and the verdict, with the seed, the run length and the host as the
 bench reports it. Without it nothing is written. The runs themselves
 write nothing inside either checkout: no bytecode, and the bench's
 single-workload mode writes no file.
@@ -55,10 +66,25 @@ def quartiles(values) -> tuple:
     return q1, med, q3
 
 
+def verdict(parent: tuple, change: tuple, wins: int, pairs: int, lower: bool,
+            bound: float) -> str:
+    """The row's verdict from both sides' quartiles (q1, median, q3); see the
+    module docstring."""
+    spread = parent[2] - parent[0]
+    better_by = (parent[1] - change[1]) if lower else (change[1] - parent[1])
+    if spread > bound * abs(parent[1]):
+        return "unresolved"
+    if -better_by > bound * abs(parent[1]):
+        return "regression"
+    if 10 * wins >= 9 * pairs and better_by > spread:
+        return "gain"
+    return "—"
+
+
 def summarize(workload: str, pairs: list, metrics: list) -> list:
     """Table rows for one workload from (parent result, change result) pairs.
 
-    metrics are BENCHMARK.json end-to-end entries (name, better).
+    metrics are BENCHMARK.json end-to-end entries (name, better, bound).
     """
     rows = []
     for m in metrics:
@@ -69,7 +95,8 @@ def summarize(workload: str, pairs: list, metrics: list) -> list:
         qp, qc = quartiles(parent), quartiles(change)
         rows.append({"workload": workload, "metric": m["name"], "pairs": len(pairs),
                      "parent": qp, "change": qc,
-                     "ratio": qc[1] / qp[1] if qp[1] else float("nan"), "wins": wins})
+                     "ratio": qc[1] / qp[1] if qp[1] else float("nan"), "wins": wins,
+                     "verdict": verdict(qp, qc, wins, len(pairs), lower, m["bound"])})
     return rows
 
 
@@ -77,10 +104,11 @@ def table(rows: list) -> str:
     """The Markdown table CHANGES.md uses."""
     q = lambda t: "/".join(f"{v:.2f}" for v in t)
     out = ["| workload | metric | pairs | parent q1/med/q3 | change q1/med/q3 "
-           "| change/parent | change wins |",
-           "|---|---|---|---|---|---|---|"]
+           "| change/parent | change wins | verdict |",
+           "|---|---|---|---|---|---|---|---|"]
     out += [f"| {r['workload']} | {r['metric']} | {r['pairs']} | {q(r['parent'])} "
-            f"| {q(r['change'])} | {r['ratio']:.3f} | {r['wins']}/{r['pairs']} |"
+            f"| {q(r['change'])} | {r['ratio']:.3f} | {r['wins']}/{r['pairs']} "
+            f"| {r['verdict']} |"
             for r in rows]
     return "\n".join(out)
 
@@ -93,7 +121,7 @@ def report(rows: list, seed: int, seconds: float, host: dict) -> dict:
             "pairs": r["pairs"],
             "parent": dict(zip(("q1", "median", "q3"), r["parent"])),
             "change": dict(zip(("q1", "median", "q3"), r["change"])),
-            "ratio": r["ratio"], "wins": r["wins"]}
+            "ratio": r["ratio"], "wins": r["wins"], "verdict": r["verdict"]}
     return {"seed": seed, "seconds": seconds, "host": host, "workloads": workloads}
 
 
