@@ -7,7 +7,9 @@ model), train, eval (metric reports, sweeps, oracle mode), and predict
 
 Exit codes: 0 success, 1 check failure, 2 configuration error, 3 numerical
 abort, 4 data error. Config files are key=value lines; every command writes
-a manifest naming its seed and config hash so runs can be reproduced.
+a manifest naming its seed and config hash so runs can be reproduced, and
+every CSV through scenario.write_csv. `eval --oracle` with `--grid` is a
+configuration error: the oracle's scores do not depend on neighborhood sizes.
 """
 
 from __future__ import annotations
@@ -21,20 +23,21 @@ import sys
 import numpy as np
 
 from . import scenario as sc
-from .autodiff import grad_check, load_checkpoint, no_grad, save_checkpoint
+from .autodiff import grad_check, load_checkpoint, save_checkpoint
 from .evaluation import (
     evaluate_model,
     sweep_neighborhoods,
     write_report_csv,
     write_sweep_csv,
 )
+from .metrics import require_ground_truth
 from .model import (
     N_AGENT_FEATURES,
     N_MAP_FEATURES,
     NEIGHBORHOODS,
     ModelConfig,
     init_model,
-    model_forward,
+    predict_sample,
     prepare_sample,
 )
 from .plotting import write_prediction_svg, write_predictions_csv
@@ -185,9 +188,12 @@ def parse_grid(spec: str) -> dict:
     return grid
 
 
-def _sweep_grid(spec: str, cfg: ModelConfig) -> dict:
+def _sweep_grid(spec: str, cfg: ModelConfig, oracle: bool) -> dict:
     """The --grid sweep, every name and size checked against `cfg` before any work."""
     grid = parse_grid(spec)
+    if oracle:
+        raise ConfigError("--grid sweeps the model's neighborhoods, but --oracle scores the "
+                          "ground truth, which no neighborhood size changes")
     if not cfg.use_local_attention:
         raise ConfigError("--grid sweeps local-attention neighborhoods, but the model has "
                           "use_local_attention=false, so every size gives the same result")
@@ -401,10 +407,9 @@ def cmd_gradcheck(args) -> int:
 
     if args.out:
         path = os.path.join(args.out, "gradcheck.csv")
-        with open(path, "w") as fh:
-            fh.write("parameter,max_rel_error,ok\n")
-            for name, err in zip(names, report.errors):
-                fh.write(f"{name},{err!r},{int(err <= tol)}\n")
+        sc.write_csv(path, ["parameter", "max_rel_error", "ok"],
+                     [{"parameter": name, "max_rel_error": err, "ok": int(err <= tol)}
+                      for name, err in zip(names, report.errors)])
         _write_manifest(args.out, {"seed": seed, "tolerance": tol,
                                    "max_error": report.max_error,
                                    "parameters": len(names)})
@@ -439,11 +444,9 @@ def cmd_train(args) -> int:
         raise DataError(f"{args.data}: dataset is empty")
     try:
         samples = [prepare_sample(s, model_cfg) for s in scenarios]
+        require_ground_truth(samples)
     except ValueError as e:
         raise DataError(str(e)) from e
-    for s in samples:
-        if s.ground_truth is None:
-            raise DataError(f"scenario {s.scenario.name!r} has no ground truth")
 
     params = init_model(model_cfg, seed=train_cfg.seed)
     extra = {"command": "train", "scenarios": len(samples)}
@@ -480,7 +483,7 @@ def cmd_eval(args) -> int:
     consumed: set = set()
     params, stored_seed = _restore_model(args.model, values, consumed, args.seed)
     _reject_unknown(values, consumed, args.config or "<defaults>")
-    grid = _sweep_grid(args.grid, params.cfg) if args.grid else None
+    grid = _sweep_grid(args.grid, params.cfg, args.oracle) if args.grid else None
     scenarios = _load_scenarios(args.data)
     if not scenarios:
         raise DataError(f"{args.data}: dataset is empty")
@@ -526,8 +529,7 @@ def cmd_predict(args) -> int:
             sample = prepare_sample(scn, params.cfg)
         except ValueError as e:
             raise DataError(str(e)) from e
-        with no_grad():
-            pred = model_forward(params, sample).prediction_set()
+        pred = predict_sample(params, sample)
         csv_path = os.path.join(args.out, f"{scn.name}_predictions.csv")
         write_predictions_csv(csv_path, scn.name, sample.target_ids,
                               pred.trajectories, pred.confidences)

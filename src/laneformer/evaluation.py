@@ -1,9 +1,12 @@
 """Model evaluation: metric reports and neighborhood sweeps.
 
 Reports are per-(scenario, target) metric rows plus one summary row whose
-miss column holds the miss rate. Metrics are computed in the normalized
-agent frame; rigid motions preserve every distance involved, so the frame
-choice cannot change any value.
+miss column holds the miss rate, written by scenario.write_csv. Each scene
+is prepared and checked for ground truth (metrics.require_ground_truth)
+before its forward runs, and the model's predictions come from
+model.predict_sample, its one forward without a tape. Metrics are computed
+in the normalized agent frame; rigid motions preserve every distance
+involved, so the frame choice cannot change any value.
 """
 
 from __future__ import annotations
@@ -13,9 +16,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autodiff import no_grad
-from .metrics import evaluate_prediction, miss_rate
-from .model import NEIGHBORHOODS, ModelParams, model_forward, prepare_sample
+from .metrics import evaluate_prediction, miss_rate, require_ground_truth
+from .model import NEIGHBORHOODS, ModelParams, predict_sample, prepare_sample
+from .scenario import write_csv
 
 __all__ = [
     "EvaluationReport",
@@ -55,8 +58,7 @@ def _scored_samples(scenarios, cfg):
     """Prepared samples, each checked to carry the ground truth a report scores."""
     for scn in scenarios:
         sample = prepare_sample(scn, cfg)
-        if sample.ground_truth is None:
-            raise ValueError(f"scenario {scn.name!r} has no ground truth to score")
+        require_ground_truth([sample])
         yield sample
 
 
@@ -68,8 +70,7 @@ def _report(params: ModelParams, samples, oracle: bool = False) -> EvaluationRep
                                      for i in sample.target_ids])
             confidences = np.ones((len(sample.target_ids), 1))
         else:
-            with no_grad():
-                pred = model_forward(params, sample).prediction_set()
+            pred = predict_sample(params, sample)
             trajectories, confidences = pred.trajectories, pred.confidences
         for row_idx, agent_id in enumerate(sample.target_ids):
             gt = sample.ground_truth[agent_id]
@@ -90,14 +91,10 @@ def evaluate_model(params: ModelParams, scenarios, oracle: bool = False) -> Eval
 
 
 def write_report_csv(path, report: EvaluationReport) -> None:
-    cols = ["scenario_id", "agent_id", "min_ade", "min_fde", "b_min_fde", "miss"]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for r in report.rows:
-            fh.write(f"{r['scenario_id']},{r['agent_id']},{r['min_ade']!r},"
-                     f"{r['min_fde']!r},{r['b_min_fde']!r},{r['miss']}\n")
-        fh.write(f"summary,,{report.mean_min_ade!r},{report.mean_min_fde!r},"
-                 f"{report.mean_b_min_fde!r},{report.miss_rate!r}\n")
+    summary = {"scenario_id": "summary", "agent_id": "", "min_ade": report.mean_min_ade,
+               "min_fde": report.mean_min_fde, "b_min_fde": report.mean_b_min_fde,
+               "miss": report.miss_rate}
+    write_csv(path, list(summary), [*report.rows, summary])
 
 
 def sweep_neighborhoods(params: ModelParams, scenarios, grid: dict) -> list:
@@ -128,9 +125,4 @@ def sweep_neighborhoods(params: ModelParams, scenarios, grid: dict) -> list:
 def write_sweep_csv(path, results: list) -> None:
     if not results:
         raise ValueError("empty sweep")
-    cols = list(results[0])
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for r in results:
-            fh.write(",".join(repr(r[c]) if isinstance(r[c], float) else str(r[c])
-                              for c in cols) + "\n")
+    write_csv(path, list(results[0]), results)

@@ -18,6 +18,7 @@ __all__ = [
     "miss_rate",
     "b_min_fde",
     "evaluate_prediction",
+    "require_ground_truth",
 ]
 
 MISS_THRESHOLD = 2.0
@@ -90,3 +91,11 @@ def evaluate_prediction(trajectories: np.ndarray, confidences: np.ndarray,
         "miss": bool(fde > MISS_THRESHOLD),
         "best_mode": k_hat,
     }
+
+
+def require_ground_truth(samples) -> None:
+    """Raise a ValueError naming the first prepared sample with no ground
+    truth, which the metrics and the training objective both score against."""
+    for s in samples:
+        if s.ground_truth is None:
+            raise ValueError(f"scenario {s.scenario.name!r} has no ground truth")

@@ -68,6 +68,7 @@ __all__ = [
     "fusion_forward",
     "decode_trajectories",
     "model_forward",
+    "predict_sample",
     "predict",
 ]
 
@@ -360,11 +361,11 @@ class PredictionSet:
     def __post_init__(self):
         self.trajectories = np.asarray(self.trajectories, dtype=np.float64)
         self.confidences = np.asarray(self.confidences, dtype=np.float64)
-        n_t, k = self.confidences.shape
-        if self.trajectories.shape[:2] != (n_t, k) or self.trajectories.shape[3] != 2:
-            raise ValueError(
-                f"trajectories {self.trajectories.shape} inconsistent with "
-                f"confidences {self.confidences.shape}")
+        traj, conf = self.trajectories.shape, self.confidences.shape
+        if (len(traj) != 4 or len(conf) != 2 or traj[:2] != conf or traj[3] != 2
+                or len(self.target_ids) != conf[0]):
+            raise ValueError(f"trajectories {traj} and confidences {conf} are inconsistent "
+                             f"with each other or with {len(self.target_ids)} target ids")
         if (self.confidences < 0).any():
             raise ValueError("negative mode confidence")
         if not np.allclose(self.confidences.sum(axis=1), 1.0, atol=1e-6):
@@ -523,8 +524,12 @@ def model_forward(params: ModelParams, sample: Sample) -> ModelOutput:
     return decode_trajectories(params, targets, sample.target_ids)
 
 
-def predict(params: ModelParams, raw: sc.Scenario) -> PredictionSet:
-    """Convenience wrapper: prepare, then run without a tape."""
-    sample = prepare_sample(raw, params.cfg)
+def predict_sample(params: ModelParams, sample: Sample) -> PredictionSet:
+    """One prepared sample's predictions, from a forward run without a tape."""
     with no_grad():
         return model_forward(params, sample).prediction_set()
+
+
+def predict(params: ModelParams, raw: sc.Scenario) -> PredictionSet:
+    """Convenience wrapper: prepare, then predict_sample."""
+    return predict_sample(params, prepare_sample(raw, params.cfg))

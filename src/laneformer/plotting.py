@@ -10,6 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .scenario import write_csv
+
 __all__ = [
     "scene_svg",
     "write_prediction_svg",
@@ -107,12 +109,8 @@ def write_predictions_csv(path, scenario_id: str, target_ids,
     """Raw predicted points, one row per (target, mode, step)."""
     trajectories = np.asarray(trajectories, dtype=np.float64)
     confidences = np.asarray(confidences, dtype=np.float64)
-    with open(path, "w") as fh:
-        fh.write("scenario_id,agent_id,mode,step,x,y,confidence\n")
-        for i, agent_id in enumerate(target_ids):
-            for k in range(trajectories.shape[1]):
-                conf = repr(float(confidences[i, k]))
-                for t in range(trajectories.shape[2]):
-                    x, y = trajectories[i, k, t]
-                    fh.write(f"{scenario_id},{agent_id},{k},{t},"
-                             f"{float(x)!r},{float(y)!r},{conf}\n")
+    cols = ["scenario_id", "agent_id", "mode", "step", "x", "y", "confidence"]
+    write_csv(path, cols, [
+        dict(zip(cols, (scenario_id, agent_id, k, t, *trajectories[i, k, t], confidences[i, k])))
+        for i, agent_id in enumerate(target_ids)
+        for k in range(trajectories.shape[1]) for t in range(trajectories.shape[2])])

@@ -30,6 +30,7 @@ __all__ = [
     "parse_scenario",
     "read_json",
     "save_scenario",
+    "write_csv",
     "scenario_to_dict",
     "scenario_from_dict",
     "normalize_scenario",
@@ -429,6 +430,17 @@ def parse_scenario(path) -> Scenario:
 def save_scenario(path, sc: Scenario) -> None:
     with open(path, "w") as fh:
         json.dump(scenario_to_dict(sc), fh)
+
+
+def write_csv(path, cols, rows) -> None:
+    """A header line of `cols`, then one line per row dict: a float cell,
+    numpy scalars included, as repr(float(v)), which parses back to the
+    same float, and any other cell as str(v)."""
+    with open(path, "w") as fh:
+        fh.write(",".join(cols) + "\n")
+        for row in rows:
+            fh.write(",".join(repr(float(row[c])) if isinstance(row[c], (float, np.floating))
+                              else str(row[c]) for c in cols) + "\n")
 
 
 # ---------------------------------------------------------------------------

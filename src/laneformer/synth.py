@@ -104,15 +104,14 @@ def _marking(i: int) -> str:
     return BOUNDARY_TYPES[i % len(BOUNDARY_TYPES)]
 
 
-def _chain(conn: LaneConnectivity, ids) -> None:
-    for a, b in zip(ids, ids[1:]):
-        conn.successors.append((a, b))
-        conn.predecessors.append((b, a))
-
-
 def _link(conn: LaneConnectivity, a: int, b: int) -> None:
     conn.successors.append((a, b))
     conn.predecessors.append((b, a))
+
+
+def _chain(conn: LaneConnectivity, ids) -> None:
+    for a, b in zip(ids, ids[1:]):
+        _link(conn, a, b)
 
 
 def _lateral(conn: LaneConnectivity, lane: int, left_of: int, marking: str) -> None:

@@ -19,7 +19,7 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -30,8 +30,9 @@ from .autodiff import (
     backpropagate,
     save_checkpoint,
 )
-from .metrics import _endpoint_errors
+from .metrics import _endpoint_errors, require_ground_truth
 from .model import ModelOutput, ModelParams, Sample, model_forward, stack_samples
+from .scenario import write_csv
 
 __all__ = [
     "LossConfig",
@@ -133,12 +134,6 @@ def _objective(paths: np.ndarray, confidences: np.ndarray, gt: np.ndarray, cfg: 
     return reg, cls, goal, total, backward
 
 
-def _require_ground_truth(samples) -> None:
-    for s in samples:
-        if s.ground_truth is None:
-            raise ValueError(f"scenario {s.scenario.name!r} has no ground truth")
-
-
 def scenario_loss(output: ModelOutput, sample: Sample,
                   loss_cfg: LossConfig | None = None) -> LossBreakdown:
     """Objective over one scenario's targets; needs ground truth on the sample.
@@ -148,7 +143,7 @@ def scenario_loss(output: ModelOutput, sample: Sample,
     computed over all targets at once, and one backward returns both
     gradients. Only `total` is taped; `reg`, `cls` and `goal` are constants.
     """
-    _require_ground_truth([sample])
+    require_ground_truth([sample])
     return _loss_node([output], [sample], loss_cfg)
 
 
@@ -196,7 +191,7 @@ def batch_loss(params: ModelParams, samples, loss_cfg: LossConfig | None = None)
     node ends the graph. A scene without ground truth is named before any
     forward runs.
     """
-    _require_ground_truth(samples)
+    require_ground_truth(samples)
     stacked = stack_samples(samples) if len(samples) > 1 else None
     groups = samples if stacked is None else [stacked]
     return _loss_node([model_forward(params, s) for s in groups], groups, loss_cfg)
@@ -303,8 +298,7 @@ def train_epoch(params: ModelParams, batches, opt: AdamOptimizer,
                 step_offset: int) -> EpochReport:
     """One pass over the prepared batches; returns the epoch report."""
     start = time.perf_counter()
-    losses, regs, clss, goals = [], [], [], []
-    grad_norm = 0.0
+    first = len(curve)
     step = step_offset
     for batch_idx, batch in enumerate(batches):
         if cfg.max_steps is not None and step >= cfg.max_steps:
@@ -326,18 +320,14 @@ def train_epoch(params: ModelParams, batches, opt: AdamOptimizer,
         opt.lr = learning_rate(cfg, epoch)
         opt.step()
         step += 1
-        losses.append(vals["loss"])
-        regs.append(vals["reg"])
-        clss.append(vals["cls"])
-        goals.append(vals["goal"])
         curve.append({"step": step, "epoch": epoch, "lr": opt.lr,
                       "grad_norm": grad_norm, **vals})
     wall = time.perf_counter() - start
-    if not losses:
-        return EpochReport(epoch, float("nan"), float("nan"), float("nan"),
-                           float("nan"), 0.0, wall)
-    return EpochReport(epoch, float(np.mean(losses)), float(np.mean(regs)),
-                       float(np.mean(clss)), float(np.mean(goals)), grad_norm, wall)
+    rows = curve[first:]
+    if not rows:
+        return EpochReport(epoch, *[float("nan")] * 4, 0.0, wall)
+    means = [float(np.mean([r[k] for r in rows])) for k in ("loss", "reg", "cls", "goal")]
+    return EpochReport(epoch, *means, rows[-1]["grad_norm"], wall)
 
 
 def train(params: ModelParams, samples, cfg: TrainingConfig,
@@ -375,36 +365,19 @@ def train(params: ModelParams, samples, cfg: TrainingConfig,
 
 
 def save_curves(path, curve) -> None:
-    cols = ["step", "epoch", "loss", "reg", "cls", "goal", "lr", "grad_norm"]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for row in curve:
-            fh.write(",".join(repr(row[c]) if isinstance(row[c], float)
-                              else str(row[c]) for c in cols) + "\n")
-
-
-def _config_dict(c) -> dict:
-    out = {}
-    for k, v in vars(c).items():
-        if hasattr(v, "__dataclass_fields__"):
-            out[k] = _config_dict(v)
-        elif isinstance(v, tuple):
-            out[k] = list(v)
-        else:
-            out[k] = v
-    return out
+    write_csv(path, ["step", "epoch", "loss", "reg", "cls", "goal", "lr", "grad_norm"], curve)
 
 
 def config_hash(*configs) -> str:
     """Stable digest over dataclass configs (nested ones included)."""
-    blob = json.dumps([_config_dict(c) for c in configs], sort_keys=True)
+    blob = json.dumps([asdict(c) for c in configs], sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def run_manifest(seed: int, configs, extra=None) -> dict:
     doc = {"seed": int(seed), "config_hash": config_hash(*configs)}
     for c in configs:
-        doc[type(c).__name__] = _config_dict(c)
+        doc[type(c).__name__] = asdict(c)
     if extra:
         doc.update(extra)
     return doc

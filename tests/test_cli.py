@@ -334,6 +334,19 @@ def test_eval_grid_without_local_attention_is_config_error_before_any_work(
     assert not out.exists()
 
 
+def test_eval_oracle_with_grid_is_config_error_before_any_work(workspace, tmp_path, capsys,
+                                                              monkeypatch):
+    # the oracle scores the ground truth, which no neighborhood size changes
+    monkeypatch.setattr(cli, "_load_scenarios", lambda *a: pytest.fail("loaded scenes"))
+    out = tmp_path / "ev"
+    assert main(["eval", "--data", workspace["data"],
+                 "--model", os.path.join(workspace["run"], "model.ckpt"),
+                 "--out", str(out), "--oracle", "--grid", "a2a=1,2"]) == EXIT_CONFIG_ERROR
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "--oracle" in err and "--grid" in err
+    assert not out.exists()
+
+
 def test_train_resume_missing_checkpoint_is_data_error_before_any_work(workspace, tmp_path,
                                                                       capsys):
     out = tmp_path / "run1"
@@ -387,7 +400,7 @@ def test_value_error_outside_data_loading_propagates(workspace, tmp_path, monkey
     # a programming error is not a data error: no exit 4 hides its traceback
     def broken(*_args):
         raise ValueError("bug in the forward")
-    monkeypatch.setattr(cli, "model_forward", broken)
+    monkeypatch.setattr("laneformer.model.model_forward", broken)
     with pytest.raises(ValueError, match="bug in the forward"):
         main(["predict", "--data", os.path.join(workspace["data"], "scenario_0000.json"),
               "--model", os.path.join(workspace["run"], "model.ckpt"),

@@ -7,6 +7,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from laneformer import cli
+from laneformer.autodiff import GradCheckReport
 from laneformer.evaluation import (
     EvaluationReport,
     evaluate_model,
@@ -20,6 +22,7 @@ from laneformer.model import init_model, model_forward, prepare_sample
 from laneformer.plotting import scene_svg, write_prediction_svg, write_predictions_csv
 
 from laneformer.synth import TEMPLATES, GeneratorConfig, generate_scenario
+from laneformer.training import save_curves
 
 from test_model import _cfg, _scene, _toy_cfg
 
@@ -58,7 +61,7 @@ def test_model_evaluation_rows_and_summary_math():
 def test_evaluation_requires_ground_truth():
     cfg = _cfg()
     params = init_model(cfg, seed=0)
-    with pytest.raises(ValueError, match="no ground truth to score"):
+    with pytest.raises(ValueError, match="no ground truth"):
         evaluate_model(params, [_scene(with_gt=False)])
 
 
@@ -102,6 +105,42 @@ def test_sweep_csv_writer(tmp_path):
     assert lines[1] == "4,1.5,2.0,2.25,0.0"
     with pytest.raises(ValueError, match="empty sweep"):
         write_sweep_csv(os.path.join(tmp_path, "x.csv"), [])
+
+
+def _float_cells(text) -> list:
+    """Every data cell that reads as a float and is not a whole number."""
+    cells = [c for line in text.splitlines()[1:] for c in line.split(",") if not c.isdigit()]
+    out = []
+    for c in cells:
+        try:
+            out.append(float(c))
+        except ValueError:
+            pass
+    return out
+
+
+def test_every_csv_writer_round_trips_numpy_floats(tmp_path, monkeypatch):
+    a, b = np.float64(1.0) / 3, np.float64(2.0) / 7   # 16 and 17 significant digits
+    write_report_csv(tmp_path / "report.csv", EvaluationReport(
+        rows=[{"scenario_id": "s0", "agent_id": 0, "min_ade": a, "min_fde": b,
+               "b_min_fde": a, "miss": 0}],
+        mean_min_ade=a, mean_min_fde=b, mean_b_min_fde=a, miss_rate=b))
+    write_sweep_csv(tmp_path / "sweep.csv",
+                    [{"a2a": 4, "min_ade": a, "min_fde": b, "b_min_fde": a, "miss_rate": b}])
+    save_curves(tmp_path / "curves.csv", [{"step": 1, "epoch": 0, "loss": a, "reg": b,
+                                           "cls": a, "goal": b, "lr": a, "grad_norm": b}])
+    write_predictions_csv(tmp_path / "predictions.csv", "s0", [0],
+                          np.array([[[[a, b]]]]), np.ones((1, 1)))
+    monkeypatch.setattr(cli, "grad_check",
+                        lambda f, inputs, h, tol: GradCheckReport([a] * len(inputs), tol))
+    assert cli.main(["gradcheck", "--out", str(tmp_path), "--tolerance", "1"]) == cli.EXIT_OK
+    n_params = len(init_model(cli.micro_config()).registry)
+    for name, floats in (("report.csv", [a, b, a, a, b, a, b]), ("sweep.csv", [a, b, a, b]),
+                         ("curves.csv", [a, b, a, b, a, b]), ("predictions.csv", [a, b, 1.0]),
+                         ("gradcheck.csv", [a] * n_params)):
+        text = (tmp_path / name).read_text()
+        assert "np.float64(" not in text, name
+        assert _float_cells(text) == floats, name
 
 
 def test_scene_svg_structure():

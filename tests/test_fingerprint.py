@@ -1,5 +1,6 @@
 """tools/fingerprint.py: a dump compares equal to itself, a one-ulp change shows
-with its size in ulps, and the prepared samples of every case, batches included, are in it."""
+with its size in ulps, and the prepared samples of every case, batches included, and the
+default-config cases' report rows are in it."""
 
 import os
 import subprocess
@@ -37,6 +38,11 @@ def test_compare_reports_exactly_the_perturbed_array(tmp_path):
     # the stacked batch trains both lane layers and their one bias set
     assert {f"stacked/step2/grad/lane{i}.attn.wq" for i in (0, 1)} <= arrays.keys()
     assert "stacked/step2/grad/lane_bias.wp" in arrays and "stacked/sample3/observed" in arrays
+    # evaluate_model's rows, one value per target, for the two default-config cases only
+    for case, targets in (("default", 5), ("stacked", 4)):
+        for field in ("min_ade", "min_fde", "b_min_fde", "miss"):
+            assert arrays[f"{case}/step2/report/{field}"].shape == (targets,)
+    assert not any("/report/" in k for k in arrays if k.split("/")[0] in ("toy", "micro", "mixed"))
     original = arrays[key]
     arrays[key] = original.copy()
     arrays[key].flat[0] = np.nextafter(original.flat[0], np.inf)

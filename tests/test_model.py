@@ -324,6 +324,16 @@ def test_prediction_set_validation():
         PredictionSet(good_traj, np.array([[0.4, 0.4]]), [0])
     with pytest.raises(ValueError, match="inconsistent"):
         PredictionSet(np.zeros((1, 3, 3, 2)), np.array([[0.5, 0.5]]), [0])
+    # ranks and the target count are checked before any shape is unpacked
+    for traj, conf, ids in ((np.zeros((1, 2, 3)), np.array([[0.4, 0.6]]), [0]),
+                            (good_traj, np.array([0.4, 0.6]), [0]),
+                            (good_traj, np.array([[[0.4, 0.6]]]), [0]),
+                            (good_traj, np.array([[0.4, 0.6]]), [0, 1, 2])):
+        with pytest.raises(ValueError, match="inconsistent") as err:
+            PredictionSet(traj, conf, ids)
+        assert f"trajectories {traj.shape}" in str(err.value)
+        assert f"confidences {conf.shape}" in str(err.value)
+        assert f"{len(ids)} target ids" in str(err.value)
 
 
 def test_checkpoint_round_trip_preserves_forward():

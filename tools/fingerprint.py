@@ -14,7 +14,9 @@ lane features, observed mask, agent and lane positions, ground truth,
 frame origin and heading, and every topology matrix, hop counts included.
 For each of 3 Adam steps (lr 2e-3) it saves every model output, taped and
 under no_grad, every loss term, every parameter gradient and every
-parameter after the step. `compare` lists every key
+parameter after the step; for the two default-config cases it also saves,
+before the step, `evaluate_model`'s min_ade, min_fde, b_min_fde and miss
+per target. `compare` lists every key
 whose arrays differ, by shape or by value (NaN equals NaN), or that only
 one file holds, and exits 1 if there is any. For arrays that differ by
 value it also prints the largest absolute difference, the normwise
@@ -22,7 +24,7 @@ relative difference |a - b| / |a| (2-norms over the whole array) and the
 largest distance in ulps: the number of float64 values from an element of
 a to its element in b, counted after casting both to float64.
 
-Needs only numpy and laneformer; run it from a checkout with
+Needs only numpy and laneformer's public API; run it from a checkout with
 PYTHONPATH=src so that the dump measures that checkout's code.
 """
 
@@ -39,6 +41,7 @@ from laneformer.synth import TEMPLATES
 
 STEPS = 3
 LR = 2e-3
+REPORT_FIELDS = ("min_ade", "min_fde", "b_min_fde", "miss")
 SAMPLE_FIELDS = ("agent_features", "observed", "agent_positions", "lane_features",
                  "lane_positions", "ground_truth", "frame_origin", "frame_heading")
 TOPOLOGY_FIELDS = ("m_p", "m_s", "m_l", "m_r", "pre_hops", "suc_hops", "m_pre_spd",
@@ -46,27 +49,23 @@ TOPOLOGY_FIELDS = ("m_p", "m_s", "m_l", "m_r", "pre_hops", "suc_hops", "m_pre_sp
 
 
 def _cases():
-    """name -> (model config, init seed, prepared samples)."""
+    """name -> (model config, init seed, scenarios)."""
     toy = lf.ModelConfig(d_model=16, heads=2, layers=1, modes=6, n_lane_nodes=6,
                          decoder_hidden=32, e_a2a=8, e_a2l=16, e_l2a=4)
     straight = lf.GeneratorConfig(seed=1, template="straight", agent_count=3)
     default = lf.ModelConfig()
     micro = micro_config()
     return {
-        "toy": (toy, 1, [lf.prepare_sample(lf.generate_scenario(straight, i), toy)
-                         for i in range(8)]),
+        "toy": (toy, 1, [lf.generate_scenario(straight, i) for i in range(8)]),
         "default": (default, 3, [
-            lf.prepare_sample(lf.generate_scenario(
-                lf.GeneratorConfig(seed=3, template=tpl, agent_count=8), 0), default)
+            lf.generate_scenario(lf.GeneratorConfig(seed=3, template=tpl, agent_count=8), 0)
             for tpl in TEMPLATES]),
-        "micro": (micro, 0, [lf.prepare_sample(micro_scenario(), micro)]),
+        "micro": (micro, 0, [micro_scenario()]),
         "stacked": (default, 3, [
-            lf.prepare_sample(lf.generate_scenario(
-                lf.GeneratorConfig(seed=3, template="merge", agent_count=8), i), default)
+            lf.generate_scenario(lf.GeneratorConfig(seed=3, template="merge", agent_count=8), i)
             for i in range(4)]),
         "mixed": (toy, 1, [
-            lf.prepare_sample(lf.generate_scenario(
-                lf.GeneratorConfig(seed=1, template=tpl, agent_count=3), i), toy)
+            lf.generate_scenario(lf.GeneratorConfig(seed=1, template=tpl, agent_count=3), i)
             for i, tpl in enumerate(("straight", "merge", "straight", "merge"))]),
     }
 
@@ -88,13 +87,18 @@ def _prepared(prefix: str, sample, arrays: dict) -> None:
 def fingerprint() -> dict:
     """Key -> array for every number `dump` saves."""
     arrays = {}
-    for case, (cfg, seed, samples) in _cases().items():
+    for case, (cfg, seed, scenes) in _cases().items():
+        samples = [lf.prepare_sample(scn, cfg) for scn in scenes]
         for i, s in enumerate(samples):
             _prepared(f"{case}/sample{i}", s, arrays)
         params = lf.init_model(cfg, seed=seed)
         opt = lf.AdamOptimizer(params.registry, lr=LR)
         for step in range(STEPS):
             at = f"{case}/step{step}"
+            if cfg == lf.ModelConfig():
+                rows = lf.evaluate_model(params, scenes).rows
+                for field in REPORT_FIELDS:
+                    arrays[f"{at}/report/{field}"] = np.array([r[field] for r in rows])
             for i, s in enumerate(samples):
                 with lf.no_grad():
                     _outputs(f"{at}/scene{i}/no_grad", lf.model_forward(params, s), arrays)
