@@ -24,8 +24,10 @@ import numpy as np
 
 from . import scenario as sc
 from .autodiff import grad_check, load_checkpoint, save_checkpoint
+from .config import Rule, rules
 from .evaluation import (
     evaluate_model,
+    scored_samples,
     sweep_neighborhoods,
     write_report_csv,
     write_sweep_csv,
@@ -115,43 +117,43 @@ def parse_config_file(path) -> dict:
     return values
 
 
-def _convert(raw: str, like):
-    if isinstance(like, bool):
-        if raw.lower() in ("true", "1", "yes"):
-            return True
-        if raw.lower() in ("false", "0", "no"):
-            return False
-        raise ConfigError(f"expected boolean, got {raw!r}")
-    if like is None or isinstance(like, int):
-        if raw.lower() in ("none", ""):
-            return None
-        try:
-            return int(raw)
-        except ValueError as e:
-            raise ConfigError(f"expected integer, got {raw!r}") from e
-    if isinstance(like, float):
-        try:
-            return float(raw)
-        except ValueError as e:
-            raise ConfigError(f"expected number, got {raw!r}") from e
-    if isinstance(like, tuple):
-        return tuple(part.strip() for part in raw.split(","))
-    return raw
+# generate's scenario count, parsed and checked as a config field is
+_COUNT = Rule(int, at_least=0)
 
 
-def _overlay(base, values: dict, consumed: set, **overrides):
-    """Copy of config dataclass `base` with matching keys in `values`, then `overrides`."""
-    kwargs = {}
-    for f in dataclasses.fields(base):
-        current = getattr(base, f.name)
-        if f.name in values and not dataclasses.is_dataclass(current):
-            kwargs[f.name] = _convert(values[f.name], current)
-            consumed.add(f.name)
-    kwargs.update(overrides)
-    try:
-        return dataclasses.replace(base, **kwargs)
-    except ValueError as e:
-        raise ConfigError(str(e)) from e
+class _ConfigFile:
+    """A --config file's key=value pairs, none without one, the name every message
+    gives it (its path, or <defaults>), and the keys the configs built so far used."""
+
+    def __init__(self, path):
+        self.where = path or "<defaults>"
+        self.values = parse_config_file(path) if path else {}
+        self.consumed = set()
+
+    def parsed(self, declared: dict) -> dict:
+        """The keys that `declared` (name to config.Rule) names, each value parsed
+        by its Rule; a bad value is a ConfigError naming the file and the key."""
+        try:
+            out = {name: rule.parse(name, self.values[name])
+                   for name, rule in declared.items() if name in self.values}
+        except ValueError as e:
+            raise ConfigError(f"{self.where}: {e}") from e
+        self.consumed |= out.keys()
+        return out
+
+    def overlay(self, base, **flags):
+        """Copy of config dataclass `base` with its fields' keys in the file, then
+        the `flags` that are not None (main has checked them)."""
+        kwargs = {**self.parsed(rules(type(base))),
+                  **{k: v for k, v in flags.items() if v is not None}}
+        try:
+            return dataclasses.replace(base, **kwargs)
+        except ValueError as e:
+            raise ConfigError(f"{self.where}: {e}") from e
+
+    def done(self) -> None:
+        """Reject the keys that no config used."""
+        _reject_unknown(self.values, self.consumed, self.where)
 
 
 def _reject_unknown(values: dict, consumed: set, path) -> None:
@@ -160,36 +162,34 @@ def _reject_unknown(values: dict, consumed: set, path) -> None:
         raise ConfigError(f"{path}: unknown config keys {unknown}")
 
 
-def _read_config(args) -> dict:
-    return parse_config_file(args.config) if args.config else {}
-
-
 def parse_grid(spec: str) -> dict:
-    """'a2a=4,8,16;l2a=4,8' into {'a2a': [4, 8, 16], 'l2a': [4, 8]}."""
+    """'a2a=4,8,16;l2a=4,8' into {'a2a': [4, 8, 16], 'l2a': [4, 8]}, each size
+    parsed by the Rule of its ModelConfig field, e_a2a for a2a."""
     grid = {}
-    for part in spec.split(";"):
-        part = part.strip()
-        if not part:
-            continue
-        if "=" not in part:
-            raise ConfigError(f"grid part {part!r} is not name=v1,v2,...")
-        name, _, values = part.partition("=")
+    for part in filter(None, (p.strip() for p in spec.split(";"))):
+        name, eq, values = part.partition("=")
         name = name.strip()
+        if not eq:
+            raise ConfigError(f"grid part {part!r} is not name=v1,v2,...")
+        if name not in NEIGHBORHOODS:
+            raise ConfigError(f"unknown sweep dimension {name!r} "
+                              f"(known: {', '.join(NEIGHBORHOODS)})")
         if name in grid:
             raise ConfigError(f"grid names {name!r} twice")
-        try:
-            grid[name] = [int(v) for v in values.split(",") if v.strip()]
-        except ValueError as e:
-            raise ConfigError(f"grid values for {name!r} must be integers") from e
-        if not grid[name]:
+        sizes = [v for v in values.split(",") if v.strip()]
+        if not sizes:
             raise ConfigError(f"grid dimension {name!r} has no values")
+        try:
+            grid[name] = [rules(ModelConfig)[f"e_{name}"].parse(f"e_{name}", v) for v in sizes]
+        except ValueError as e:
+            raise ConfigError(f"grid dimension {name!r}: {e}") from e
     if not grid:
         raise ConfigError("empty grid")
     return grid
 
 
 def _sweep_grid(spec: str, cfg: ModelConfig, oracle: bool) -> dict:
-    """The --grid sweep, every name and size checked against `cfg` before any work."""
+    """The --grid sweep, checked against `cfg` before any work."""
     grid = parse_grid(spec)
     if oracle:
         raise ConfigError("--grid sweeps the model's neighborhoods, but --oracle scores the "
@@ -197,15 +197,6 @@ def _sweep_grid(spec: str, cfg: ModelConfig, oracle: bool) -> dict:
     if not cfg.use_local_attention:
         raise ConfigError("--grid sweeps local-attention neighborhoods, but the model has "
                           "use_local_attention=false, so every size gives the same result")
-    for name, sizes in grid.items():
-        if name not in NEIGHBORHOODS:
-            raise ConfigError(f"unknown sweep dimension {name!r} "
-                              f"(known: {', '.join(NEIGHBORHOODS)})")
-        for size in sizes:
-            try:
-                dataclasses.replace(cfg, **{f"e_{name}": size})
-            except ValueError as e:
-                raise ConfigError(f"grid dimension {name!r}: {e}") from e
     return grid
 
 
@@ -226,16 +217,20 @@ def _write_manifest(out_dir, doc: dict) -> None:
         json.dump(doc, fh, indent=1, sort_keys=True)
 
 
-def _load_scenarios(path) -> list:
-    """A scenario file or a dataset directory; a malformed file is a DataError naming it."""
+def _load_scenarios(path, allow_empty=False) -> list:
+    """A scenario file or a dataset directory; a malformed file, or unless
+    `allow_empty` a dataset with no scenes, is a DataError naming it."""
     if not os.path.exists(path):
         raise DataError(f"no such data path: {path}")
     if os.path.isdir(path) and not os.path.exists(os.path.join(path, "manifest.json")):
         raise DataError(f"{path}: no manifest.json; not a dataset directory")
     try:
-        return load_dataset(path) if os.path.isdir(path) else [sc.parse_scenario(path)]
+        scenarios = load_dataset(path) if os.path.isdir(path) else [sc.parse_scenario(path)]
     except ValueError as e:
         raise DataError(str(e)) from e
+    if not (scenarios or allow_empty):
+        raise DataError(f"{path}: dataset is empty")
+    return scenarios
 
 
 def _load_checkpoint(path, registry) -> int:
@@ -251,33 +246,29 @@ _RETIRED_MODEL_FIELDS = {"m_agent": N_AGENT_FEATURES, "m_map": N_MAP_FEATURES}
 
 
 def _manifest_model_config(raw: dict, where) -> ModelConfig:
-    """A manifest's ModelConfig object, each value's JSON type checked
-    against its field's default; a retired field must hold its one value."""
-    _reject_unknown(raw, {f.name for f in dataclasses.fields(ModelConfig)}
-                    | set(_RETIRED_MODEL_FIELDS), where)
+    """A manifest's ModelConfig object, each JSON value checked by its field's
+    Rule (a list as a tuple); a retired field must hold its one value."""
+    declared = rules(ModelConfig)
+    _reject_unknown(raw, set(declared) | set(_RETIRED_MODEL_FIELDS), where)
     kwargs = {}
     for key, value in raw.items():
         if key in _RETIRED_MODEL_FIELDS:
             if type(value) is not int or value != _RETIRED_MODEL_FIELDS[key]:
                 raise ConfigError(f"{where}: {key} is fixed at {_RETIRED_MODEL_FIELDS[key]}, "
                                   f"got {value!r}")
-            continue
-        like = getattr(ModelConfig, key)
-        if isinstance(like, tuple):
-            if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
-                raise ConfigError(f"{where}: {key} must be a list of strings, got {value!r}")
-            value = tuple(value)
-        elif type(value) is not type(like):
-            kind = "a boolean" if isinstance(like, bool) else "an integer"
-            raise ConfigError(f"{where}: {key} must be {kind}, got {value!r}")
-        kwargs[key] = value
+        else:
+            as_tuple = declared[key].kind is tuple and isinstance(value, list)
+            kwargs[key] = tuple(value) if as_tuple else value
     try:
         return ModelConfig(**kwargs)
     except ValueError as e:
         raise ConfigError(f"{where}: {e}") from e
 
 
-def _restore_model(model_path, values: dict, consumed: set, seed_flag):
+def _restore_model(args):
+    """The model of --model, its ModelConfig from the manifest beside it, then --config;
+    returns the parameters and the checkpoint's seed."""
+    model_path, conf = args.model, _ConfigFile(args.config)
     if not os.path.exists(model_path):
         raise DataError(f"no such model checkpoint: {model_path}")
     manifest_path = os.path.join(os.path.dirname(model_path) or ".", "manifest.json")
@@ -291,8 +282,9 @@ def _restore_model(model_path, values: dict, consumed: set, seed_flag):
             raise DataError(f"{manifest_path}: expected a JSON object with a ModelConfig object")
         if "ModelConfig" in doc:
             base = _manifest_model_config(doc["ModelConfig"], f"{manifest_path} ModelConfig")
-    cfg = _overlay(base, values, consumed)
-    params = init_model(cfg, seed=seed_flag or 0)
+    cfg = conf.overlay(base)
+    conf.done()
+    params = init_model(cfg, seed=args.seed or 0)
     return params, _load_checkpoint(model_path, params.registry)
 
 
@@ -345,17 +337,10 @@ def micro_scenario(t_history: int = 5, t_future: int = 4) -> sc.Scenario:
 
 
 def cmd_generate(args) -> int:
-    values = _read_config(args)
-    consumed: set = set()
-    count = 16
-    if "count" in values:
-        count = _convert(values["count"], 0)
-        consumed.add("count")
-    overrides = {"seed": args.seed} if args.seed is not None else {}
-    gen_cfg = _overlay(GeneratorConfig(), values, consumed, **overrides)
-    _reject_unknown(values, consumed, args.config or "<defaults>")
-    if count < 0:
-        raise ConfigError(f"count must be non-negative, got {count}")
+    conf = _ConfigFile(args.config)
+    count = conf.parsed({"count": _COUNT}).get("count", 16)
+    gen_cfg = conf.overlay(GeneratorConfig(), seed=args.seed)
+    conf.done()
     _make_out_dir(args.out)
     manifest = emit_dataset(gen_cfg, count, args.out)
     print(f"wrote {manifest['count']} scenarios to {args.out} "
@@ -364,11 +349,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_matrices(args) -> int:
-    scenarios = _load_scenarios(args.data)
-    values = _read_config(args)
-    consumed: set = set()
-    cfg = _overlay(ModelConfig(), values, consumed)
-    _reject_unknown(values, consumed, args.config or "<defaults>")
+    scenarios = _load_scenarios(args.data, allow_empty=True)
+    conf = _ConfigFile(args.config)
+    cfg = conf.overlay(ModelConfig())
+    conf.done()
     _make_out_dir(args.out)
     for scn in scenarios:
         try:
@@ -386,10 +370,9 @@ def cmd_matrices(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
-    values = _read_config(args)
-    consumed: set = set()
-    cfg = _overlay(micro_config(), values, consumed)
-    _reject_unknown(values, consumed, args.config or "<defaults>")
+    conf = _ConfigFile(args.config)
+    cfg = conf.overlay(micro_config())
+    conf.done()
     tol = args.tolerance if args.tolerance is not None else 1e-5
     seed = args.seed if args.seed is not None else 0
     if args.out:
@@ -423,25 +406,16 @@ def cmd_gradcheck(args) -> int:
 
 
 def cmd_train(args) -> int:
-    values = _read_config(args)
-    consumed: set = set()
-    model_cfg = _overlay(ModelConfig(), values, consumed)
+    conf = _ConfigFile(args.config)
+    model_cfg = conf.overlay(ModelConfig())
     if model_cfg.modes < 2:
-        raise ConfigError(f"modes must be at least 2 to train (the confidence hinge "
-                          f"compares modes), got {model_cfg.modes}")
-    train_overrides = {}
-    if args.seed is not None:
-        train_overrides["seed"] = args.seed
-    if args.epochs is not None:
-        train_overrides["epochs"] = args.epochs
-    loss_cfg = _overlay(LossConfig(), values, consumed)
-    train_cfg = _overlay(TrainingConfig(), values, consumed, loss=loss_cfg,
-                         **train_overrides)
-    _reject_unknown(values, consumed, args.config or "<defaults>")
+        raise ConfigError(f"{conf.where}: modes must be at least 2 to train (the "
+                          f"confidence hinge compares modes), got {model_cfg.modes}")
+    train_cfg = conf.overlay(TrainingConfig(), loss=conf.overlay(LossConfig()),
+                             seed=args.seed, epochs=args.epochs)
+    conf.done()
 
     scenarios = _load_scenarios(args.data)
-    if not scenarios:
-        raise DataError(f"{args.data}: dataset is empty")
     try:
         samples = [prepare_sample(s, model_cfg) for s in scenarios]
         require_ground_truth(samples)
@@ -479,17 +453,13 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    values = _read_config(args)
-    consumed: set = set()
-    params, stored_seed = _restore_model(args.model, values, consumed, args.seed)
-    _reject_unknown(values, consumed, args.config or "<defaults>")
+    params, stored_seed = _restore_model(args)
     grid = _sweep_grid(args.grid, params.cfg, args.oracle) if args.grid else None
     scenarios = _load_scenarios(args.data)
-    if not scenarios:
-        raise DataError(f"{args.data}: dataset is empty")
     _make_out_dir(args.out)
     try:
-        report = evaluate_model(params, scenarios, oracle=args.oracle)
+        samples = list(scored_samples(scenarios, params.cfg))
+        report = evaluate_model(params, samples, oracle=args.oracle)
     except ValueError as e:
         raise DataError(str(e)) from e
     write_report_csv(os.path.join(args.out, "report.csv"), report)
@@ -501,7 +471,7 @@ def cmd_eval(args) -> int:
              "mean_b_min_fde": report.mean_b_min_fde,
              "miss_rate": report.miss_rate, "oracle": bool(args.oracle)}
     if grid:
-        results = sweep_neighborhoods(params, scenarios, grid)
+        results = sweep_neighborhoods(params, samples, grid)
         write_sweep_csv(os.path.join(args.out, "sweep.csv"), results)
         for row in results:
             dims = "  ".join(f"{k}={row[k]}" for k in sorted(grid))
@@ -515,13 +485,8 @@ def cmd_eval(args) -> int:
 
 
 def cmd_predict(args) -> int:
-    values = _read_config(args)
-    consumed: set = set()
-    params, stored_seed = _restore_model(args.model, values, consumed, args.seed)
-    _reject_unknown(values, consumed, args.config or "<defaults>")
+    params, stored_seed = _restore_model(args)
     scenarios = _load_scenarios(args.data)
-    if not scenarios:
-        raise DataError(f"{args.data}: dataset is empty")
     _make_out_dir(args.out)
     written = []
     for scn in scenarios:
@@ -561,35 +526,31 @@ def build_parser() -> argparse.ArgumentParser:
         description="lane-graph trajectory prediction: data, training, evaluation")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, out_required=True):
+    def command(name, func, summary, out_required=True):
+        """A subcommand running `func`, with the flags every command takes."""
+        p = sub.add_parser(name, help=summary)
         p.add_argument("--config", help="key=value config file")
         p.add_argument("--seed", type=int, help="seed override")
         p.add_argument("--out", required=out_required, help="output directory")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("generate", help="write a synthetic dataset")
-    common(p)
-    p.set_defaults(func=cmd_generate)
+    command("generate", cmd_generate, "write a synthetic dataset")
 
-    p = sub.add_parser("matrices", help="dump structure matrices for scenarios")
-    common(p)
+    p = command("matrices", cmd_matrices, "dump structure matrices for scenarios")
     p.add_argument("--data", required=True, help="scenario file or dataset directory")
-    p.set_defaults(func=cmd_matrices)
 
-    p = sub.add_parser("gradcheck", help="finite-difference audit of the tiny model")
-    common(p, out_required=False)
+    p = command("gradcheck", cmd_gradcheck, "finite-difference audit of the tiny model",
+                out_required=False)
     p.add_argument("--tolerance", type=float, help="max relative error (default 1e-5)")
-    p.set_defaults(func=cmd_gradcheck)
 
-    p = sub.add_parser("train", help="train a model on a dataset")
-    common(p)
+    p = command("train", cmd_train, "train a model on a dataset")
     p.add_argument("--data", required=True, help="dataset directory")
     p.add_argument("--epochs", type=int, help="epoch count override")
     p.add_argument("--resume", help="warm start from this checkpoint's parameters; the "
                    "optimizer state, epoch schedule and shuffling start afresh")
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("eval", help="compute metrics for a trained model")
-    common(p)
+    p = command("eval", cmd_eval, "compute metrics for a trained model")
     p.add_argument("--data", required=True, help="scenario file or dataset directory")
     p.add_argument("--model", required=True, help="model checkpoint")
     p.add_argument("--tolerance", type=float,
@@ -597,14 +558,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", help="neighborhood sweep, e.g. 'a2a=4,8,16;l2a=4'")
     p.add_argument("--oracle", action="store_true",
                    help="score the ground truth itself (all metrics zero)")
-    p.set_defaults(func=cmd_eval)
 
-    p = sub.add_parser("predict", help="emit SVG scenes and prediction CSVs")
-    common(p)
+    p = command("predict", cmd_predict, "emit SVG scenes and prediction CSVs")
     p.add_argument("--data", required=True, help="scenario file or dataset directory")
     p.add_argument("--model", required=True, help="model checkpoint")
-    p.set_defaults(func=cmd_predict)
-
     return parser
 
 
@@ -615,9 +572,14 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_OK if e.code in (0, None) else EXIT_CONFIG_ERROR
     try:
-        # every command takes --seed, and numpy's seeding takes no negative seed
-        if args.seed is not None and args.seed < 0:
-            raise ConfigError(f"--seed must be non-negative, got {args.seed}")
+        # --seed (every command; numpy's seeding takes no negative seed) and --epochs,
+        # checked by the rules of the TrainingConfig fields they override
+        for flag in ("seed", "epochs"):
+            if getattr(args, flag, None) is not None:
+                try:
+                    rules(TrainingConfig)[flag].check(f"--{flag}", getattr(args, flag))
+                except ValueError as e:
+                    raise ConfigError(str(e)) from e
         return args.func(args)
     except ConfigError as e:
         print(f"config error: {e}", file=sys.stderr)

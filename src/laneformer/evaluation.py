@@ -2,11 +2,11 @@
 
 Reports are per-(scenario, target) metric rows plus one summary row whose
 miss column holds the miss rate, written by scenario.write_csv. Each scene
-is prepared and checked for ground truth (metrics.require_ground_truth)
-before its forward runs, and the model's predictions come from
-model.predict_sample, its one forward without a tape. Metrics are computed
-in the normalized agent frame; rigid motions preserve every distance
-involved, so the frame choice cannot change any value.
+is prepared (a Sample is taken as it is) and checked for ground truth
+(scored_samples) before its forward runs, and the model's predictions
+come from model.predict_sample, its one forward without a tape. Metrics
+are computed in the normalized agent frame; rigid motions preserve every
+distance involved, so the frame choice cannot change any value.
 """
 
 from __future__ import annotations
@@ -17,11 +17,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .metrics import evaluate_prediction, miss_rate, require_ground_truth
-from .model import NEIGHBORHOODS, ModelParams, predict_sample, prepare_sample
+from .model import NEIGHBORHOODS, ModelParams, Sample, predict_sample, prepare_sample
 from .scenario import write_csv
 
 __all__ = [
     "EvaluationReport",
+    "scored_samples",
     "evaluate_model",
     "write_report_csv",
     "sweep_neighborhoods",
@@ -54,10 +55,11 @@ def _summarize(rows) -> "EvaluationReport":
     )
 
 
-def _scored_samples(scenarios, cfg):
-    """Prepared samples, each checked to carry the ground truth a report scores."""
-    for scn in scenarios:
-        sample = prepare_sample(scn, cfg)
+def scored_samples(scenes, cfg):
+    """Each scene prepared for `cfg`, unless it is a Sample already, and checked
+    to carry the ground truth a report scores, yielded as it is ready."""
+    for scn in scenes:
+        sample = scn if isinstance(scn, Sample) else prepare_sample(scn, cfg)
         require_ground_truth([sample])
         yield sample
 
@@ -87,7 +89,7 @@ def evaluate_model(params: ModelParams, scenarios, oracle: bool = False) -> Eval
     With oracle=True the ground truth itself is scored as a single
     full-confidence mode, which drives every metric to zero.
     """
-    return _report(params, _scored_samples(scenarios, params.cfg), oracle)
+    return _report(params, scored_samples(scenarios, params.cfg), oracle)
 
 
 def write_report_csv(path, report: EvaluationReport) -> None:
@@ -108,7 +110,7 @@ def sweep_neighborhoods(params: ModelParams, scenarios, grid: dict) -> list:
     if unknown:
         raise ValueError(f"unknown sweep dimensions {sorted(unknown)}")
     names = sorted(grid)
-    samples = list(_scored_samples(scenarios, params.cfg))
+    samples = list(scored_samples(scenarios, params.cfg))
     results = []
     for combo in itertools.product(*(grid[n] for n in names)):
         overrides = {f"e_{n}": int(v) for n, v in zip(names, combo)}

@@ -50,6 +50,7 @@ from .attention import (
     nearest_neighbor_mask,
     transformer_layer,
 )
+from .config import Config, setting
 from .topology import TopologyMatrices, build_topology
 
 __all__ = [
@@ -83,37 +84,28 @@ NEIGHBORHOODS = ("a2a", "a2l", "l2a")
 
 
 @dataclass
-class ModelConfig:
-    t_history: int = 50
-    t_future: int = 60
-    modes: int = 6
-    d_model: int = 32
-    heads: int = 4
-    layers: int = 2
-    n_lane_nodes: int = 10
-    decoder_hidden: int = 64
-    e_a2a: int = 16
-    e_a2l: int = 32
-    e_l2a: int = 8
+class ModelConfig(Config):
+    t_history: int = setting(50, at_least=1)
+    t_future: int = setting(60, at_least=1)
+    modes: int = setting(6, at_least=1)
+    d_model: int = setting(32, at_least=1)
+    heads: int = setting(4, at_least=1)
+    layers: int = setting(2, at_least=1)
+    n_lane_nodes: int = setting(10, at_least=2)
+    decoder_hidden: int = setting(64, at_least=1)
+    e_a2a: int = setting(16, at_least=1)
+    e_a2l: int = setting(32, at_least=1)
+    e_l2a: int = setting(8, at_least=1)
     use_relation_bias: bool = True
     use_reachability_bias: bool = True
     use_local_attention: bool = True
-    connection_types: tuple = sc.BOUNDARY_TYPES
+    connection_types: tuple = setting(sc.BOUNDARY_TYPES, choices=sc.BOUNDARY_TYPES)
 
     def __post_init__(self):
-        if self.heads < 1 or self.d_model < 1:
-            raise ValueError("heads and d_model must be positive")
+        super().__post_init__()
         if self.d_model % self.heads:
             raise ValueError(
                 f"d_model must split evenly into heads ({self.d_model} % {self.heads} != 0)")
-        if self.modes < 1:
-            raise ValueError(f"need at least 1 mode, got {self.modes}")
-        if self.n_lane_nodes < 2:
-            raise ValueError("n_lane_nodes must be at least 2")
-        for name in NEIGHBORHOODS:
-            e = getattr(self, f"e_{name}")
-            if e < 1:
-                raise ValueError(f"e_{name} must be at least 1, got {e}")
 
 
 @dataclass

@@ -22,6 +22,7 @@ __all__ = [
     "AGENT_TYPES",
     "LANE_TYPES",
     "BOUNDARY_TYPES",
+    "COORDINATE_LIMIT",
     "AgentHistory",
     "Lane",
     "LaneConnectivity",
@@ -45,6 +46,10 @@ __all__ = [
 AGENT_TYPES = ("vehicle", "pedestrian", "cyclist", "other")
 LANE_TYPES = ("vehicle", "bus", "bike", "other")
 BOUNDARY_TYPES = ("solid", "dashed", "double_solid", "none")
+
+# bound on a scene's coordinates (m) and velocities (m/s), far beyond any map
+COORDINATE_LIMIT = 1e6
+_BEYOND = f"beyond {COORDINATE_LIMIT:,.0f}"
 
 
 @dataclass
@@ -140,39 +145,47 @@ def _first_offender(flags: np.ndarray):
 
 
 def _check_lanes(lanes) -> None:
-    """Per lane: a repeated id, an unknown type, a non-finite node, two equal consecutive nodes."""
+    """Per lane: a repeated id, an unknown type, a non-finite node, a node beyond
+    COORDINATE_LIMIT, two equal consecutive nodes."""
     first_index = {}
-    flags = np.zeros((4, len(lanes)), dtype=bool)
+    flags = np.zeros((5, len(lanes)), dtype=bool)
     flags[0] = [first_index.setdefault(l.lane_id, i) != i for i, l in enumerate(lanes)]
     flags[1] = [l.lane_type not in LANE_TYPES for l in lanes]
     nodes = np.concatenate([l.centerline for l in lanes])
     lane_of = np.repeat(np.arange(len(lanes)), [len(l.centerline) for l in lanes])
     flags[2, lane_of[~np.isfinite(nodes).all(axis=1)]] = True
-    with np.errstate(invalid="ignore"):   # inf - inf at a non-finite node, flagged above
+    flags[3, lane_of[(np.abs(nodes) > COORDINATE_LIMIT).any(axis=1)]] = True
+    # inf - inf at a non-finite node and overflow at a far one, both flagged above
+    with np.errstate(invalid="ignore", over="ignore"):
         repeated = np.linalg.norm(np.diff(nodes, axis=0), axis=1) == 0.0
-    flags[3, lane_of[1:][repeated & (lane_of[1:] == lane_of[:-1])]] = True
+    flags[4, lane_of[1:][repeated & (lane_of[1:] == lane_of[:-1])]] = True
     found = _first_offender(flags)
     if found:
         l = lanes[found[0]]
         raise ValueError((f"duplicate lane id {l.lane_id}",
                           f"lane {l.lane_id}: unknown lane type {l.lane_type!r}",
                           f"lane {l.lane_id}: non-finite centerline",
+                          f"lane {l.lane_id}: centerline coordinate {_BEYOND} m",
                           f"lane {l.lane_id}: consecutive centerline nodes not distinct",
                           )[found[1]])
 
 
 def _check_agents(agents) -> None:
     """Per agent: a history length unlike agent 0's, an unknown type, then a
-    non-finite position, velocity or heading at an observed step."""
+    non-finite position, velocity or heading, then a position or velocity
+    beyond COORDINATE_LIMIT, at an observed step."""
     t = agents[0].t_history
     lengths = np.array([a.t_history for a in agents])
     mismatched = np.flatnonzero(lengths != t)
     kept = agents[:mismatched[0]] if len(mismatched) else agents
     positions, velocities, headings, padding = _agent_arrays(kept)
     # padded steps are ignored downstream, so only observed ones must be finite
-    bad = {"positions": padding & ~np.isfinite(positions).all(axis=2),
-           "velocities": padding & ~np.isfinite(velocities).all(axis=2),
-           "headings": padding & ~np.isfinite(headings)}
+    bad = {"non-finite positions": padding & ~np.isfinite(positions).all(axis=2),
+           "non-finite velocities": padding & ~np.isfinite(velocities).all(axis=2),
+           "non-finite headings": padding & ~np.isfinite(headings),
+           f"position {_BEYOND} m": padding & (np.abs(positions) > COORDINATE_LIMIT).any(axis=2),
+           f"velocity {_BEYOND} m/s":
+               padding & (np.abs(velocities) > COORDINATE_LIMIT).any(axis=2)}
     found = _first_offender(np.array(
         [[a.agent_type not in AGENT_TYPES for a in kept], *(b.any(axis=1) for b in bad.values())]))
     if found:
@@ -181,7 +194,7 @@ def _check_agents(agents) -> None:
             raise ValueError(f"agent {i}: unknown agent type {kept[i].agent_type!r}")
         name, steps = list(bad.items())[check - 1]
         raise ValueError(
-            f"agent {i}: non-finite {name} at observed step {int(np.flatnonzero(steps[i])[0])}")
+            f"agent {i}: {name} at observed step {int(np.flatnonzero(steps[i])[0])}")
     if len(mismatched):
         i = int(mismatched[0])
         raise ValueError(f"history length mismatch: agent {i} has {lengths[i]}, expected {t}")
@@ -234,9 +247,11 @@ def validate_scenario(sc: Scenario) -> None:
         if gt.ndim != 3 or gt.shape[0] != len(sc.agents) or gt.shape[2] != 2:
             raise ValueError(
                 f"ground truth must be (N_agents, T_future, 2), got {gt.shape}")
-        bad = ~np.isfinite(gt).all(axis=(1, 2))
-        if bad.any():
-            raise ValueError(f"agent {int(np.flatnonzero(bad)[0])}: non-finite ground truth")
+        for fault, bad in (("non-finite ground truth", ~np.isfinite(gt).all(axis=(1, 2))),
+                           (f"ground truth {_BEYOND} m",
+                            (np.abs(gt) > COORDINATE_LIMIT).any(axis=(1, 2)))):
+            if bad.any():
+                raise ValueError(f"agent {int(np.flatnonzero(bad)[0])}: {fault}")
 
 
 # ---------------------------------------------------------------------------

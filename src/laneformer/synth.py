@@ -12,12 +12,12 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
+from .config import Config, setting
 from .scenario import (
     BOUNDARY_TYPES,
     AgentHistory,
@@ -56,30 +56,14 @@ SPEED_PROFILES = ("constant", "rapid_decel", "rapid_accel")
 
 
 @dataclass
-class GeneratorConfig:
-    seed: int = 0
-    template: str = "straight"
-    lane_length: float = 50.0     # meters per straight segment
-    lane_spacing: float = 3.5     # lateral gap between parallel lanes
-    agent_count: int = 3          # total agents, target included
-    speed_profile: str = "constant"
-    noise_sigma: float = 0.05     # history-only position noise, meters
-
-    def __post_init__(self):
-        if self.template not in TEMPLATES:
-            raise ValueError(f"unknown template {self.template!r}")
-        if self.speed_profile not in SPEED_PROFILES:
-            raise ValueError(f"unknown speed profile {self.speed_profile!r}")
-        if self.agent_count < 1:
-            raise ValueError("agent_count must be at least 1")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        for name in ("lane_length", "lane_spacing"):
-            value = getattr(self, name)
-            if not (math.isfinite(value) and value > 0):
-                raise ValueError(f"{name} must be finite and positive, got {value}")
-        if not (math.isfinite(self.noise_sigma) and self.noise_sigma >= 0):
-            raise ValueError(f"noise_sigma must be finite and non-negative, got {self.noise_sigma}")
+class GeneratorConfig(Config):
+    seed: int = setting(0, at_least=0)
+    template: str = setting("straight", choices=TEMPLATES)
+    lane_length: float = setting(50.0, above=0)     # meters per straight segment
+    lane_spacing: float = setting(3.5, above=0)     # lateral gap between parallel lanes
+    agent_count: int = setting(3, at_least=1)       # total agents, target included
+    speed_profile: str = setting("constant", choices=SPEED_PROFILES)
+    noise_sigma: float = setting(0.05, at_least=0)  # history-only position noise, meters
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import hashlib
 import json
-import math
 import time
 from dataclasses import asdict, dataclass, field
 
@@ -30,6 +29,7 @@ from .autodiff import (
     backpropagate,
     save_checkpoint,
 )
+from .config import Config, setting
 from .metrics import _endpoint_errors, require_ground_truth
 from .model import ModelOutput, ModelParams, Sample, model_forward, stack_samples
 from .scenario import write_csv
@@ -54,20 +54,12 @@ __all__ = [
 
 
 @dataclass
-class LossConfig:
-    epsilon: float = 0.2          # confidence hinge margin
-    huber_delta: float = 1.0
-    weight_reg: float = 1.0
-    weight_cls: float = 1.0
-    weight_goal: float = 1.0
-
-    def __post_init__(self):
-        if not 0 < self.huber_delta < math.inf:
-            raise ValueError(f"huber_delta must be positive and finite, got {self.huber_delta}")
-        for name in ("epsilon", "weight_reg", "weight_cls", "weight_goal"):
-            if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be non-negative and finite, "
-                                 f"got {getattr(self, name)}")
+class LossConfig(Config):
+    epsilon: float = setting(0.2, at_least=0)     # confidence hinge margin
+    huber_delta: float = setting(1.0, above=0)
+    weight_reg: float = setting(1.0, at_least=0)
+    weight_cls: float = setting(1.0, at_least=0)
+    weight_goal: float = setting(1.0, at_least=0)
 
 
 @dataclass
@@ -246,28 +238,16 @@ class TrainingDiverged(RuntimeError):
 
 
 @dataclass
-class TrainingConfig:
-    epochs: int = 50
-    batch_size: int = 8
-    lr_init: float = 5e-4
-    lr_late: float = 1e-4
-    decay_epoch: int = 45
-    max_steps: int | None = None
-    checkpoint_every: int = 0     # epochs between snapshots; 0 = final only
-    seed: int = 0
+class TrainingConfig(Config):
+    epochs: int = setting(50, at_least=1)
+    batch_size: int = setting(8, at_least=1)
+    lr_init: float = setting(5e-4, above=0)
+    lr_late: float = setting(1e-4, above=0)
+    decay_epoch: int = setting(45, at_least=0)
+    max_steps: int | None = setting(None, at_least=1)
+    checkpoint_every: int = setting(0, at_least=0)  # epochs between snapshots; 0 = final only
+    seed: int = setting(0, at_least=0)
     loss: LossConfig = field(default_factory=LossConfig)
-
-    def __post_init__(self):
-        for name in ("epochs", "batch_size", "max_steps"):
-            value = getattr(self, name)
-            if value is not None and value < 1:
-                raise ValueError(f"{name} must be at least 1, got {value}")
-        for name in ("decay_epoch", "checkpoint_every", "seed"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
-        for name in ("lr_init", "lr_late"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)}")
 
 
 def learning_rate(cfg: TrainingConfig, epoch: int) -> float:

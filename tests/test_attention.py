@@ -247,7 +247,7 @@ def test_attention_config_validates_head_split():
     with pytest.raises(ValueError, match=r"d_model must split evenly into heads \(10 % 4 != 0\)"):
         ModelConfig(d_model=10, heads=4)
     for bad in (dict(heads=0), dict(d_model=0)):
-        with pytest.raises(ValueError, match="heads and d_model must be positive"):
+        with pytest.raises(ValueError, match=f"{next(iter(bad))} must be at least 1, got 0"):
             ModelConfig(**bad)
     cfg = ModelConfig(d_model=12, heads=4)
     assert (cfg.d_model, cfg.heads) == (12, 4)

@@ -8,7 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
-from laneformer import cli
+from laneformer import cli, evaluation
 from laneformer.autodiff import GradCheckReport
 from laneformer.cli import (
     EXIT_CHECK_FAILURE,
@@ -235,7 +235,7 @@ def test_eval_manifest_with_unknown_model_key_is_config_error(workspace, tmp_pat
     assert main(["eval", "--data", workspace["data"], "--model", str(run / "model.ckpt"),
                  "--out", str(tmp_path / "e")]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
-    assert str(run / "manifest.json") in err and "at least 1 mode" in err
+    assert str(run / "manifest.json") in err and "modes must be at least 1, got 0" in err
 
 
 def test_dataset_manifest_without_files_is_data_error(workspace, tmp_path, capsys):
@@ -590,7 +590,7 @@ def test_train_with_out_of_range_setting_is_config_error_before_any_work(
     assert main(["train", "--config", cfg, "--data", workspace["data"],
                  "--out", str(out)]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {named} must be ")
+    assert err.startswith(f"config error: {cfg}: {named} must be ")
     assert not out.exists()
 
 
@@ -607,7 +607,7 @@ def test_generate_with_out_of_range_setting_is_config_error_before_any_work(
     out = tmp_path / "d"
     assert main(["generate", "--config", cfg, "--out", str(out)]) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
-    assert err.startswith(f"config error: {named} must be ") and "Traceback" not in err
+    assert err.startswith(f"config error: {cfg}: {named} must be ") and "Traceback" not in err
     assert not out.exists()
 
 
@@ -622,7 +622,7 @@ def test_negative_seed_is_config_error_before_any_output(workspace, tmp_path, ca
                  "--model", os.path.join(workspace["run"], "model.ckpt")]
     assert main(argv) == EXIT_CONFIG_ERROR
     err = capsys.readouterr().err
-    assert err.startswith("config error: --seed must be non-negative") and "Traceback" not in err
+    assert err.startswith("config error: --seed must be at least 0, got -1") and "Traceback" not in err
     assert not out.exists()
 
 
@@ -632,6 +632,9 @@ def test_negative_seed_is_config_error_before_any_output(workspace, tmp_path, ca
     ("use_local_attention", "no", "use_local_attention must be a boolean"),
     ("m_agent", 9, "m_agent is fixed at 8"),
     ("m_map", 5.0, "m_map is fixed at 5"),
+    ("modes", None, "modes must be an integer, got None"),
+    ("connection_types", ["solid", "foo"], "connection_types must be a list of solid, dashed, "
+                                           "double_solid, none; got 'foo'"),
 ])
 def test_eval_manifest_value_of_the_wrong_type_is_config_error(workspace, tmp_path, capsys,
                                                                key, value, message):
@@ -655,3 +658,45 @@ def test_eval_loads_a_manifest_with_the_retired_feature_widths(workspace, tmp_pa
     json.dump(manifest, open(run / "manifest.json", "w"))
     assert main(["eval", "--data", workspace["data"], "--model", str(run / "model.ckpt"),
                  "--out", str(tmp_path / "ev")]) == EXIT_OK
+
+
+@pytest.mark.parametrize("command", ["predict", "eval"])
+@pytest.mark.parametrize("edit, fault", [
+    (lambda doc: doc["lanes"][0]["centerline"][1].__setitem__(0, 1e160),
+     "lane 0: centerline coordinate beyond 1,000,000 m"),
+    (lambda doc: doc["agents"][1]["states"][49].__setitem__(1, -1e160),
+     "agent 1: position beyond 1,000,000 m at observed step 49"),
+    (lambda doc: doc["ground_truth"][0][3].__setitem__(0, 1e160),
+     "agent 0: ground truth beyond 1,000,000 m"),
+])
+def test_finite_coordinate_beyond_the_limit_is_data_error_naming_file_and_field(
+        workspace, tmp_path, capsys, command, edit, fault):
+    # 1e160 is finite, but squared it overflows the forward's distances
+    doc = json.load(open(os.path.join(workspace["data"], "scenario_0000.json")))
+    edit(doc)
+    path = tmp_path / "far.json"
+    json.dump(doc, open(path, "w"))
+    out = tmp_path / "o"
+    assert main([command, "--data", str(path), "--out", str(out),
+                 "--model", os.path.join(workspace["run"], "model.ckpt")]) == EXIT_DATA_ERROR
+    assert capsys.readouterr().err == f"data error: {path}: {fault}\n"
+    assert not out.exists()
+
+
+def test_eval_grid_prepares_each_scene_once(workspace, tmp_path, monkeypatch):
+    # the sweep reuses the samples the report prepared
+    gen = _write(tmp_path / "g.cfg", "template=merge\ncount=4\nagent_count=3\n")
+    data = str(tmp_path / "merge")
+    assert main(["generate", "--config", gen, "--seed", "3", "--out", data]) == EXIT_OK
+    calls = []
+
+    def counted(scn, cfg):
+        calls.append(scn.name)
+        return prepare_sample(scn, cfg)
+
+    monkeypatch.setattr(cli, "prepare_sample", counted)
+    monkeypatch.setattr(evaluation, "prepare_sample", counted)
+    assert main(["eval", "--data", data, "--model", os.path.join(workspace["run"], "model.ckpt"),
+                 "--out", str(tmp_path / "ev"), "--grid", "a2a=1,2"]) == EXIT_OK
+    assert calls == [f"scenario_{i:04d}" for i in range(4)]
+    assert len(open(tmp_path / "ev" / "sweep.csv").read().splitlines()) == 3

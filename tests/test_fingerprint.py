@@ -1,6 +1,6 @@
 """tools/fingerprint.py: a dump compares equal to itself, a one-ulp change shows
 with its size in ulps, and the prepared samples of every case, batches included, and the
-default-config cases' report rows are in it."""
+default-config cases' report rows are in it. compare runs with no laneformer on the path."""
 
 import os
 import subprocess
@@ -12,7 +12,10 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
 def _fingerprint(*args):
-    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    # only dump imports laneformer; compare must run without it on the path
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
+    if args[0] == "dump":
+        env["PYTHONPATH"] = os.path.join(ROOT, "src")
     return subprocess.run([sys.executable, os.path.join(ROOT, "tools", "fingerprint.py"), *args],
                           env=env, capture_output=True, text=True, timeout=300)
 

@@ -391,7 +391,7 @@ def test_to_world_round_trip():
 
 
 def test_model_config_validation():
-    with pytest.raises(ValueError, match="at least 1 mode"):
+    with pytest.raises(ValueError, match="modes must be at least 1, got 0"):
         _cfg(modes=0)
     with pytest.raises(ValueError, match="n_lane_nodes"):
         _cfg(n_lane_nodes=1)

@@ -184,6 +184,40 @@ def test_validation_rejects_non_finite_values():
     validate_scenario(sc)
 
 
+def test_validation_bounds_every_coordinate_by_the_limit():
+    from laneformer.scenario import COORDINATE_LIMIT as LIMIT
+
+    def put(array, index, value):
+        array[index] = value
+
+    cases = [
+        ("lane 2: centerline coordinate beyond 1,000,000 m",
+         lambda sc: put(sc.lanes[2].centerline, (1, 1), -1e160)),
+        ("agent 1: position beyond 1,000,000 m at observed step 2",
+         lambda sc: put(sc.agents[1].positions, (2, 0), 2 * LIMIT)),
+        ("agent 0: velocity beyond 1,000,000 m/s at observed step 3",
+         lambda sc: put(sc.agents[0].velocities, (3, 1), 1e160)),
+        ("agent 1: ground truth beyond 1,000,000 m",
+         lambda sc: put(sc.ground_truth, (1, 4, 0), 1e160)),
+    ]
+    for message, mutate in cases:
+        sc = _small_scenario()
+        mutate(sc)
+        # far nodes are named with no overflow warning on the way
+        with warnings.catch_warnings(), pytest.raises(ValueError) as err:
+            warnings.simplefilter("error")
+            validate_scenario(sc)
+        assert str(err.value) == message
+
+    # the limit itself is inside, and a padded step may hold anything
+    sc = _small_scenario()
+    sc.lanes[2].centerline[1] = (LIMIT, -LIMIT)
+    sc.ground_truth[0, 0] = (-LIMIT, LIMIT)
+    sc.agents[1].padding[0] = False
+    sc.agents[1].positions[0] = 1e160
+    validate_scenario(sc)
+
+
 def test_validation_names_the_first_of_two_offenders():
     """With two offenders of one kind, the message names the first in storage order."""
     cases = []

@@ -37,15 +37,15 @@ def _nearest_lane_distance(point, lanes):
 
 
 def test_config_validation():
-    with pytest.raises(ValueError, match="unknown template"):
+    with pytest.raises(ValueError, match="template must be one of"):
         GeneratorConfig(template="roundabout")
-    with pytest.raises(ValueError, match="unknown speed profile"):
+    with pytest.raises(ValueError, match="speed_profile must be one of"):
         GeneratorConfig(speed_profile="teleport")
     with pytest.raises(ValueError, match="agent_count"):
         GeneratorConfig(agent_count=0)
-    with pytest.raises(ValueError, match="positive"):
+    with pytest.raises(ValueError, match="lane_spacing must be finite and above 0"):
         GeneratorConfig(lane_spacing=-1.0)
-    with pytest.raises(ValueError, match="seed must be non-negative"):
+    with pytest.raises(ValueError, match="seed must be at least 0"):
         GeneratorConfig(seed=-1)
     for field, bad in (("lane_length", float("nan")), ("lane_spacing", float("inf")),
                        ("noise_sigma", -0.1), ("noise_sigma", float("nan"))):

@@ -125,7 +125,7 @@ def test_scenario_loss_is_one_node_over_paths_and_confidences():
     assert len(loss.total._parents) == 2
     for term in (loss.reg, loss.cls, loss.goal):
         assert term._parents == () and not term.requires_grad
-    with pytest.raises(ValueError, match="huber_delta must be positive"):
+    with pytest.raises(ValueError, match="huber_delta must be finite and above 0"):
         _hand_loss(np.zeros((1, 3, 2)), [[0.6, 0.4]], [0], huber_delta=0.0)
 
 

@@ -24,8 +24,9 @@ relative difference |a - b| / |a| (2-norms over the whole array) and the
 largest distance in ulps: the number of float64 values from an element of
 a to its element in b, counted after casting both to float64.
 
-Needs only numpy and laneformer's public API; run it from a checkout with
-PYTHONPATH=src so that the dump measures that checkout's code.
+`compare` needs only numpy. `dump` imports laneformer's public API; run it
+from a checkout with PYTHONPATH=src so that the dump measures that
+checkout's code.
 """
 
 from __future__ import annotations
@@ -34,10 +35,6 @@ import argparse
 import sys
 
 import numpy as np
-
-import laneformer as lf
-from laneformer.cli import micro_config, micro_scenario
-from laneformer.synth import TEMPLATES
 
 STEPS = 3
 LR = 2e-3
@@ -50,6 +47,10 @@ TOPOLOGY_FIELDS = ("m_p", "m_s", "m_l", "m_r", "pre_hops", "suc_hops", "m_pre_sp
 
 def _cases():
     """name -> (model config, init seed, scenarios)."""
+    import laneformer as lf
+    from laneformer.cli import micro_config, micro_scenario
+    from laneformer.synth import TEMPLATES
+
     toy = lf.ModelConfig(d_model=16, heads=2, layers=1, modes=6, n_lane_nodes=6,
                          decoder_hidden=32, e_a2a=8, e_a2l=16, e_l2a=4)
     straight = lf.GeneratorConfig(seed=1, template="straight", agent_count=3)
@@ -86,6 +87,8 @@ def _prepared(prefix: str, sample, arrays: dict) -> None:
 
 def fingerprint() -> dict:
     """Key -> array for every number `dump` saves."""
+    import laneformer as lf
+
     arrays = {}
     for case, (cfg, seed, scenes) in _cases().items():
         samples = [lf.prepare_sample(scn, cfg) for scn in scenes]
